@@ -33,10 +33,6 @@ EXIT_RESOURCE_LIMIT = 3
 NODE_BUDGET_ENV = "ETHICA_NODE_BUDGET"
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def _parse_selector(text: str):
     """A bundle name, or a comma-separated list of axiom ids."""
     tokens = [token.strip() for token in text.split(",") if token.strip()]
@@ -48,11 +44,12 @@ def _parse_selector(text: str):
 def _search_config(args, default_things: int = 4) -> SearchConfig:
     budget_text = os.environ.get(NODE_BUDGET_ENV)
     budget = int(budget_text) if budget_text else SearchConfig().node_budget
+    things = default_things if args.max_things is None else args.max_things
     return SearchConfig(
-        max_thing_size=getattr(args, "max_things", None) or default_things,
-        max_world_size=getattr(args, "max_worlds", None),
-        pruning="none" if getattr(args, "no_prune", False) else "canonical",
-        workers=getattr(args, "workers", None) or _default_workers(),
+        max_thing_size=things,
+        max_world_size=args.max_worlds,
+        pruning="none" if args.no_prune else "canonical",
+        workers=1 if args.workers is None else args.workers,
         node_budget=budget,
     )
 
@@ -130,7 +127,7 @@ def _cmd_search(args, verdict_only: bool = False) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    specs = bundled_experiments(args.workers or _default_workers())
+    specs = bundled_experiments(args.workers)
     if args.name == "all":
         chosen = list(specs.values())
     elif args.name in specs:
@@ -153,7 +150,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = reducibility_table(args.workers or _default_workers())
+    table = reducibility_table(args.workers)
     if args.json:
         _emit_json(table.to_json_dict())
     else:
@@ -230,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-prune", action="store_true",
                        help="disable canonical symmetry pruning")
         p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker count (default: available parallelism)")
+                       help="accepted for compatibility; must be >= 1 and "
+                            "changes neither results nor speed")
         p.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="check a model against premises "

@@ -3,15 +3,18 @@
 Both corpus models carry two deliberate fidelity caveats, surfaced as flags
 in every report: the eternal-essence table is uniformly true (F1), and the
 three-category ontology of substance/attribute/mode is collapsed into a
-substance vs non-substance split (F2).
+substance vs non-substance split (F2).  The tables themselves live in
+``data/<name>.model`` and are parsed on demand.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .dsl import parse_model
 from .logic import EvaluationError, FiniteModel, ForAll, Formula, Sort, evaluate
 from .registry import Selector, axiom_set
 
@@ -27,6 +30,20 @@ class CorpusModel:
     fidelity_flags: tuple[str, ...]
 
 
+def _load(name: str, provenance: str) -> CorpusModel:
+    """The corpus model parsed from its ``data/<name>.model`` file."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.model")
+    with open(path, encoding="utf-8") as handle:
+        model = parse_model(handle.read())
+    return CorpusModel(
+        name=name,
+        model=model,
+        provenance=provenance,
+        fidelity_flags=(FIDELITY_UNIFORM_ETERNAL_ESSENCE,
+                        FIDELITY_TWO_CATEGORY_COLLAPSE),
+    )
+
+
 def a12_counter_model() -> CorpusModel:
     """Four elements: two substances sharing one attribute, plus a
     discriminator attribute held by the first substance only.
@@ -34,35 +51,10 @@ def a12_counter_model() -> CorpusModel:
     Satisfies substance distinguishability (A22) while falsifying the
     substance-identity-by-shared-attribute axiom (A12).
     """
-    substances = {"s1", "s2"}
-    attributes = {"a_shared", "a_only_s1"}
-    things = ("s1", "s2", "a_shared", "a_only_s1")
-    model = FiniteModel(
-        name="A12CounterModel",
-        things=things,
-        tables={
-            "inItself": substances,
-            "perSeConceived": substances,
-            "involvesExistence": substances,
-            "natureRequiresExistence": substances,
-            "absolutelyInfinite": substances,
-            "inAnother": attributes,
-            "conceivedThroughAnother": attributes,
-            "intellectPerceivesAsEssence": {
-                ("s1", "s1"), ("s1", "a_shared"), ("s1", "a_only_s1"),
-                ("s2", "s2"), ("s2", "a_shared"),
-            },
-            "expressesEternalEssence": set(itertools.product(things, things)),
-        },
-    )
-    return CorpusModel(
-        name="A12CounterModel",
-        model=model,
+    return _load(
+        "A12CounterModel",
         provenance="four-element counter-model: the shared attribute defeats "
-                   "A12 while a_only_s1 discriminates the substance pair for A22",
-        fidelity_flags=(FIDELITY_UNIFORM_ETERNAL_ESSENCE,
-                        FIDELITY_TWO_CATEGORY_COLLAPSE),
-    )
+                   "A12 while a_only_s1 discriminates the substance pair for A22")
 
 
 def a15_counter_model() -> CorpusModel:
@@ -71,33 +63,10 @@ def a15_counter_model() -> CorpusModel:
     Satisfies plenitude (A25) while falsifying the attribute-universality
     axiom (A15); hosting two gods, it falsifies god uniqueness (A26).
     """
-    substances = {"g1", "g2"}
-    things = ("g1", "g2", "attr_g2")
-    model = FiniteModel(
-        name="A15CounterModel",
-        things=things,
-        tables={
-            "inItself": substances,
-            "perSeConceived": substances,
-            "involvesExistence": substances,
-            "natureRequiresExistence": substances,
-            "absolutelyInfinite": substances,
-            "inAnother": {"attr_g2"},
-            "conceivedThroughAnother": {"attr_g2"},
-            "intellectPerceivesAsEssence": {
-                ("g1", "g1"), ("g2", "g2"), ("g2", "attr_g2"),
-            },
-            "expressesEternalEssence": set(itertools.product(things, things)),
-        },
-    )
-    return CorpusModel(
-        name="A15CounterModel",
-        model=model,
+    return _load(
+        "A15CounterModel",
         provenance="three-element counter-model: both g1 and g2 are gods and "
-                   "attr_g2 belongs to g2 only, defeating A15 under plenitude",
-        fidelity_flags=(FIDELITY_UNIFORM_ETERNAL_ESSENCE,
-                        FIDELITY_TWO_CATEGORY_COLLAPSE),
-    )
+                   "attr_g2 belongs to g2 only, defeating A15 under plenitude")
 
 
 _CORPUS = {

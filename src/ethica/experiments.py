@@ -299,8 +299,7 @@ _ENTAIL_CACHE: dict = {}
 
 def _config_key(config: SearchConfig):
     return (config.max_thing_size, config.max_world_size,
-            config.support_predicates, config.pruning, config.workers,
-            config.node_budget)
+            config.support_predicates, config.pruning, config.node_budget)
 
 
 def _entail_cached(direction: Direction, config: SearchConfig) -> EntailmentVerdict:

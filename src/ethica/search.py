@@ -4,14 +4,16 @@ The engine looks for a finite model satisfying the premises while falsifying
 the target, ascending through thing-universe sizes.  Within a size the
 premises are grounded once; the negated target's existential prefix is split
 into instantiation branches (orbit representatives under canonical pruning),
-and each branch is decided by a backtracking assignment of table bits with
-watched-literal unit propagation.
+and the branches are decided one after another, each by a backtracking
+assignment of table bits with watched-literal unit propagation.  The node
+budget counts propagation steps per size, across all of its branches.
 
 Determinism contract: within a branch the solver enumerates assignments in
 lexicographic order of the canonical table-bit encoding (ascending atom
 index, false before true), so it returns the branch's least solution; the
 reported model is the least canonical relabeling among branch solutions.
-The result is identical across runs and worker counts.
+The result is identical across runs; the worker count is accepted but
+selects no code path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -38,7 +39,8 @@ class SearchError(LogicError):
 
 class ResourceLimitExceeded(LogicError):
     """The node budget ran out before a size was exhausted; this is reported
-    distinctly from exhaustion and never becomes a silent no-counterexample."""
+    distinctly from exhaustion and never becomes a silent no-counterexample,
+    nor a refutation whose minimality the size could not confirm."""
 
     def __init__(self, thing_size: int, world_size: int, budget: int):
         super().__init__(
@@ -57,16 +59,23 @@ class SearchConfig:
     max_world_size: Optional[int] = None
     support_predicates: Optional[tuple[str, ...]] = None
     pruning: str = "canonical"  # "canonical" | "none"
+    #: Accepted for compatibility; branches run sequentially, so the worker
+    #: count changes neither results nor speed.
     workers: int = 1
+    #: Propagation steps allowed per (things, worlds) size, over all branches.
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if self.max_thing_size < 1:
             raise SearchError("max_thing_size must be >= 1")
+        if self.max_world_size is not None and self.max_world_size < 0:
+            raise SearchError("max_world_size must be >= 0")
         if self.pruning not in ("canonical", "none"):
             raise SearchError(f"unknown pruning mode {self.pruning!r}")
         if self.workers < 1:
             raise SearchError("workers must be >= 1")
+        if self.node_budget < 1:
+            raise SearchError("node_budget must be >= 1")
 
 
 @dataclass
@@ -404,92 +413,52 @@ def _column_sorts(model: FiniteModel, pred: str, table) -> tuple[Sort, ...]:
     return tuple(sorts)
 
 
+def _least_relabeling(atoms, bits, things, worlds) -> tuple[int, ...]:
+    """The least bit vector over all sort-respecting relabelings of the
+    universes: entry i is the bit of the image of ``atoms[i]``.  The atom
+    list must be closed under relabeling."""
+    index = {atom: i for i, atom in enumerate(atoms)}
+    world_perms = list(itertools.permutations(worlds))
+    best = None
+    for tp in itertools.permutations(things):
+        for wp in world_perms:
+            image = dict(zip(things, tp))
+            image.update(zip(worlds, wp))
+            key = tuple(bits[index[pred, tuple(map(image.__getitem__, labels))]]
+                        for pred, labels in atoms)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def _tables(atoms, bits) -> dict[str, set]:
+    tables: dict[str, set] = {}
+    for bit, (pred, labels) in zip(bits, atoms):
+        if bit:
+            tables.setdefault(pred, set()).add(labels)
+    return tables
+
+
 def canonical_form(model: FiniteModel) -> FiniteModel:
     """Relabel to the lexicographically least model among all sort-respecting
     permutations of each universe; idempotent, and equal on isomorphic models
     presented over the same universe lists."""
-    preds = sorted(model.tables)
-    layouts = []
-    for pred in preds:
+    atoms = []
+    for pred in sorted(model.tables):
         sorts = _column_sorts(model, pred, model.tables[pred])
-        universes = [model.things if s is Sort.THING else model.worlds for s in sorts]
-        slots = list(itertools.product(*(range(len(u)) for u in universes)))
-        layouts.append((pred, sorts, universes, slots))
-
-    index_tables = {}
-    for pred, sorts, universes, slots in layouts:
-        rows = set()
-        for row in model.tables[pred]:
-            rows.add(tuple(universes[i].index(label) for i, label in enumerate(row)))
-        index_tables[pred] = rows
-
-    best_key = None
-    n_things, n_worlds = len(model.things), len(model.worlds)
-    world_perms = list(itertools.permutations(range(n_worlds))) or [()]
-    for tp in itertools.permutations(range(n_things)):
-        for wp in world_perms:
-            key = []
-            for pred, sorts, universes, slots in layouts:
-                rows = index_tables[pred]
-                for slot in slots:
-                    image = tuple(
-                        tp[v] if sorts[i] is Sort.THING else wp[v]
-                        for i, v in enumerate(slot))
-                    key.append(1 if image in rows else 0)
-            key = tuple(key)
-            if best_key is None or key < best_key:
-                best_key = key
-    tables: dict[str, set] = {}
-    pos = 0
-    for pred, sorts, universes, slots in layouts:
-        rows = set()
-        for slot in slots:
-            if best_key[pos]:
-                rows.add(tuple(universes[i][v] for i, v in enumerate(slot)))
-            pos += 1
-        tables[pred] = rows
-    return FiniteModel(model.name, model.things, model.worlds, tables)
+        atoms.extend((pred, labels) for labels in
+                     itertools.product(*(model.universe(s) for s in sorts)))
+    bits = [int(labels in model.tables[pred]) for pred, labels in atoms]
+    if sum(bits) != sum(map(len, model.tables.values())):
+        raise LogicError("a table row has an element outside its column's universe")
+    best = _least_relabeling(atoms, bits, model.things, model.worlds)
+    return FiniteModel(model.name, model.things, model.worlds,
+                       _tables(atoms, best))
 
 
 # ---------------------------------------------------------------------------
 # The bounded search
 # ---------------------------------------------------------------------------
-
-def _branch_task(args):
-    nvars, clauses, budget, perms = args
-    solver = _Solver(nvars, clauses, budget, perms)
-    try:
-        solution = solver.solve()
-    except _BudgetExceeded:
-        return ("budget", None, solver.counters)
-    return ("sat" if solution is not None else "unsat", solution, solver.counters)
-
-
-def _canonical_solution_key(values, atoms, atom_index, things, worlds):
-    """Least bit encoding of the solution over all sort-respecting
-    relabelings, with the model it denotes."""
-    thing_pos = {label: i for i, label in enumerate(things)}
-    world_pos = {label: i for i, label in enumerate(worlds)}
-    world_perms = list(itertools.permutations(range(len(worlds)))) or [()]
-    best = None
-    for tp in itertools.permutations(range(len(things))):
-        for wp in world_perms:
-            key = []
-            for pred, labels in atoms:
-                image = tuple(
-                    things[tp[thing_pos[lab]]] if lab in thing_pos
-                    else worlds[wp[world_pos[lab]]]
-                    for lab in labels)
-                key.append(values[atom_index[(pred, image)]])
-            key = tuple(key)
-            if best is None or key < best:
-                best = key
-    tables: dict[str, set] = {}
-    for bit, (pred, labels) in zip(best, atoms):
-        if bit:
-            tables.setdefault(pred, set()).add(labels)
-    return best, tables
-
 
 def _search(premises: Selector, target: str, config: SearchConfig) -> EntailmentVerdict:
     start = time.monotonic()
@@ -534,7 +503,9 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
                 sigma.extend(builder.build(formula, True, {}))
             sigma_tuples = [tuple(sorted(clause)) for clause in sigma]
 
-            tasks = []
+            # The node budget is per size: every branch draws on one counter.
+            remaining = config.node_budget
+            best = None
             universe_sizes = [n_things if s is Sort.THING else n_worlds
                               for s in prefix_sorts]
             for combo in itertools.product(*(range(n) for n in universe_sizes)):
@@ -558,37 +529,34 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
                     perms = _stabilizer_perms(used_things, n_things,
                                               used_worlds, n_worlds,
                                               atoms, atom_index)
-                tasks.append((len(atoms), clauses, config.node_budget, perms))
-
-            stats.branches_total += len(tasks)
-            if config.workers > 1 and len(tasks) > 1:
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    outcomes = list(pool.map(_branch_task, tasks))
-            else:
-                outcomes = [_branch_task(task) for task in tasks]
-
-            best = None
-            budget_hit = False
-            for branch_index, (kind, solution, counters) in enumerate(outcomes):
+                solver = _Solver(len(atoms), clauses, remaining, perms)
+                try:
+                    solution = solver.solve()
+                except _BudgetExceeded:
+                    # An unexhausted size cannot show that a model found in
+                    # an earlier branch is the least one.
+                    raise ResourceLimitExceeded(
+                        n_things, n_worlds, config.node_budget) from None
+                remaining -= solver.steps
+                stats.branches_total += 1
+                counters = solver.counters
                 stats.candidates_visited += counters.decisions
                 stats.propagations += counters.propagations
                 stats.conflicts += counters.conflicts
                 stats.pruned_subtrees += counters.pruned
-                if kind == "budget":
-                    budget_hit = True
-                elif kind == "sat":
-                    key, tables = _canonical_solution_key(
-                        solution, atoms, atom_index, things, worlds)
-                    if best is None or (key, branch_index) < (best[0], best[1]):
-                        best = (key, branch_index, tables)
+                if solution is not None:
+                    # Equal keys denote the same model, so the first branch
+                    # reaching the least key decides it.
+                    key = _least_relabeling(atoms, solution, things, worlds)
+                    if best is None or key < best:
+                        best = key
             if best is not None:
-                model = FiniteModel("countermodel", things, worlds, best[2])
+                model = FiniteModel("countermodel", things, worlds,
+                                    _tables(atoms, best))
                 stats.sizes_exhausted = tuple(exhausted)
                 stats.elapsed_seconds = time.monotonic() - start
                 _recheck(model, premise_entries, target_entry)
                 return Refuted(model, n_things, n_worlds, stats)
-            if budget_hit:
-                raise ResourceLimitExceeded(n_things, n_worlds, config.node_budget)
             exhausted.append((n_things, n_worlds))
 
     stats.sizes_exhausted = tuple(exhausted)

@@ -109,9 +109,30 @@ def test_search_unknown_axiom_exits_two(capsys):
     assert "unknown axiom id" in err
 
 
-def test_usage_error_exits_two(capsys):
+OUT_OF_RANGE_ARGVS = [
+    ["entail", "--premises", "A24", "--target", "A14", "--max-things", "0"],
+    ["entail", "--premises", "A24", "--target", "A14", "--workers", "0"],
+    ["probe", "full-register", "--max-things", "0"],
+    ["experiment", "run", "A14_demote", "--workers", "0"],
+    ["table", "--workers", "0"],
+    ["entail", "--premises", "A24", "--target", "A14", "--max-worlds", "-1"],
+]
+
+
+def test_usage_error_exits_two(capsys, monkeypatch):
     assert main(["search", "--premises", "A22"]) == 2  # missing --target
     capsys.readouterr()
+    # Out-of-range values are rejected, never replaced by a default.
+    for argv in OUT_OF_RANGE_ARGVS:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be >= " in err, argv
+    for budget in ("0", "-1"):
+        monkeypatch.setenv("ETHICA_NODE_BUDGET", budget)
+        code, out, err = run_cli(capsys, "entail", "--premises", "A24",
+                                 "--target", "A14", "--max-things", "2")
+        assert (code, out) == (2, ""), budget
+        assert "node_budget must be >= 1" in err, budget
 
 
 def test_node_budget_env_exits_three(capsys, monkeypatch):

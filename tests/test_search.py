@@ -160,6 +160,11 @@ def test_config_validation():
         SearchConfig(max_thing_size=0)
     with pytest.raises(SearchError):
         SearchConfig(pruning="fancy")
+    for budget in (0, -1):
+        with pytest.raises(SearchError):
+            SearchConfig(node_budget=budget)
+    with pytest.raises(SearchError):
+        SearchConfig(max_world_size=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +316,15 @@ def test_budget_does_not_suppress_found_refutations():
     verdict = entails_bounded("PSRSubstance", "A12",
                               SearchConfig(max_thing_size=4, node_budget=10_000))
     assert isinstance(verdict, Refuted)
+
+
+def test_node_budget_is_shared_by_the_branches_of_a_size():
+    # Size 3 spends 6,266 propagations over five branches, none of which
+    # alone spends 3,000: only a budget shared by the branches runs out.
+    with pytest.raises(ResourceLimitExceeded) as info:
+        entails_bounded("PSRPlenitude", "A15",
+                        SearchConfig(max_thing_size=3, node_budget=3000))
+    assert info.value.thing_size == 3
 
 
 # ---------------------------------------------------------------------------
