@@ -22,8 +22,8 @@ from .experiments import (Direction, bundled_experiments,
                           direction_json, reducibility_table, run_experiment)
 from .logic import LogicError
 from .registry import BUNDLES, RegistryError, axiom, axiom_ids
-from .search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
-                     SearchConfig, entails_bounded)
+from .search import (DEFAULT_NODE_BUDGET, NoCounterexampleUpTo, Refuted,
+                     ResourceLimitExceeded, SearchConfig, entails_bounded)
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -41,16 +41,19 @@ def _parse_selector(text: str):
     return tokens
 
 
-def _search_config(args, default_things: int = 4) -> SearchConfig:
+def _node_budget() -> int:
     budget_text = os.environ.get(NODE_BUDGET_ENV)
-    budget = int(budget_text) if budget_text else SearchConfig().node_budget
+    return int(budget_text) if budget_text else DEFAULT_NODE_BUDGET
+
+
+def _search_config(args, default_things: int = 4) -> SearchConfig:
     things = default_things if args.max_things is None else args.max_things
     return SearchConfig(
         max_thing_size=things,
         max_world_size=args.max_worlds,
         pruning="none" if args.no_prune else "canonical",
         workers=1 if args.workers is None else args.workers,
-        node_budget=budget,
+        node_budget=_node_budget(),
     )
 
 
@@ -127,7 +130,7 @@ def _cmd_search(args, verdict_only: bool = False) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    specs = bundled_experiments(args.workers)
+    specs = bundled_experiments(args.workers, _node_budget())
     if args.name == "all":
         chosen = list(specs.values())
     elif args.name in specs:
@@ -150,7 +153,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = reducibility_table(args.workers)
+    table = reducibility_table(args.workers, _node_budget())
     if args.json:
         _emit_json(table.to_json_dict())
     else:

@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 from .corpus import VerificationReport, corpus_model, verify
 from .logic import FiniteModel
 from .registry import Selector, resolve_selector
-from .search import (EntailmentVerdict, NoCounterexampleUpTo, Refuted,
-                     SearchConfig, SearchStats, entails_bounded)
+from .search import (DEFAULT_NODE_BUDGET, EntailmentVerdict, NoCounterexampleUpTo,
+                     Refuted, ResourceLimitExceeded, SearchConfig, SearchStats,
+                     entails_bounded)
 
 
 class InsufficientEvidenceError(Exception):
@@ -218,12 +219,15 @@ def _combined_stats(verdicts) -> dict:
     }
 
 
-def bundled_experiments(workers: Optional[int] = None) -> dict[str, ExperimentSpec]:
+def bundled_experiments(workers: Optional[int] = None,
+                        node_budget: int = DEFAULT_NODE_BUDGET
+                        ) -> dict[str, ExperimentSpec]:
     """The immutable experiment fixtures, keyed by name."""
     w = workers if workers is not None else 1
 
     def config(things, worlds=None):
-        return SearchConfig(max_thing_size=things, max_world_size=worlds, workers=w)
+        return SearchConfig(max_thing_size=things, max_world_size=worlds,
+                            workers=w, node_budget=node_budget)
 
     specs = [
         ExperimentSpec(
@@ -446,17 +450,21 @@ class ReducibilityTable:
         }
 
 
-def reducibility_table(workers: Optional[int] = None) -> ReducibilityTable:
+def reducibility_table(workers: Optional[int] = None,
+                       node_budget: int = DEFAULT_NODE_BUDGET) -> ReducibilityTable:
     """Run the four bundled demote experiments and assemble the table.
 
     Any experiment error aborts the assembly; the raised error names the
-    rows already completed.
+    rows already completed.  Running out of node budget is not an error of
+    the table and propagates unwrapped.
     """
-    specs = bundled_experiments(workers)
+    specs = bundled_experiments(workers, node_budget)
     results = []
     for axiom_id, spec_name, _ in _TABLE_ROWS:
         try:
             results.append(run_experiment(specs[spec_name]))
+        except ResourceLimitExceeded:
+            raise
         except Exception as err:
             done = ", ".join(r.name for r in results) or "none"
             raise RuntimeError(

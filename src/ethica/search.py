@@ -2,15 +2,19 @@
 
 The engine looks for a finite model satisfying the premises while falsifying
 the target, ascending through thing-universe sizes.  Within a size the
-premises are grounded once; the negated target's existential prefix is split
-into instantiation branches (orbit representatives under canonical pruning),
-and the branches are decided one after another, each by a backtracking
-assignment of table bits with watched-literal unit propagation.  The node
-budget counts propagation steps per size, across all of its branches.
+premises are grounded once, definitionally: auxiliary variables stand for
+shared ground subformulas and are numbered after the table atoms.  The
+negated target's existential prefix is split into instantiation branches
+(orbit representatives under canonical pruning), and the branches are
+decided one after another, each by a backtracking assignment of table bits
+and then auxiliary variables, with watched-literal unit propagation.  The
+node budget counts propagation steps, auxiliary ones included, per size
+across all of its branches.
 
 Determinism contract: within a branch the solver enumerates assignments in
 lexicographic order of the canonical table-bit encoding (ascending atom
-index, false before true), so it returns the branch's least solution; the
+index, false before true) followed by the auxiliary variables, so the table
+bits of its first solution are the branch's least table solution; the
 reported model is the least canonical relabeling among branch solutions.
 The result is identical across runs; the worker count is accepted but
 selects no code path.
@@ -24,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .grounding import Clause, _CnfBuilder, atom_space, nnf
+from .grounding import _CnfBuilder, atom_space, definition_clauses, nnf
 from .logic import (Exists, FiniteModel, Formula, LogicError, Not, Sort,
                     collect_predicates, evaluate, mentions_world)
 from .registry import Selector, axiom_set
@@ -467,14 +471,14 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
     premise_formulas = [entry.formula for entry in premise_entries]
     all_formulas = premise_formulas + [target_entry.formula]
 
-    modal = any(mentions_world(f) for f in all_formulas)
-    if config.max_world_size is None:
-        world_bound = 2 if modal else 0
-    else:
-        world_bound = config.max_world_size
-    if modal and world_bound < 1:
-        raise SearchError("the axioms mention World; max_world_size must be >= 1")
-    world_range = list(range(1, world_bound + 1)) if modal else [0]
+    # Without World in any formula no world universe is searched, so the
+    # reported world bound is 0 whatever the configuration allows.
+    world_bound = 0
+    if any(mentions_world(f) for f in all_formulas):
+        world_bound = 2 if config.max_world_size is None else config.max_world_size
+        if world_bound < 1:
+            raise SearchError("the axioms mention World; max_world_size must be >= 1")
+    world_range = list(range(1, world_bound + 1)) or [0]
 
     occurring = frozenset()
     for formula in all_formulas:
@@ -496,12 +500,9 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
             worlds = tuple(f"w{i}" for i in range(n_worlds))
             atoms = atom_space(all_formulas, things, worlds, support)
             atom_index = {atom: i for i, atom in enumerate(atoms)}
-            builder = _CnfBuilder(things, worlds, atom_index,
-                                  clause_limit=500_000)
-            sigma: list[Clause] = []
-            for formula in premise_formulas:
-                sigma.extend(builder.build(formula, True, {}))
-            sigma_tuples = [tuple(sorted(clause)) for clause in sigma]
+            builder = _CnfBuilder(things, worlds, atom_index)
+            sigma = [tuple(sorted(clause)) for formula in premise_formulas
+                     for clause in builder.build(formula, True, {})]
 
             # The node budget is per size: every branch draws on one counter.
             remaining = config.node_budget
@@ -523,13 +524,17 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
                         env[var] = worlds[value]
                         used_worlds.add(value)
                 branch = builder.build(matrix, True, env)
-                clauses = sigma_tuples + [tuple(sorted(c)) for c in branch]
+                # Aux variables are memoized across branches, so a branch may
+                # use any definition the size's builder has made so far.
+                clauses = sigma + [tuple(sorted(c)) for c in
+                                   branch + definition_clauses(builder.definitions)]
+                nvars = len(atoms) + len(builder.definitions)
                 perms: Sequence[Sequence[int]] = ()
                 if config.pruning == "canonical":
                     perms = _stabilizer_perms(used_things, n_things,
                                               used_worlds, n_worlds,
                                               atoms, atom_index)
-                solver = _Solver(len(atoms), clauses, remaining, perms)
+                solver = _Solver(nvars, clauses, remaining, perms)
                 try:
                     solution = solver.solve()
                 except _BudgetExceeded:
@@ -547,7 +552,8 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
                 if solution is not None:
                     # Equal keys denote the same model, so the first branch
                     # reaching the least key decides it.
-                    key = _least_relabeling(atoms, solution, things, worlds)
+                    key = _least_relabeling(atoms, solution[:len(atoms)],
+                                            things, worlds)
                     if best is None or key < best:
                         best = key
             if best is not None:

@@ -137,10 +137,13 @@ def test_usage_error_exits_two(capsys, monkeypatch):
 
 def test_node_budget_env_exits_three(capsys, monkeypatch):
     monkeypatch.setenv("ETHICA_NODE_BUDGET", "5")
-    code, _, err = run_cli(capsys, "entail", "--premises", "PSRSubstance",
-                           "--target", "PropV_allshared", "--max-things", "4")
-    assert code == 3
-    assert "node budget" in err
+    for argv in (("entail", "--premises", "PSRSubstance",
+                  "--target", "PropV_allshared", "--max-things", "4"),
+                 ("table",),
+                 ("experiment", "run", "all")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert err.startswith("error: node budget"), argv
 
 
 def test_no_prune_flag(capsys):

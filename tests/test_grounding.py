@@ -10,8 +10,9 @@ from ethica.grounding import (GroundingError, evaluate_via_grounding, ground,
 from ethica.logic import (TRUE, And, Eq, EvaluationError, Exists, ForAll,
                           Not, Or, Pred, Sort, Var, evaluate, mentions_world)
 from ethica.registry import axiom, axiom_ids
+from ethica.search import _Solver
 
-from oracles import random_model
+from oracles import all_models, atom_list, random_model
 
 T = Sort.THING
 
@@ -58,10 +59,26 @@ def test_no_equality_atoms_survive_grounding():
                             "expressesEternalEssence")
 
 
-def test_clause_limit_is_enforced():
-    with pytest.raises(GroundingError, match="clause product"):
-        ground(axiom("A22").formula, tuple(f"e{i}" for i in range(4)),
-               clause_limit=10)
+def test_plenitude_axioms_ground_at_five_things_in_under_a_thousand_clauses():
+    # IsGod nests a universal inside an existential; distributing it gave
+    # 40,960 clauses for A25 at four things and did not finish at five.
+    things = tuple(f"e{i}" for i in range(5))
+    for axiom_id in ("A25", "A26"):
+        constraints = ground(axiom(axiom_id).formula, things)
+        assert len(constraints.clauses) < 1000, axiom_id
+
+
+def test_definitions_are_unit_reduced():
+    # Attribute(a, s) repeats Substance(s), so IsGod's parts carry their
+    # units again inside longer clauses; under an aux literal the solver
+    # could no longer propagate them away.
+    constraints = ground(axiom("A25").formula, ("e0", "e1", "e2"))
+    assert constraints.definitions
+    for _, clauses in constraints.definitions:
+        units = {lit for clause in clauses if len(clause) == 1 for lit in clause}
+        for clause in clauses:
+            if len(clause) > 1:
+                assert not any(lit in units or -lit in units for lit in clause)
 
 
 def test_agreement_with_evaluator_on_trivial_formula(a12):
@@ -122,6 +139,35 @@ def test_agreement_on_modal_axioms_with_worlds():
             formula = axiom(axiom_id).formula
             assert evaluate_via_grounding(formula, model) == \
                 evaluate(formula, model), axiom_id
+
+
+def test_solver_finds_the_least_solution_over_table_bits():
+    # The auxiliary variables come after the table atoms, so the least
+    # solution of the clauses projects onto the least model of the formula;
+    # negations are included because the search grounds negated targets.
+    # all_models enumerates in the solver's order (first atom most
+    # significant, false before true) when the atom lists agree.
+    for axiom_id in axiom_ids():
+        formula = axiom(axiom_id).formula
+        worlds = ("w0",) if mentions_world(formula) else ()
+        for n_things in (1, 2):
+            things = tuple(f"t{i}" for i in range(n_things))
+            for polarity in (formula, Not(formula)):
+                constraints = ground(polarity, things, worlds)
+                atoms = constraints.atoms
+                support = sorted({pred for pred, _ in atoms})
+                assert atom_list(support, things, worlds) == list(atoms)
+                solution = _Solver(
+                    len(atoms) + len(constraints.definitions),
+                    [tuple(sorted(clause)) for clause in constraints.clauses],
+                    budget=10**9).solve()
+                least = next((model for model in all_models(
+                    support, n_things, len(worlds)) if evaluate(polarity, model)),
+                    None)
+                expected = None if least is None else \
+                    [int(least.truth(pred, args)) for pred, args in atoms]
+                got = None if solution is None else solution[:len(atoms)]
+                assert got == expected, (axiom_id, n_things, polarity is formula)
 
 
 def test_nnf_strips_implications():

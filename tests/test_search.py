@@ -149,6 +149,16 @@ def test_world_bound_defaults_to_two_for_modal_axioms():
     assert verdict.world_bound == 2
 
 
+def test_world_bound_is_zero_when_no_formula_mentions_world():
+    # No world universe is searched, so none is reported, whatever the
+    # configuration allows.
+    verdict = entails_bounded(["A24"], "A14",
+                              SearchConfig(max_thing_size=2, max_world_size=3))
+    assert isinstance(verdict, NoCounterexampleUpTo)
+    assert verdict.world_bound == 0
+    assert verdict.describe() == "NoCounterexampleUpTo(2)"
+
+
 def test_modal_axioms_with_zero_world_bound_rejected():
     with pytest.raises(SearchError, match="mention World"):
         entails_bounded(["A18"], "A13",
@@ -319,11 +329,12 @@ def test_budget_does_not_suppress_found_refutations():
 
 
 def test_node_budget_is_shared_by_the_branches_of_a_size():
-    # Size 3 spends 6,266 propagations over five branches, none of which
-    # alone spends 3,000: only a budget shared by the branches runs out.
+    # Size 3 spends 18,921 propagations (aux assignments included) over
+    # five branches, none of which alone spends 7,000: only a budget shared
+    # by the branches runs out.
     with pytest.raises(ResourceLimitExceeded) as info:
         entails_bounded("PSRPlenitude", "A15",
-                        SearchConfig(max_thing_size=3, node_budget=3000))
+                        SearchConfig(max_thing_size=3, node_budget=12_000))
     assert info.value.thing_size == 3
 
 
