@@ -20,8 +20,8 @@ from .logic import (Assignment, Elem, EvaluationError, FiniteModel, Formula,
                     SortError, Var, check_sorted, evaluate)
 from .registry import (ETHICA_SIGNATURE, AxiomEntry, RegistryError, Section,
                        axiom, axiom_ids, axiom_set, definition)
-from .search import (EntailmentVerdict, NoCounterexampleUpTo, Refuted,
-                     ResourceLimitExceeded, SearchConfig, SearchStats,
+from .search import (EntailmentVerdict, NoCounterexampleUpTo, RecheckError,
+                     Refuted, ResourceLimitExceeded, SearchConfig, SearchStats,
                      canonical_form, check_naive_psr, entails_bounded,
                      find_countermodel)
 

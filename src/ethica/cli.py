@@ -2,7 +2,8 @@
 and axiom export.
 
 Exit codes: 0 all attached expectations held; 1 an expectation or
-verification failed; 2 usage or input error; 3 resource limit exceeded.
+verification failed, or a returned model failed the evaluator re-check
+(an internal error); 2 usage or input error; 3 resource limit exceeded.
 Output is deterministic: identical invocations produce byte-identical
 reports (elapsed times never appear in them).
 """
@@ -22,8 +23,9 @@ from .experiments import (Direction, bundled_experiments,
                           direction_json, reducibility_table, run_experiment)
 from .logic import LogicError
 from .registry import BUNDLES, RegistryError, axiom, axiom_ids
-from .search import (DEFAULT_NODE_BUDGET, NoCounterexampleUpTo, Refuted,
-                     ResourceLimitExceeded, SearchConfig, entails_bounded)
+from .search import (DEFAULT_NODE_BUDGET, NoCounterexampleUpTo, RecheckError,
+                     Refuted, ResourceLimitExceeded, SearchConfig,
+                     entails_bounded)
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -289,6 +291,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+    except RecheckError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_EXPECTATION_FAILED
     except (LogicError, RegistryError, LookupError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

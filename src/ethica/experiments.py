@@ -18,8 +18,8 @@ from .corpus import VerificationReport, corpus_model, verify
 from .logic import FiniteModel
 from .registry import Selector, resolve_selector
 from .search import (DEFAULT_NODE_BUDGET, EntailmentVerdict, NoCounterexampleUpTo,
-                     Refuted, ResourceLimitExceeded, SearchConfig, SearchStats,
-                     entails_bounded)
+                     RecheckError, Refuted, ResourceLimitExceeded, SearchConfig,
+                     SearchStats, entails_bounded)
 
 
 class InsufficientEvidenceError(Exception):
@@ -455,15 +455,15 @@ def reducibility_table(workers: Optional[int] = None,
     """Run the four bundled demote experiments and assemble the table.
 
     Any experiment error aborts the assembly; the raised error names the
-    rows already completed.  Running out of node budget is not an error of
-    the table and propagates unwrapped.
+    rows already completed.  Running out of node budget and a failed
+    evaluator re-check are not errors of the table and propagate unwrapped.
     """
     specs = bundled_experiments(workers, node_budget)
     results = []
     for axiom_id, spec_name, _ in _TABLE_ROWS:
         try:
             results.append(run_experiment(specs[spec_name]))
-        except ResourceLimitExceeded:
+        except (ResourceLimitExceeded, RecheckError):
             raise
         except Exception as err:
             done = ", ".join(r.name for r in results) or "none"

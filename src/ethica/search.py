@@ -11,6 +11,14 @@ and then auxiliary variables, with watched-literal unit propagation.  The
 node budget counts propagation steps, auxiliary ones included, per size
 across all of its branches.
 
+Canonical pruning also cuts partial assignments that are not lex-leaders
+under the adjacent transpositions of a branch's free things and free worlds,
+which generate its stabilizer (Crawford, Ginsberg, Luks & Roy, "Symmetry-
+breaking predicates for search problems", KR 1996).  Checking generators
+only misses some symmetric assignments but is sound: the least solution of
+a branch is a lex-leader under every permutation of the stabilizer, so under
+any subset of them too.
+
 Determinism contract: within a branch the solver enumerates assignments in
 lexicographic order of the canonical table-bit encoding (ascending atom
 index, false before true) followed by the auxiliary variables, so the table
@@ -53,6 +61,11 @@ class ResourceLimitExceeded(LogicError):
         self.thing_size = thing_size
         self.world_size = world_size
         self.budget = budget
+
+
+class RecheckError(RuntimeError):
+    """A model the search returned fails the evaluator re-check: a defect of
+    the clause machinery, never of the input."""
 
 
 @dataclass(frozen=True)
@@ -272,8 +285,11 @@ class _Solver:
 
     def _symmetry_pruned(self) -> bool:
         # Prune when the partial assignment is already lexicographically
-        # greater than one of its images under a stabilizer permutation:
-        # every completion then has a smaller sibling in the same branch.
+        # greater than its image under one of the perms (the adjacent
+        # transpositions of the stabilizer, Crawford et al. 1996): every
+        # completion then has a smaller sibling in the same branch.  The
+        # least solution is a leader under every stabilizer permutation, so
+        # under any subset it is never pruned.
         values = self.values
         for perm in self.perms:
             for i, j in enumerate(perm):
@@ -358,43 +374,20 @@ def _is_orbit_representative(combo: Sequence[int], sorts: Sequence[Sort]) -> boo
 def _stabilizer_perms(used_things: set[int], n_things: int,
                       used_worlds: set[int], n_worlds: int,
                       atoms, atom_index) -> list[tuple[int, ...]]:
-    """Atom-index permutations induced by relabelings that fix the branch's
-    witness elements pointwise."""
-    free_things = [i for i in range(n_things) if i not in used_things]
-    free_worlds = [i for i in range(n_worlds) if i not in used_worlds]
-
-    def perms_of(free, total):
-        out = []
-        for image in itertools.permutations(free):
-            mapping = list(range(total))
-            for src, dst in zip(free, image):
-                mapping[src] = dst
-            out.append(tuple(mapping))
-        return out
-
-    result = []
-    for tp in perms_of(free_things, n_things):
-        for wp in perms_of(free_worlds, max(n_worlds, 0)):
-            if all(i == v for i, v in enumerate(tp)) and \
-               all(i == v for i, v in enumerate(wp)):
-                continue
-            result.append((tp, wp))
-
-    thing_labels = [f"t{i}" for i in range(n_things)]
-    world_labels = [f"w{i}" for i in range(n_worlds)]
-    thing_pos = {label: i for i, label in enumerate(thing_labels)}
-    world_pos = {label: i for i, label in enumerate(world_labels)}
-
+    """Atom-index permutations induced by the adjacent transpositions of the
+    branch's free things, then of its free worlds: generators of the
+    relabelings that fix the witness elements pointwise."""
+    swaps = []
+    for prefix, used, total in (("t", used_things, n_things),
+                                ("w", used_worlds, n_worlds)):
+        free = [f"{prefix}{i}" for i in range(total) if i not in used]
+        swaps.extend(zip(free, free[1:]))
     atom_perms = []
-    for tp, wp in result:
-        mapped = []
-        for pred, labels in atoms:
-            image = tuple(
-                thing_labels[tp[thing_pos[lab]]] if lab in thing_pos
-                else world_labels[wp[world_pos[lab]]]
-                for lab in labels)
-            mapped.append(atom_index[(pred, image)])
-        atom_perms.append(tuple(mapped))
+    for a, b in swaps:
+        swap = {a: b, b: a}
+        atom_perms.append(tuple(
+            atom_index[pred, tuple(swap.get(label, label) for label in labels)]
+            for pred, labels in atoms))
     return atom_perms
 
 
@@ -575,10 +568,10 @@ def _recheck(model: FiniteModel, premise_entries, target_entry) -> None:
     # evaluator, independently of the clause machinery.
     for entry in premise_entries:
         if not evaluate(entry.formula, model):
-            raise RuntimeError(
+            raise RecheckError(
                 f"internal error: returned model fails premise {entry.id}")
     if evaluate(target_entry.formula, model):
-        raise RuntimeError(
+        raise RecheckError(
             f"internal error: returned model satisfies target {target_entry.id}")
 
 

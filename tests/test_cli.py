@@ -146,6 +146,21 @@ def test_node_budget_env_exits_three(capsys, monkeypatch):
         assert err.startswith("error: node budget"), argv
 
 
+def test_failed_recheck_exits_one_without_traceback(capsys, monkeypatch):
+    # An evaluator that rejects every model makes each returned
+    # counter-model fail the re-check; the CLI reports an internal error.
+    from ethica import experiments, search
+    monkeypatch.setattr(search, "evaluate", lambda formula, model: False)
+    for argv in (("entail", "--premises", "PSRSubstance", "--target", "A12"),
+                 ("table",),
+                 ("experiment", "run", "all")):
+        monkeypatch.setattr(experiments, "_ENTAIL_CACHE", {})
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: internal error: "), argv
+        assert "Traceback" not in err, argv
+
+
 def test_no_prune_flag(capsys):
     code, out, _ = run_cli(capsys, "entail", "--premises", "A24",
                            "--target", "A14", "--max-things", "3", "--no-prune")
