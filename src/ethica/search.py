@@ -4,28 +4,45 @@ The engine looks for a finite model satisfying the premises while falsifying
 the target, ascending through thing-universe sizes.  Within a size the
 premises are grounded once, definitionally: auxiliary variables stand for
 shared ground subformulas and are numbered after the table atoms.  The
-negated target's existential prefix is split into instantiation branches
-(orbit representatives under canonical pruning), and the branches are
-decided one after another, each by a backtracking assignment of table bits
-and then auxiliary variables, with watched-literal unit propagation.  The
-node budget counts propagation steps, auxiliary ones included, per size
-across all of its branches.
+premise clauses and their definitions are converted to literal codes once
+per size and shared read-only by the size's branches.  The negated target's
+existential prefix is split into instantiation branches (orbit
+representatives under canonical pruning); each branch adds its matrix and
+the definitions made after the premises, and is decided by conflict-driven
+clause learning: watched literals over literal-indexed arrays, first-UIP
+learned clauses and backjumping (Een & Sorensson, "An extensible
+SAT-solver", 2003).
+
+The solver always decides the lowest unassigned variable, false first, and
+neither restarts, reorders variables nor deletes clauses, so its first
+model is the least one (the fixed-order argument of Nadel & Ryvchin,
+"Bit-Vector Optimization", TACAS 2016).  Every clause it holds is satisfied
+by the least model; a literal implied true on a variable below the first
+difference from the least model follows from decisions below that
+variable, which agree with the least model, so the least model would set
+it true as well.
 
 Canonical pruning also cuts partial assignments that are not lex-leaders
 under the adjacent transpositions of a branch's free things and free worlds,
 which generate its stabilizer (Crawford, Ginsberg, Luks & Roy, "Symmetry-
-breaking predicates for search problems", KR 1996).  Checking generators
-only misses some symmetric assignments but is sound: the least solution of
-a branch is a lex-leader under every permutation of the stabilizer, so under
-any subset of them too.
+breaking predicates for search problems", KR 1996).  A cut is a conflict
+clause, the negations of the literals compared up to the violating
+position, and is learned from like any other.  Checking generators only
+misses some symmetric assignments but is sound: the least solution of a
+branch is a lex-leader under every permutation of the stabilizer, so under
+any subset of them too, and it satisfies every cut clause.  Learned and cut
+clauses end with their branch.
 
-Determinism contract: within a branch the solver enumerates assignments in
-lexicographic order of the canonical table-bit encoding (ascending atom
+The node budget counts assignments, decisions and auxiliary ones included,
+per size across all of its branches.
+
+Determinism contract: within a branch the solver finds the least assignment
+in lexicographic order of the canonical table-bit encoding (ascending atom
 index, false before true) followed by the auxiliary variables, so the table
-bits of its first solution are the branch's least table solution; the
-reported model is the least canonical relabeling among branch solutions.
-The result is identical across runs; the worker count is accepted but
-selects no code path.
+bits of its solution are the branch's least table solution; the reported
+model is the least canonical relabeling among branch solutions.  The result
+is identical across runs; the worker count is accepted but selects no code
+path.
 """
 
 from __future__ import annotations
@@ -158,7 +175,7 @@ EntailmentVerdict = Union[Refuted, NoCounterexampleUpTo]
 
 
 # ---------------------------------------------------------------------------
-# Backtracking solver over table bits
+# Clause-learning solver over table bits
 # ---------------------------------------------------------------------------
 
 class _BudgetExceeded(Exception):
@@ -166,182 +183,286 @@ class _BudgetExceeded(Exception):
 
 
 class _BranchCounters:
-    __slots__ = ("decisions", "propagations", "conflicts", "pruned")
+    __slots__ = ("decisions", "conflicts", "pruned")
 
     def __init__(self):
         self.decisions = 0
-        self.propagations = 0
         self.conflicts = 0
         self.pruned = 0
 
 
-class _Solver:
-    """DPLL over a fixed clause list; returns the lexicographically least
-    satisfying assignment (ascending variable index, false before true)."""
+def _encode(clauses: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Clauses over variables 1..n (``-v`` for not v) as tuples of literal
+    codes: variable v - 1 becomes 2(v - 1), its negation 2(v - 1) + 1."""
+    return [tuple([lit + lit - 2 if lit > 0 else -lit - lit - 1
+                   for lit in sorted(clause)]) for clause in clauses]
 
-    def __init__(self, nvars: int, clauses: Sequence[tuple[int, ...]],
-                 budget: int, perms: Sequence[Sequence[int]] = ()):
+
+class _Solver:
+    """Conflict-driven clause learning over a fixed clause list; returns the
+    lexicographically least satisfying assignment (ascending variable index,
+    false before true) as a list of 0/1 values.
+
+    ``premises`` are clauses already in literal codes (``_encode``), shared
+    read-only by the solvers of a size: watch positions live in the
+    solver's own ``w1``/``w2``, so no clause is reordered or copied.
+    Learned clauses end with the solver.  ``steps`` counts assignments,
+    decisions included, against ``budget``."""
+
+    def __init__(self, nvars: int, clauses: Sequence[Sequence[int]],
+                 budget: int, perms: Sequence[Sequence[int]] = (),
+                 premises: Sequence[tuple[int, ...]] = ()):
         self.nvars = nvars
-        self.clauses = clauses
         self.budget = budget
-        self.perms = perms
         self.counters = _BranchCounters()
-        self.values = [-1] * nvars
-        self.trail: list[int] = []
         self.steps = 0
-        self.watch: dict[int, list[int]] = {}
+        self.clauses = list(premises)
+        self.clauses.extend(_encode(clauses))
+        # Values and watch lists are indexed by literal code; levels and
+        # reasons (clause indices, -1 for decisions) by variable.
+        self.vals = [-1] * (2 * nvars)
+        self.watches: list[list[int]] = [[] for _ in range(2 * nvars)]
+        self.level = [0] * nvars
+        self.reason = [-1] * nvars
+        self.seen = bytearray(nvars)
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.qhead = 0
+        self.next_var = 0
         self.w1: list[int] = []
         self.w2: list[int] = []
+        self.units: list[tuple[int, int]] = []
         self.unsat = False
-        self.initial_units: list[int] = []
-        for ci, clause in enumerate(clauses):
-            if not clause:
-                self.unsat = True
-                self.w1.append(0)
-                self.w2.append(0)
-            elif len(clause) == 1:
-                self.initial_units.append(clause[0])
-                self.w1.append(clause[0])
-                self.w2.append(clause[0])
-            else:
+        for ci, clause in enumerate(self.clauses):
+            if len(clause) > 1:
                 self.w1.append(clause[0])
                 self.w2.append(clause[1])
-                self.watch.setdefault(clause[0], []).append(ci)
-                self.watch.setdefault(clause[1], []).append(ci)
+                self.watches[clause[0]].append(ci)
+                self.watches[clause[1]].append(ci)
+            else:
+                self.w1.append(-1)
+                self.w2.append(-1)
+                if clause:
+                    self.units.append((clause[0], ci))
+                else:
+                    self.unsat = True
+        # A fixed point compares a variable with itself, so only the moved
+        # positions of a permutation take part in the lex-leader check.
+        self.perms = [[(i + i, j + j) for i, j in enumerate(perm) if i != j]
+                      for perm in perms]
 
-    def _value(self, lit: int) -> int:
-        v = self.values[abs(lit) - 1]
-        if v == -1:
-            return -1
-        return v if lit > 0 else 1 - v
-
-    def _assign(self, lit: int) -> None:
-        var = abs(lit) - 1
-        self.values[var] = 1 if lit > 0 else 0
-        self.trail.append(var)
+    def _enqueue(self, lit: int, reason: int) -> None:
+        self.vals[lit] = 1
+        self.vals[lit ^ 1] = 0
+        var = lit >> 1
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = reason
+        self.trail.append(lit)
         self.steps += 1
-        self.counters.propagations += 1
         if self.steps > self.budget:
             raise _BudgetExceeded()
 
-    def _propagate(self, pending: deque) -> bool:
-        while pending:
-            lit = pending.popleft()
-            neg = -lit
-            watchers = self.watch.get(neg)
+    def _propagate(self) -> int:
+        """Unit propagation from ``qhead``; the index of a clause whose
+        literals are all false, or -1."""
+        vals = self.vals
+        watches = self.watches
+        clauses = self.clauses
+        w1 = self.w1
+        w2 = self.w2
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        steps = self.steps
+        budget = self.budget
+        qhead = self.qhead
+        conflict = -1
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
             if not watchers:
                 continue
             kept: list[int] = []
-            conflict_at = -1
             for pos, ci in enumerate(watchers):
-                other = self.w1[ci] if self.w2[ci] == neg else self.w2[ci]
-                v_other = self._value(other)
+                other = w1[ci]
+                if other == false_lit:
+                    other = w2[ci]
+                v_other = vals[other]
                 if v_other == 1:
                     kept.append(ci)
                     continue
-                moved = False
-                for cand in self.clauses[ci]:
-                    if cand == other or cand == neg:
-                        continue
-                    if self._value(cand) != 0:
-                        self.w1[ci] = other
-                        self.w2[ci] = cand
-                        self.watch.setdefault(cand, []).append(ci)
-                        moved = True
+                for cand in clauses[ci]:
+                    # false_lit itself is false, so only the other watch
+                    # needs excluding.
+                    if vals[cand] != 0 and cand != other:
+                        w1[ci] = other
+                        w2[ci] = cand
+                        watches[cand].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                self.w1[ci] = other
-                self.w2[ci] = neg
-                if v_other == 0:
-                    conflict_at = pos
-                    break
-                self._assign(other)
-                pending.append(other)
-            if conflict_at >= 0:
-                kept.extend(watchers[conflict_at + 1:])
-                self.watch[neg] = kept
-                self.counters.conflicts += 1
-                return False
-            self.watch[neg] = kept
-        return True
+                else:
+                    kept.append(ci)
+                    w1[ci] = other
+                    w2[ci] = false_lit
+                    if v_other == 0:
+                        kept.extend(watchers[pos + 1:])
+                        conflict = ci
+                        break
+                    vals[other] = 1
+                    vals[other ^ 1] = 0
+                    var = other >> 1
+                    level[var] = lvl
+                    reason[var] = ci
+                    trail.append(other)
+                    steps += 1
+                    if steps > budget:
+                        self.steps = steps
+                        raise _BudgetExceeded()
+            watches[false_lit] = kept
+            if conflict >= 0:
+                break
+        self.steps = steps
+        self.qhead = qhead
+        return conflict
 
-    def _assign_and_propagate(self, lit: int) -> bool:
-        v = self._value(lit)
-        if v == 0:
-            self.counters.conflicts += 1
-            return False
-        if v == 1:
-            return True
-        self._assign(lit)
-        return self._propagate(deque((lit,)))
-
-    def _next_unassigned(self) -> Optional[int]:
-        for var, value in enumerate(self.values):
-            if value == -1:
-                return var
-        return None
-
-    def _symmetry_pruned(self) -> bool:
-        # Prune when the partial assignment is already lexicographically
-        # greater than its image under one of the perms (the adjacent
-        # transpositions of the stabilizer, Crawford et al. 1996): every
-        # completion then has a smaller sibling in the same branch.  The
-        # least solution is a leader under every stabilizer permutation, so
-        # under any subset it is never pruned.
-        values = self.values
-        for perm in self.perms:
-            for i, j in enumerate(perm):
-                a = values[i]
-                b = values[j]
+    def _cut(self) -> Optional[list[int]]:
+        """A conflict clause when the partial assignment is already
+        lexicographically greater than its image under one of the perms
+        (adjacent transpositions of the stabilizer, Crawford et al. 1996):
+        the negations of the literals compared up to the violating position.
+        Every completion then has a smaller sibling in the same branch, and
+        the least solution, a leader under every stabilizer permutation,
+        satisfies the clause."""
+        vals = self.vals
+        for pairs in self.perms:
+            clause = []
+            for i, j in pairs:
+                a = vals[i]
+                b = vals[j]
                 if a == -1 or b == -1 or a < b:
                     break
+                clause.append(i + a)
+                clause.append(j + b)
                 if a > b:
                     self.counters.pruned += 1
-                    return True
-        return False
+                    return clause
+        return None
 
-    def _backtrack(self, decisions: list) -> bool:
-        while decisions:
-            trail_len, var, tried_true = decisions.pop()
-            while len(self.trail) > trail_len:
-                self.values[self.trail.pop()] = -1
-            if not tried_true:
-                decisions.append((trail_len, var, True))
-                self.counters.decisions += 1
-                if self._assign_and_propagate(var + 1):
-                    return True
-        return False
+    def _backtrack(self, lvl: int) -> None:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= lvl:
+            return
+        trail = self.trail
+        vals = self.vals
+        stop = trail_lim[lvl]
+        # Every variable below the first undone decision is still assigned.
+        self.next_var = trail[stop] >> 1
+        for lit in trail[stop:]:
+            vals[lit] = vals[lit ^ 1] = -1
+        del trail[stop:]
+        del trail_lim[lvl:]
+        self.qhead = stop
+
+    def _analyze(self, lits: Sequence[int]) -> list[int]:
+        """The first-UIP clause of a conflict clause whose literals are all
+        false and which has a literal at the current level: its asserting
+        literal first, then a literal of the highest remaining level."""
+        level = self.level
+        reason = self.reason
+        clauses = self.clauses
+        trail = self.trail
+        seen = self.seen
+        current = len(self.trail_lim)
+        learnt = [-1]
+        pending = 0
+        p = -1
+        index = len(trail)
+        while True:
+            for q in lits:
+                var = q >> 1
+                if q == p or seen[var] or level[var] == 0:
+                    continue
+                seen[var] = 1
+                if level[var] == current:
+                    pending += 1
+                else:
+                    learnt.append(q)
+            index -= 1
+            while not seen[trail[index] >> 1]:
+                index -= 1
+            p = trail[index]
+            seen[p >> 1] = 0
+            pending -= 1
+            if pending == 0:
+                break
+            lits = clauses[reason[p >> 1]]
+        learnt[0] = p ^ 1
+        best = 1
+        for k in range(1, len(learnt)):
+            seen[learnt[k] >> 1] = 0
+            if level[learnt[k] >> 1] > level[learnt[best] >> 1]:
+                best = k
+        if len(learnt) > 2:
+            learnt[1], learnt[best] = learnt[best], learnt[1]
+        return learnt
+
+    def _learn(self, lits: Sequence[int]) -> bool:
+        """Learn from a clause whose literals are all false, backjump and
+        assert; False when the clause is false at level 0."""
+        level = self.level
+        top = max(level[lit >> 1] for lit in lits)
+        if top == 0:
+            return False
+        self._backtrack(top)
+        learnt = self._analyze(lits)
+        if len(learnt) == 1:
+            self._backtrack(0)
+            self._enqueue(learnt[0], -1)
+            return True
+        self._backtrack(level[learnt[1] >> 1])
+        ci = len(self.clauses)
+        self.clauses.append(learnt)
+        self.w1.append(learnt[0])
+        self.w2.append(learnt[1])
+        self.watches[learnt[0]].append(ci)
+        self.watches[learnt[1]].append(ci)
+        self._enqueue(learnt[0], ci)
+        return True
 
     def solve(self) -> Optional[list[int]]:
         if self.unsat:
             return None
-        pending = deque()
-        for lit in self.initial_units:
-            v = self._value(lit)
-            if v == 0:
+        vals = self.vals
+        for lit, ci in self.units:
+            if vals[lit] == 0:
                 self.counters.conflicts += 1
                 return None
-            if v == -1:
-                self._assign(lit)
-                pending.append(lit)
-        if not self._propagate(pending):
-            return None
-        decisions: list = []
+            if vals[lit] == -1:
+                self._enqueue(lit, ci)
+        nvars = self.nvars
+        counters = self.counters
         while True:
-            if self.perms and self._symmetry_pruned():
-                if not self._backtrack(decisions):
-                    return None
-                continue
-            var = self._next_unassigned()
-            if var is None:
-                return list(self.values)
-            decisions.append((len(self.trail), var, False))
-            self.counters.decisions += 1
-            if not self._assign_and_propagate(-(var + 1)):
-                if not self._backtrack(decisions):
-                    return None
+            conflict = self._propagate()
+            if conflict >= 0:
+                counters.conflicts += 1
+                lits = self.clauses[conflict]
+            else:
+                lits = self._cut() if self.perms else None
+                if lits is None:
+                    # Decide the lowest unassigned variable, false first.
+                    var = self.next_var
+                    while var < nvars and vals[var + var] != -1:
+                        var += 1
+                    self.next_var = var
+                    if var == nvars:
+                        return vals[0::2]
+                    counters.decisions += 1
+                    self.trail_lim.append(len(self.trail))
+                    self._enqueue(var + var + 1, -1)
+                    continue
+            if not self._learn(lits):
+                return None
 
 
 # ---------------------------------------------------------------------------
@@ -485,70 +606,14 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
     exhausted: list[tuple[int, int]] = []
     neg_target = nnf(Not(target_entry.formula))
     prefix, matrix = _existential_prefix(neg_target)
-    prefix_sorts = [sort for _, sort in prefix]
 
     for n_things in range(1, config.max_thing_size + 1):
         for n_worlds in world_range:
             things = tuple(f"t{i}" for i in range(n_things))
             worlds = tuple(f"w{i}" for i in range(n_worlds))
             atoms = atom_space(all_formulas, things, worlds, support)
-            atom_index = {atom: i for i, atom in enumerate(atoms)}
-            builder = _CnfBuilder(things, worlds, atom_index)
-            sigma = [tuple(sorted(clause)) for formula in premise_formulas
-                     for clause in builder.build(formula, True, {})]
-
-            # The node budget is per size: every branch draws on one counter.
-            remaining = config.node_budget
-            best = None
-            universe_sizes = [n_things if s is Sort.THING else n_worlds
-                              for s in prefix_sorts]
-            for combo in itertools.product(*(range(n) for n in universe_sizes)):
-                if config.pruning == "canonical" and \
-                        not _is_orbit_representative(combo, prefix_sorts):
-                    stats.pruned_subtrees += 1
-                    continue
-                env = {}
-                used_things, used_worlds = set(), set()
-                for (var, sort), value in zip(prefix, combo):
-                    if sort is Sort.THING:
-                        env[var] = things[value]
-                        used_things.add(value)
-                    else:
-                        env[var] = worlds[value]
-                        used_worlds.add(value)
-                branch = builder.build(matrix, True, env)
-                # Aux variables are memoized across branches, so a branch may
-                # use any definition the size's builder has made so far.
-                clauses = sigma + [tuple(sorted(c)) for c in
-                                   branch + definition_clauses(builder.definitions)]
-                nvars = len(atoms) + len(builder.definitions)
-                perms: Sequence[Sequence[int]] = ()
-                if config.pruning == "canonical":
-                    perms = _stabilizer_perms(used_things, n_things,
-                                              used_worlds, n_worlds,
-                                              atoms, atom_index)
-                solver = _Solver(nvars, clauses, remaining, perms)
-                try:
-                    solution = solver.solve()
-                except _BudgetExceeded:
-                    # An unexhausted size cannot show that a model found in
-                    # an earlier branch is the least one.
-                    raise ResourceLimitExceeded(
-                        n_things, n_worlds, config.node_budget) from None
-                remaining -= solver.steps
-                stats.branches_total += 1
-                counters = solver.counters
-                stats.candidates_visited += counters.decisions
-                stats.propagations += counters.propagations
-                stats.conflicts += counters.conflicts
-                stats.pruned_subtrees += counters.pruned
-                if solution is not None:
-                    # Equal keys denote the same model, so the first branch
-                    # reaching the least key decides it.
-                    key = _least_relabeling(atoms, solution[:len(atoms)],
-                                            things, worlds)
-                    if best is None or key < best:
-                        best = key
+            best = _least_branch_key(premise_formulas, prefix, matrix,
+                                     things, worlds, atoms, config, stats)
             if best is not None:
                 model = FiniteModel("countermodel", things, worlds,
                                     _tables(atoms, best))
@@ -561,6 +626,76 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
     stats.sizes_exhausted = tuple(exhausted)
     stats.elapsed_seconds = time.monotonic() - start
     return NoCounterexampleUpTo(config.max_thing_size, world_bound, stats)
+
+
+def _least_branch_key(premise_formulas, prefix, matrix, things, worlds, atoms,
+                     config: SearchConfig, stats: SearchStats):
+    """Ground one size and solve its branches: the least canonical key of
+    a branch solution, or None when the size is exhausted.  What the size
+    built is freed on return, before the next size is grounded."""
+    n_things, n_worlds = len(things), len(worlds)
+    prefix_sorts = [sort for _, sort in prefix]
+    atom_index = {atom: i for i, atom in enumerate(atoms)}
+    builder = _CnfBuilder(things, worlds, atom_index)
+    # The premises and their definitions are converted once per size;
+    # every branch's solver reads them and adds its own clauses.
+    sigma = [clause for formula in premise_formulas
+             for clause in builder.build(formula, True, {})]
+    premise_defs = len(builder.definitions)
+    premises = _encode(sigma + definition_clauses(builder.definitions))
+
+    # The node budget is per size: every branch draws on one counter.
+    remaining = config.node_budget
+    best = None
+    universe_sizes = [n_things if s is Sort.THING else n_worlds
+                      for s in prefix_sorts]
+    for combo in itertools.product(*(range(n) for n in universe_sizes)):
+        if config.pruning == "canonical" and \
+                not _is_orbit_representative(combo, prefix_sorts):
+            stats.pruned_subtrees += 1
+            continue
+        env = {}
+        used_things, used_worlds = set(), set()
+        for (var, sort), value in zip(prefix, combo):
+            if sort is Sort.THING:
+                env[var] = things[value]
+                used_things.add(value)
+            else:
+                env[var] = worlds[value]
+                used_worlds.add(value)
+        # Aux variables are memoized across branches, so a branch may
+        # use any definition the size's builder has made so far.
+        clauses = builder.build(matrix, True, env) + definition_clauses(
+            builder.definitions[premise_defs:])
+        nvars = len(atoms) + len(builder.definitions)
+        perms: Sequence[Sequence[int]] = ()
+        if config.pruning == "canonical":
+            perms = _stabilizer_perms(used_things, n_things,
+                                      used_worlds, n_worlds,
+                                      atoms, atom_index)
+        solver = _Solver(nvars, clauses, remaining, perms, premises)
+        try:
+            solution = solver.solve()
+        except _BudgetExceeded:
+            # An unexhausted size cannot show that a model found in
+            # an earlier branch is the least one.
+            raise ResourceLimitExceeded(
+                n_things, n_worlds, config.node_budget) from None
+        remaining -= solver.steps
+        stats.branches_total += 1
+        counters = solver.counters
+        stats.candidates_visited += counters.decisions
+        stats.propagations += solver.steps
+        stats.conflicts += counters.conflicts
+        stats.pruned_subtrees += counters.pruned
+        if solution is not None:
+            # Equal keys denote the same model, so the first branch
+            # reaching the least key decides it.
+            key = _least_relabeling(atoms, solution[:len(atoms)],
+                                    things, worlds)
+            if best is None or key < best:
+                best = key
+    return best
 
 
 def _recheck(model: FiniteModel, premise_entries, target_entry) -> None:

@@ -284,3 +284,22 @@ def test_criterion_11_property_suites():
 
     _report(11, "evaluator laws, grounder agreement, canonical-form laws, "
                 "pruning soundness, and worker determinism all hold")
+
+
+def test_criterion_12_a15_decomposition_at_four_things(capsys):
+    # The bundled A15_demote row stops at bound 3; the same direction must
+    # also reach bound 4 within the bound used for size-4 runs, and the
+    # unpruned search must agree with it.
+    started = time.monotonic()
+    code, out = _cli(capsys, "entail", "--premises", "PSRPlenitude",
+                     "--target", "A15", "--max-things", "4")
+    assert code == 0
+    assert "NoCounterexampleUpTo(4)" in out
+    code, out = _cli(capsys, "entail", "--premises", "PSRPlenitude",
+                     "--target", "A15", "--max-things", "4", "--no-prune")
+    assert code == 0
+    assert "NoCounterexampleUpTo(4)" in out
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0
+    _report(12, f"plenitude+uniqueness entail A15 to bound 4, with and "
+                f"without pruning ({elapsed:.2f} s)")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ethica import search
 from ethica.grounding import _CnfBuilder, atom_space, definition_clauses, nnf
 from ethica.logic import FiniteModel, Not, Sort, evaluate
 from ethica.registry import axiom, axiom_set
@@ -14,8 +15,8 @@ from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
                            canonical_form, check_naive_psr, entails_bounded,
                            find_countermodel)
 
-from oracles import (countermodel_exists, random_model, refutes,
-                     stabilizer_group_perms)
+from oracles import (countermodel_exists, dpll_least_solution, random_model,
+                     refutes, stabilizer_group_perms)
 
 A22_SUPPORT = ("inItself", "perSeConceived", "intellectPerceivesAsEssence")
 
@@ -222,20 +223,32 @@ def test_refutation_is_monotone_in_the_bound():
 # ---------------------------------------------------------------------------
 
 # ---------------------------------------------------------------------------
-# the backtracking core against brute-force SAT
+# the solver against brute-force SAT and the DPLL oracle
 # ---------------------------------------------------------------------------
+
+class _RecordingSolver(_Solver):
+    """Records how many decision levels each learned clause undoes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.jumps = []
+
+    def _learn(self, lits):
+        before = len(self.trail_lim)
+        learned = super()._learn(lits)
+        self.jumps.append(before - len(self.trail_lim))
+        return learned
+
 
 def test_solver_agrees_with_brute_force_on_random_clause_sets():
     # The exhaustion side of every verdict rests on the solver's UNSAT
     # answers, which the evaluator re-check cannot see; compare against
     # direct enumeration, including the least-solution contract.
-    from ethica.search import _Solver
-
     rng = random.Random(31337)
     for _ in range(300):
-        nvars = rng.randint(1, 9)
+        nvars = rng.randint(1, 10)
         clauses = []
-        for _ in range(rng.randint(0, 18)):
+        for _ in range(rng.randint(0, 20)):
             width = rng.randint(1, min(3, nvars))
             chosen = rng.sample(range(1, nvars + 1), width)
             clauses.append(tuple(sorted(
@@ -254,6 +267,26 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
         else:
             assert answer is not None
             assert tuple(answer) == min(solutions)
+
+    # Random 3-CNF at 20-40 variables near the satisfiability threshold
+    # (4.26 clauses per variable), against the DPLL solver that learns
+    # nothing: conflicts there are deep enough for learned clauses to
+    # send the search back over more than one decision level.
+    outcomes = set()
+    learned = far_jumps = 0
+    for _ in range(60):
+        nvars = rng.randint(20, 40)
+        clauses = [tuple(sorted(var if rng.random() < 0.5 else -var
+                                for var in rng.sample(range(1, nvars + 1), 3)))
+                   for _ in range(round(4.26 * nvars))]
+        solver = _RecordingSolver(nvars, clauses, budget=10**7)
+        answer = solver.solve()
+        assert answer == dpll_least_solution(nvars, clauses)
+        outcomes.add(answer is None)
+        learned += len(solver.clauses) - len(clauses)
+        far_jumps += sum(jump > 1 for jump in solver.jumps)
+    assert outcomes == {True, False}
+    assert learned > 0 and far_jumps > 0
 
 
 BUNDLED_DIRECTIONS = [
@@ -296,6 +329,32 @@ def test_pruning_actually_prunes():
     assert pruned.stats.pruned_subtrees > 0
     assert unpruned.stats.pruned_subtrees == 0
     assert pruned.stats.branches_total < unpruned.stats.branches_total
+
+
+def test_lex_leader_cuts_fire_in_a_bundled_search(monkeypatch):
+    # pruned_subtrees also counts the skipped non-representative branches,
+    # so only the solvers' own counters show that lex-leader cuts happen.
+    solvers = []
+
+    class Recording(_Solver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    monkeypatch.setattr(search, "_Solver", Recording)
+    verdict = entails_bounded("PSRPlenitude", "A15",
+                              SearchConfig(max_thing_size=4))
+    assert isinstance(verdict, NoCounterexampleUpTo)
+    assert sum(solver.counters.pruned for solver in solvers) > 0
+
+
+def test_a25_self_entailment_needs_fewer_decisions_than_the_distributed_cnf():
+    # The clause-product grounding made 7,502 decisions here; definitional
+    # grounding without clause learning made 19,898.
+    verdict = entails_bounded(["A25"], "A25",
+                              SearchConfig(max_thing_size=3, max_world_size=2))
+    assert isinstance(verdict, NoCounterexampleUpTo)
+    assert verdict.stats.candidates_visited < 7_502
 
 
 def _branch_inputs(premises, target, n_things, n_worlds):
@@ -379,6 +438,36 @@ def test_transposition_pruning_keeps_the_least_solution_of_symmetric_clauses():
     assert pruned_solutions > 0
 
 
+def test_lex_leader_cut_clauses_are_false_only_on_non_leaders():
+    # A cut is learned from like any conflict clause, so it must be false
+    # under the partial assignment and true on every full assignment that
+    # is a lex-leader under the perms: that is what keeps the least
+    # solution reachable after learning from it.
+    rng = random.Random(7)
+    things = [f"t{i}" for i in range(3)]
+    atoms = [("P", (t,)) for t in things] + \
+        [("R", (a, b)) for a in things for b in things]
+    atom_index = {atom: i for i, atom in enumerate(atoms)}
+    perms = _stabilizer_perms(set(), 3, set(), 0, atoms, atom_index)
+    leaders = [bits for bits in itertools.product((0, 1), repeat=len(atoms))
+               if all(bits <= tuple(bits[j] for j in perm) for perm in perms)]
+    cuts = 0
+    for _ in range(300):
+        solver = _Solver(len(atoms), [], 1, perms)
+        for var in rng.sample(range(len(atoms)), rng.randint(1, len(atoms))):
+            value = rng.randint(0, 1)
+            solver.vals[2 * var] = value
+            solver.vals[2 * var + 1] = 1 - value
+        clause = solver._cut()
+        if clause is None:
+            continue
+        cuts += 1
+        assert all(solver.vals[lit] == 0 for lit in clause)
+        for bits in leaders:
+            assert any(bits[lit >> 1] != lit & 1 for lit in clause), clause
+    assert cuts > 0
+
+
 def test_stabilizer_perms_are_the_adjacent_transpositions_of_the_free_things():
     # Six free things give five generators, not the 6! - 1 = 719
     # non-identity relabelings of the whole stabilizer.
@@ -434,12 +523,12 @@ def test_budget_does_not_suppress_found_refutations():
 
 
 def test_node_budget_is_shared_by_the_branches_of_a_size():
-    # Size 3 spends 18,921 propagations (aux assignments included) over
-    # five branches, none of which alone spends 7,000: only a budget shared
-    # by the branches runs out.
+    # Size 3 spends 600 assignments (aux ones included) over five branches,
+    # none of which alone spends more than 222, and no smaller size spends
+    # 400: only a budget shared by the branches runs out.
     with pytest.raises(ResourceLimitExceeded) as info:
         entails_bounded("PSRPlenitude", "A15",
-                        SearchConfig(max_thing_size=3, node_budget=12_000))
+                        SearchConfig(max_thing_size=3, node_budget=400))
     assert info.value.thing_size == 3
 
 
