@@ -18,13 +18,13 @@ from typing import Optional, Sequence
 
 from .corpus import VerificationReport, corpus_model, verify
 from .dsl import parse_model, serialize_model
-from .experiments import (Direction, bundled_experiments,
+from .experiments import (PROBE_PREMISES, Direction, bundled_experiments,
                           conjecture_probe_full_register, describe_experiment,
                           direction_json, reducibility_table, run_experiment)
 from .logic import LogicError
 from .registry import BUNDLES, RegistryError, axiom, axiom_ids
 from .search import (DEFAULT_NODE_BUDGET, NoCounterexampleUpTo, RecheckError,
-                     Refuted, ResourceLimitExceeded, SearchConfig,
+                     Refuted, ResourceLimitExceeded, SearchConfig, SearchStats,
                      entails_bounded)
 
 EXIT_OK = 0
@@ -45,7 +45,25 @@ def _parse_selector(text: str):
 
 def _node_budget() -> int:
     budget_text = os.environ.get(NODE_BUDGET_ENV)
-    return int(budget_text) if budget_text else DEFAULT_NODE_BUDGET
+    if not budget_text:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return int(budget_text)
+    except ValueError:
+        raise ValueError(f"{NODE_BUDGET_ENV} must be an integer, "
+                         f"got {budget_text!r}") from None
+
+
+def _worker_count(text: str) -> int:
+    """``--workers``: validated, then unused, since the search runs its
+    branches one after another."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError("workers must be >= 1")
+    return count
 
 
 def _search_config(args, default_things: int = 4) -> SearchConfig:
@@ -54,7 +72,6 @@ def _search_config(args, default_things: int = 4) -> SearchConfig:
         max_thing_size=things,
         max_world_size=args.max_worlds,
         pruning="none" if args.no_prune else "canonical",
-        workers=1 if args.workers is None else args.workers,
         node_budget=_node_budget(),
     )
 
@@ -73,6 +90,20 @@ def _emit(text: str) -> None:
 
 def _emit_json(doc) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _direction_doc(premises, target: str, verdict, config: SearchConfig) -> dict:
+    doc = direction_json(Direction(premises, target), verdict, config)
+    doc["stats"] = verdict.stats.to_json_dict()
+    return doc
+
+
+def _stats_line(stats: SearchStats) -> str:
+    return (f"stats: candidates={stats.candidates_visited} "
+            f"propagations={stats.propagations} "
+            f"pruned={stats.pruned_subtrees} "
+            f"cuts={stats.lex_leader_cuts} "
+            f"branches={stats.branches_total}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +140,7 @@ def _cmd_search(args, verdict_only: bool = False) -> int:
     config = _search_config(args)
     verdict = entails_bounded(premises, args.target, config)
     if args.json:
-        doc = direction_json(Direction(premises, args.target), verdict, config)
-        doc["stats"] = verdict.stats.to_json_dict()
-        _emit_json(doc)
+        _emit_json(_direction_doc(premises, args.target, verdict, config))
         return EXIT_OK
     lines = [verdict.describe()]
     if isinstance(verdict, Refuted) and not verdict_only:
@@ -119,10 +148,7 @@ def _cmd_search(args, verdict_only: bool = False) -> int:
         lines.append(serialize_model(verdict.model).rstrip("\n"))
     if not verdict_only:
         stats = verdict.stats
-        lines.append(f"stats: candidates={stats.candidates_visited} "
-                     f"propagations={stats.propagations} "
-                     f"pruned={stats.pruned_subtrees} "
-                     f"branches={stats.branches_total}")
+        lines.append(_stats_line(stats))
         if isinstance(verdict, NoCounterexampleUpTo):
             lines.append("note: no counterexample within support "
                          f"{{{', '.join(stats.support)}}} up to the stated bound; "
@@ -132,7 +158,7 @@ def _cmd_search(args, verdict_only: bool = False) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    specs = bundled_experiments(args.workers, _node_budget())
+    specs = bundled_experiments(_node_budget())
     if args.name == "all":
         chosen = list(specs.values())
     elif args.name in specs:
@@ -155,7 +181,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = reducibility_table(args.workers, _node_budget())
+    table = reducibility_table(_node_budget())
     if args.json:
         _emit_json(table.to_json_dict())
     else:
@@ -166,12 +192,8 @@ def _cmd_table(args) -> int:
 def _cmd_probe(args) -> int:
     config = _search_config(args, default_things=3)
     verdict = conjecture_probe_full_register(config)
-    from .experiments import PROBE_PREMISES
     if args.json:
-        doc = direction_json(Direction(list(PROBE_PREMISES), "A12"),
-                             verdict, config)
-        doc["stats"] = verdict.stats.to_json_dict()
-        _emit_json(doc)
+        _emit_json(_direction_doc(list(PROBE_PREMISES), "A12", verdict, config))
         return EXIT_OK
     lines = [f"full-register probe: {{{', '.join(PROBE_PREMISES)}}} |= A12 ?",
              verdict.describe()]
@@ -180,11 +202,7 @@ def _cmd_probe(args) -> int:
         lines.append("model:")
         lines.append(serialize_model(verdict.model).rstrip("\n"))
         lines.append(f"verifier cross-check: {report.verdict}")
-    stats = verdict.stats
-    lines.append(f"stats: candidates={stats.candidates_visited} "
-                 f"propagations={stats.propagations} "
-                 f"pruned={stats.pruned_subtrees} "
-                 f"branches={stats.branches_total}")
+    lines.append(_stats_line(verdict.stats))
     lines.append("note: no expected verdict is attached to this probe")
     _emit("\n".join(lines))
     return EXIT_OK
@@ -222,6 +240,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-model workbench for the Ethica Pars I register")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_workers_flag(p):
+        p.add_argument("--workers", type=_worker_count, metavar="N",
+                       help="accepted for compatibility; must be >= 1 and "
+                            "changes neither results nor speed")
+
     def add_search_flags(p, with_target=True):
         if with_target:
             p.add_argument("--premises", required=True,
@@ -231,9 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-worlds", type=int, default=None, metavar="W")
         p.add_argument("--no-prune", action="store_true",
                        help="disable canonical symmetry pruning")
-        p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="accepted for compatibility; must be >= 1 and "
-                            "changes neither results nor speed")
+        add_workers_flag(p)
         p.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="check a model against premises "
@@ -257,14 +278,14 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
     p_run = exp_sub.add_parser("run")
     p_run.add_argument("name", help="experiment name or 'all'")
-    p_run.add_argument("--workers", type=int, default=None)
+    add_workers_flag(p_run)
     p_run.add_argument("--json", action="store_true")
     p_run.add_argument("--strict-claims", action="store_true",
                        help="print verdicts only, no narrative labels")
     p_run.set_defaults(func=_cmd_experiment)
 
     p_table = sub.add_parser("table", help="the four-axiom reducibility table")
-    p_table.add_argument("--workers", type=int, default=None)
+    add_workers_flag(p_table)
     p_table.add_argument("--json", action="store_true")
     p_table.add_argument("--strict-claims", action="store_true")
     p_table.set_defaults(func=_cmd_table)

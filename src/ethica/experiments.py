@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 from .corpus import VerificationReport, corpus_model, verify
 from .logic import FiniteModel
 from .registry import Selector, resolve_selector
-from .search import (DEFAULT_NODE_BUDGET, EntailmentVerdict, NoCounterexampleUpTo,
-                     RecheckError, Refuted, ResourceLimitExceeded, SearchConfig,
-                     SearchStats, entails_bounded)
+from .search import (DEFAULT_NODE_BUDGET, STATS_COUNTERS, EntailmentVerdict,
+                     NoCounterexampleUpTo, RecheckError, Refuted,
+                     ResourceLimitExceeded, SearchConfig, entails_bounded)
 
 
 class InsufficientEvidenceError(Exception):
@@ -111,6 +111,17 @@ class ExperimentSpec:
     expectation: Optional[dict] = None  # verdict-key -> "refuted"|"no_counterexample"
     extra_caveats: tuple[str, ...] = ()
 
+    def directions(self) -> list[tuple[str, Direction]]:
+        """The (verdict-key, direction) pairs in report order."""
+        pairs = [("forward", self.forward)]
+        if self.backward is not None:
+            pairs.append(("backward", self.backward))
+        if self.restricted_form is not None:
+            pairs.append(("restricted_form", self.restricted_form))
+        pairs.extend(("subset:" + ",".join(direction.premise_ids), direction)
+                     for direction in self.subsets)
+        return pairs
+
 
 @dataclass
 class ExperimentResult:
@@ -135,37 +146,25 @@ class ExperimentResult:
         return OUTCOME_LABELS[self.outcome]
 
     def to_json_dict(self) -> dict:
-        forward = self.verdicts["forward"]
-        auxiliary = {
-            key: direction_json(self._direction_for(key), verdict, self.spec.config)
-            for key, verdict in self.verdicts.items()
-            if key not in ("forward", "backward")}
+        directions = {
+            key: direction_json(direction, self.verdicts[key], self.spec.config)
+            for key, direction in self.spec.directions()}
         doc = {
             "name": self.spec.name,
-            "forward": direction_json(self.spec.forward, forward, self.spec.config),
+            "forward": directions.pop("forward"),
             "outcome": self.outcome.value,
             "caveats": list(self.caveats),
             "fidelity_flags": list(self.fidelity_flags),
             "stats": _combined_stats(self.verdicts.values()),
             "expectation_failures": list(self.expectation_failures),
         }
-        if "backward" in self.verdicts:
-            doc["backward"] = direction_json(
-                self.spec.backward, self.verdicts["backward"], self.spec.config)
-        if auxiliary:
-            doc["auxiliary"] = auxiliary
+        if "backward" in directions:
+            doc["backward"] = directions.pop("backward")
+        if directions:
+            doc["auxiliary"] = directions
         if self.corpus_report is not None:
             doc["corpus_check"] = self.corpus_report.to_json_dict()
         return doc
-
-    def _direction_for(self, key: str) -> Direction:
-        if key == "restricted_form":
-            return self.spec.restricted_form
-        label = key.split(":", 1)[1]
-        for direction in self.spec.subsets:
-            if ",".join(direction.premise_ids) == label:
-                return direction
-        raise KeyError(key)
 
 
 def _verdict_kind(verdict: EntailmentVerdict) -> str:
@@ -202,32 +201,17 @@ def direction_json(direction: Direction, verdict: EntailmentVerdict,
 
 
 def _combined_stats(verdicts) -> dict:
-    total = SearchStats()
-    for verdict in verdicts:
-        stats = verdict.stats
-        total.candidates_visited += stats.candidates_visited
-        total.propagations += stats.propagations
-        total.conflicts += stats.conflicts
-        total.pruned_subtrees += stats.pruned_subtrees
-        total.branches_total += stats.branches_total
-    return {
-        "candidates_visited": total.candidates_visited,
-        "propagations": total.propagations,
-        "conflicts": total.conflicts,
-        "pruned_subtrees": total.pruned_subtrees,
-        "branches_total": total.branches_total,
-    }
+    return {name: sum(getattr(verdict.stats, name) for verdict in verdicts)
+            for name in STATS_COUNTERS}
 
 
-def bundled_experiments(workers: Optional[int] = None,
-                        node_budget: int = DEFAULT_NODE_BUDGET
+def bundled_experiments(node_budget: int = DEFAULT_NODE_BUDGET
                         ) -> dict[str, ExperimentSpec]:
     """The immutable experiment fixtures, keyed by name."""
-    w = workers if workers is not None else 1
 
     def config(things, worlds=None):
         return SearchConfig(max_thing_size=things, max_world_size=worlds,
-                            workers=w, node_budget=node_budget)
+                            node_budget=node_budget)
 
     specs = [
         ExperimentSpec(
@@ -298,35 +282,13 @@ def bundled_experiments(workers: Optional[int] = None,
 # Running experiments
 # ---------------------------------------------------------------------------
 
-_ENTAIL_CACHE: dict = {}
-
-
-def _config_key(config: SearchConfig):
-    return (config.max_thing_size, config.max_world_size,
-            config.support_predicates, config.pruning, config.node_budget)
-
-
-def _entail_cached(direction: Direction, config: SearchConfig) -> EntailmentVerdict:
-    key = (direction.premise_ids, direction.target, _config_key(config))
-    if key not in _ENTAIL_CACHE:
-        _ENTAIL_CACHE[key] = entails_bounded(
-            direction.premises, direction.target, config)
-    return _ENTAIL_CACHE[key]
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute every direction of the experiment, classify, and flag any
     regression-expectation mismatch (flagged, never hidden)."""
-    verdicts: dict = {"forward": _entail_cached(spec.forward, spec.config)}
-    if spec.backward is not None:
-        verdicts["backward"] = _entail_cached(spec.backward, spec.config)
-    if spec.restricted_form is not None:
-        verdicts["restricted_form"] = _entail_cached(spec.restricted_form, spec.config)
-    subset_verdicts = []
-    for direction in spec.subsets:
-        key = "subset:" + ",".join(direction.premise_ids)
-        verdicts[key] = _entail_cached(direction, spec.config)
-        subset_verdicts.append(verdicts[key])
+    directions = spec.directions()
+    verdicts = {key: entails_bounded(direction.premises, direction.target,
+                                     spec.config)
+                for key, direction in directions}
 
     corpus_report = None
     fidelity_flags: tuple[str, ...] = ()
@@ -340,7 +302,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         forward=verdicts["forward"],
         backward=verdicts.get("backward"),
         restricted_form=verdicts.get("restricted_form"),
-        subset_verdicts=subset_verdicts,
+        subset_verdicts=[verdicts[key] for key, direction in directions
+                         if direction in spec.subsets],
         converse_open=spec.converse_open,
     )
 
@@ -378,10 +341,7 @@ def _bound_caveat(spec: ExperimentSpec, forward: EntailmentVerdict) -> str:
 def describe_experiment(result: ExperimentResult, strict_claims: bool = False) -> str:
     """Human-readable report; with strict_claims only verdicts are printed."""
     lines = [f"experiment {result.name}"]
-    for key in result.verdicts:
-        direction = (result.spec.forward if key == "forward"
-                     else result.spec.backward if key == "backward"
-                     else result._direction_for(key))
+    for key, direction in result.spec.directions():
         verdict = result.verdicts[key]
         ids = ", ".join(direction.premise_ids)
         lines.append(f"  {key}: {{{ids}}} |= {direction.target} ? "
@@ -450,15 +410,14 @@ class ReducibilityTable:
         }
 
 
-def reducibility_table(workers: Optional[int] = None,
-                       node_budget: int = DEFAULT_NODE_BUDGET) -> ReducibilityTable:
+def reducibility_table(node_budget: int = DEFAULT_NODE_BUDGET) -> ReducibilityTable:
     """Run the four bundled demote experiments and assemble the table.
 
     Any experiment error aborts the assembly; the raised error names the
     rows already completed.  Running out of node budget and a failed
     evaluator re-check are not errors of the table and propagate unwrapped.
     """
-    specs = bundled_experiments(workers, node_budget)
+    specs = bundled_experiments(node_budget)
     results = []
     for axiom_id, spec_name, _ in _TABLE_ROWS:
         try:

@@ -11,10 +11,11 @@ The encoding is definitional (Tseitin 1968; Plaisted and Greenbaum 1986):
 inside a disjunction, every multi-clause part but the widest is replaced by
 one auxiliary literal ``v``, defined in one direction only by the clauses
 ``not v or c`` for each clause ``c`` of the part, after unit propagation
-inside the part.  Ground subformulas are
-memoized on (node, polarity, free-variable bindings), so every instance of
-a shared subformula shares one auxiliary variable.  Auxiliary variables are
-numbered after all table atoms.
+inside the part.  Formulas are put in negation normal form first, so the
+polarity rules live only in ``nnf``.  Ground subformulas are memoized on
+(node, free-variable bindings), so every instance of a shared subformula
+shares one auxiliary variable.  Auxiliary variables are numbered after all
+table atoms.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Iterable, Optional, Sequence
 
 from .logic import (FALSE, TRUE, And, Eq, EvaluationError, Exists,
                     FiniteModel, ForAll, Formula, Iff, Implies, LogicError,
-                    Not, Or, Pred, Sort, TrueF, FalseF, Var, mentions_world)
+                    Not, Or, Pred, Sort, TrueF, FalseF, Var, free_vars,
+                    mentions_world)
 
 Atom = tuple[str, tuple[str, ...]]
 Clause = frozenset[int]
@@ -179,102 +181,79 @@ class _CnfBuilder:
         self.worlds = tuple(worlds)
         self.atom_index = atom_index
         self.definitions: list[Definition] = []
-        self._free_cache: dict[int, frozenset[str]] = {}
+        self._free_cache: dict[int, tuple[str, ...]] = {}
         self._cnf_cache: dict = {}
         self._aux_cache: dict[int, tuple[list[Clause], int]] = {}
 
     def universe(self, sort: Sort) -> tuple[str, ...]:
         return self.things if sort is Sort.THING else self.worlds
 
-    def _free_vars(self, f: Formula) -> frozenset[str]:
+    def _free_vars(self, f: Formula) -> tuple[str, ...]:
         cached = self._free_cache.get(id(f))
         if cached is None:
-            from .logic import free_vars
-            cached = self._free_cache[id(f)] = free_vars(f)
+            cached = self._free_cache[id(f)] = tuple(sorted(free_vars(f)))
         return cached
 
-    def build(self, f: Formula, positive: bool, env: dict) -> list[Clause]:
+    def build(self, f: Formula, env: dict) -> list[Clause]:
+        """Clauses for a formula in negation normal form (``nnf``): ``Not``
+        wraps only a ``Pred`` or an ``Eq``, and no ``Implies`` or ``Iff``
+        occurs."""
         # Sub-CNFs depend only on the bindings of the node's free variables;
-        # memoizing on those makes repeated quantifier bodies cheap.  Nodes
-        # stay alive through the root formula, so id() keys are stable here.
-        if isinstance(f, (Not, And, Or, Implies, Iff, ForAll, Exists)):
-            bindings = tuple(sorted(
-                (name, env[name]) for name in self._free_vars(f)))
-            key = (id(f), positive, bindings)
+        # memoizing on those makes repeated quantifier bodies cheap.  The
+        # caller keeps the root formula alive as long as the builder, so
+        # id() keys are never reused.
+        if isinstance(f, (And, Or, ForAll, Exists)):
+            key = (id(f), tuple([env[name] for name in self._free_vars(f)]))
             cached = self._cnf_cache.get(key)
             if cached is None:
-                cached = self._cnf_cache[key] = self._build(f, positive, env)
+                cached = self._cnf_cache[key] = self._build(f, env)
             return cached
-        return self._build(f, positive, env)
+        return self._build(f, env)
 
-    def _build(self, f: Formula, positive: bool, env: dict) -> list[Clause]:
+    def _build(self, f: Formula, env: dict) -> list[Clause]:
         if isinstance(f, TrueF):
-            return _TRIVIALLY_TRUE if positive else _TRIVIALLY_FALSE
+            return _TRIVIALLY_TRUE
         if isinstance(f, FalseF):
-            return _TRIVIALLY_FALSE if positive else _TRIVIALLY_TRUE
-        if isinstance(f, Pred):
-            labels = tuple(env[t.name] if isinstance(t, Var) else t.label for t in f.args)
-            index = self.atom_index.get((f.name, labels))
-            if index is None:
-                # Predicate outside the atom space: frozen everywhere-false.
-                return _TRIVIALLY_FALSE if positive else _TRIVIALLY_TRUE
-            lit = index + 1 if positive else -(index + 1)
-            return [frozenset((lit,))]
-        if isinstance(f, Eq):
-            left = env[f.left.name] if isinstance(f.left, Var) else f.left.label
-            right = env[f.right.name] if isinstance(f.right, Var) else f.right.label
-            holds = left == right
-            if positive:
-                return _TRIVIALLY_TRUE if holds else _TRIVIALLY_FALSE
-            return _TRIVIALLY_FALSE if holds else _TRIVIALLY_TRUE
-        if isinstance(f, Not):
-            return self.build(f.body, not positive, env)
+            return _TRIVIALLY_FALSE
+        if isinstance(f, (Pred, Eq)):
+            return self._literal(f, True, env)
+        if isinstance(f, Not) and isinstance(f.body, (Pred, Eq)):
+            return self._literal(f.body, False, env)
         if isinstance(f, And):
-            if positive:
-                return self.conjoin(self.build(item, True, env) for item in f.items)
-            return self.disjoin([self.build(item, False, env) for item in f.items])
+            return self.conjoin(self.build(item, env) for item in f.items)
         if isinstance(f, Or):
-            if positive:
-                return self.disjoin([self.build(item, True, env) for item in f.items])
-            return self.conjoin(self.build(item, False, env) for item in f.items)
-        if isinstance(f, Implies):
-            if positive:
-                return self.disjoin([self.build(f.left, False, env),
-                                     self.build(f.right, True, env)])
-            return self.conjoin((self.build(f.left, True, env),
-                                 self.build(f.right, False, env)))
-        if isinstance(f, Iff):
-            if positive:
-                return self.conjoin((
-                    self.disjoin([self.build(f.left, False, env),
-                                  self.build(f.right, True, env)]),
-                    self.disjoin([self.build(f.right, False, env),
-                                  self.build(f.left, True, env)])))
-            return self.disjoin([
-                self.conjoin((self.build(f.left, True, env),
-                              self.build(f.right, False, env))),
-                self.conjoin((self.build(f.right, True, env),
-                              self.build(f.left, False, env)))])
+            return self.disjoin([self.build(item, env) for item in f.items])
         if isinstance(f, (ForAll, Exists)):
             universe = self.universe(f.sort)
             if not universe:
                 raise GroundingError(
                     "quantification over World on universes with no worlds")
-            expand_as_and = isinstance(f, ForAll) == positive
             parts = []
             saved = env.get(f.var)
             had = f.var in env
             try:
                 for label in universe:
                     env[f.var] = label
-                    parts.append(self.build(f.body, positive, env))
+                    parts.append(self.build(f.body, env))
             finally:
                 if had:
                     env[f.var] = saved
                 elif f.var in env:
                     del env[f.var]
-            return self.conjoin(parts) if expand_as_and else self.disjoin(parts)
-        raise TypeError(f"not a formula: {f!r}")
+            return self.conjoin(parts) if isinstance(f, ForAll) else self.disjoin(parts)
+        raise TypeError(f"not a formula in negation normal form: {f!r}")
+
+    def _literal(self, f: Formula, positive: bool, env: dict) -> list[Clause]:
+        if isinstance(f, Pred):
+            labels = tuple(env[t.name] if isinstance(t, Var) else t.label for t in f.args)
+            index = self.atom_index.get((f.name, labels))
+            if index is None:
+                # Predicate outside the atom space: frozen everywhere-false.
+                return _TRIVIALLY_FALSE if positive else _TRIVIALLY_TRUE
+            return [frozenset((index + 1 if positive else -(index + 1),))]
+        left = env[f.left.name] if isinstance(f.left, Var) else f.left.label
+        right = env[f.right.name] if isinstance(f.right, Var) else f.right.label
+        return _TRIVIALLY_TRUE if (left == right) == positive else _TRIVIALLY_FALSE
 
     def conjoin(self, parts: Iterable[list[Clause]]) -> list[Clause]:
         out: list[Clause] = []
@@ -361,7 +340,7 @@ def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),
     atoms = atom_space([formula], things, worlds, support)
     index = {atom: i for i, atom in enumerate(atoms)}
     builder = _CnfBuilder(things, worlds, index)
-    clauses = builder.build(formula, True, {}) + definition_clauses(builder.definitions)
+    clauses = builder.build(nnf(formula), {}) + definition_clauses(builder.definitions)
     return GroundConstraintSet(tuple(things), tuple(worlds), atoms, tuple(clauses),
                                tuple(builder.definitions))
 

@@ -41,15 +41,12 @@ in lexicographic order of the canonical table-bit encoding (ascending atom
 index, false before true) followed by the auxiliary variables, so the table
 bits of its solution are the branch's least table solution; the reported
 model is the least canonical relabeling among branch solutions.  The result
-is identical across runs; the worker count is accepted but selects no code
-path.
+is identical across runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -93,9 +90,6 @@ class SearchConfig:
     max_world_size: Optional[int] = None
     support_predicates: Optional[tuple[str, ...]] = None
     pruning: str = "canonical"  # "canonical" | "none"
-    #: Accepted for compatibility; branches run sequentially, so the worker
-    #: count changes neither results nor speed.
-    workers: int = 1
     #: Propagation steps allowed per (things, worlds) size, over all branches.
     node_budget: int = DEFAULT_NODE_BUDGET
 
@@ -106,10 +100,13 @@ class SearchConfig:
             raise SearchError("max_world_size must be >= 0")
         if self.pruning not in ("canonical", "none"):
             raise SearchError(f"unknown pruning mode {self.pruning!r}")
-        if self.workers < 1:
-            raise SearchError("workers must be >= 1")
         if self.node_budget < 1:
             raise SearchError("node_budget must be >= 1")
+
+
+#: The additive counters of ``SearchStats``, in report order.
+STATS_COUNTERS = ("candidates_visited", "propagations", "conflicts",
+                  "pruned_subtrees", "lex_leader_cuts", "branches_total")
 
 
 @dataclass
@@ -118,23 +115,18 @@ class SearchStats:
     candidates_visited: int = 0
     propagations: int = 0
     conflicts: int = 0
+    #: Instantiation branches skipped as non-representatives of their orbit.
     pruned_subtrees: int = 0
+    #: Partial assignments cut by the solvers' lex-leader check.
+    lex_leader_cuts: int = 0
     branches_total: int = 0
     sizes_exhausted: tuple[tuple[int, int], ...] = ()
-    elapsed_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
-        # elapsed_seconds is deliberately omitted: reports must be
-        # byte-identical across runs.
-        return {
-            "support": list(self.support),
-            "candidates_visited": self.candidates_visited,
-            "propagations": self.propagations,
-            "conflicts": self.conflicts,
-            "pruned_subtrees": self.pruned_subtrees,
-            "branches_total": self.branches_total,
-            "sizes_exhausted": [list(size) for size in self.sizes_exhausted],
-        }
+        doc = {"support": list(self.support)}
+        doc.update((name, getattr(self, name)) for name in STATS_COUNTERS)
+        doc["sizes_exhausted"] = [list(size) for size in self.sizes_exhausted]
+        return doc
 
 
 @dataclass(frozen=True)
@@ -579,7 +571,6 @@ def canonical_form(model: FiniteModel) -> FiniteModel:
 # ---------------------------------------------------------------------------
 
 def _search(premises: Selector, target: str, config: SearchConfig) -> EntailmentVerdict:
-    start = time.monotonic()
     premise_entries = axiom_set(premises)
     target_entry = axiom_set([target])[0]
     premise_formulas = [entry.formula for entry in premise_entries]
@@ -604,31 +595,31 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
 
     stats = SearchStats(support=support)
     exhausted: list[tuple[int, int]] = []
-    neg_target = nnf(Not(target_entry.formula))
-    prefix, matrix = _existential_prefix(neg_target)
+    # The grounder takes negation normal form.  These trees must outlive
+    # every size's builder, whose caches are keyed on node ids.
+    premise_nnfs = [nnf(formula) for formula in premise_formulas]
+    prefix, matrix = _existential_prefix(nnf(Not(target_entry.formula)))
 
     for n_things in range(1, config.max_thing_size + 1):
         for n_worlds in world_range:
             things = tuple(f"t{i}" for i in range(n_things))
             worlds = tuple(f"w{i}" for i in range(n_worlds))
             atoms = atom_space(all_formulas, things, worlds, support)
-            best = _least_branch_key(premise_formulas, prefix, matrix,
+            best = _least_branch_key(premise_nnfs, prefix, matrix,
                                      things, worlds, atoms, config, stats)
             if best is not None:
                 model = FiniteModel("countermodel", things, worlds,
                                     _tables(atoms, best))
                 stats.sizes_exhausted = tuple(exhausted)
-                stats.elapsed_seconds = time.monotonic() - start
                 _recheck(model, premise_entries, target_entry)
                 return Refuted(model, n_things, n_worlds, stats)
             exhausted.append((n_things, n_worlds))
 
     stats.sizes_exhausted = tuple(exhausted)
-    stats.elapsed_seconds = time.monotonic() - start
     return NoCounterexampleUpTo(config.max_thing_size, world_bound, stats)
 
 
-def _least_branch_key(premise_formulas, prefix, matrix, things, worlds, atoms,
+def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
                      config: SearchConfig, stats: SearchStats):
     """Ground one size and solve its branches: the least canonical key of
     a branch solution, or None when the size is exhausted.  What the size
@@ -639,8 +630,8 @@ def _least_branch_key(premise_formulas, prefix, matrix, things, worlds, atoms,
     builder = _CnfBuilder(things, worlds, atom_index)
     # The premises and their definitions are converted once per size;
     # every branch's solver reads them and adds its own clauses.
-    sigma = [clause for formula in premise_formulas
-             for clause in builder.build(formula, True, {})]
+    sigma = [clause for formula in premise_nnfs
+             for clause in builder.build(formula, {})]
     premise_defs = len(builder.definitions)
     premises = _encode(sigma + definition_clauses(builder.definitions))
 
@@ -665,7 +656,7 @@ def _least_branch_key(premise_formulas, prefix, matrix, things, worlds, atoms,
                 used_worlds.add(value)
         # Aux variables are memoized across branches, so a branch may
         # use any definition the size's builder has made so far.
-        clauses = builder.build(matrix, True, env) + definition_clauses(
+        clauses = builder.build(matrix, env) + definition_clauses(
             builder.definitions[premise_defs:])
         nvars = len(atoms) + len(builder.definitions)
         perms: Sequence[Sequence[int]] = ()
@@ -687,7 +678,7 @@ def _least_branch_key(premise_formulas, prefix, matrix, things, worlds, atoms,
         stats.candidates_visited += counters.decisions
         stats.propagations += solver.steps
         stats.conflicts += counters.conflicts
-        stats.pruned_subtrees += counters.pruned
+        stats.lex_leader_cuts += counters.pruned
         if solution is not None:
             # Equal keys denote the same model, so the first branch
             # reaching the least key decides it.

@@ -216,7 +216,7 @@ def test_criterion_10_full_register_probe():
     _report(10, f"full-register probe terminates definitely: {note}")
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(capsys):
     rng = random.Random(11)
 
     # evaluator laws on seeded random formulas over seeded random models
@@ -274,13 +274,11 @@ def test_criterion_11_property_suites():
         assert canonical.is_refuted == unpruned.is_refuted
 
     # determinism across one and many workers
-    single = entails_bounded("PSRSubstance", "A12",
-                             SearchConfig(max_thing_size=3, workers=1))
-    multi = entails_bounded("PSRSubstance", "A12",
-                            SearchConfig(max_thing_size=3, workers=4))
-    assert isinstance(single, Refuted) and isinstance(multi, Refuted)
-    assert single.model == multi.model
-    assert single.stats.candidates_visited == multi.stats.candidates_visited
+    single = _cli(capsys, "entail", "--premises", "PSRSubstance", "--target",
+                  "A12", "--max-things", "3", "--workers", "1")
+    multi = _cli(capsys, "entail", "--premises", "PSRSubstance", "--target",
+                 "A12", "--max-things", "3", "--workers", "4")
+    assert single == multi
 
     _report(11, "evaluator laws, grounder agreement, canonical-form laws, "
                 "pruning soundness, and worker determinism all hold")

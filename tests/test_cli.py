@@ -127,12 +127,14 @@ def test_usage_error_exits_two(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "must be >= " in err, argv
-    for budget in ("0", "-1"):
+    for budget, message in (("0", "node_budget must be >= 1"),
+                            ("-1", "node_budget must be >= 1"),
+                            ("abc", "ETHICA_NODE_BUDGET")):
         monkeypatch.setenv("ETHICA_NODE_BUDGET", budget)
         code, out, err = run_cli(capsys, "entail", "--premises", "A24",
                                  "--target", "A14", "--max-things", "2")
         assert (code, out) == (2, ""), budget
-        assert "node_budget must be >= 1" in err, budget
+        assert message in err, budget
 
 
 def test_node_budget_env_exits_three(capsys, monkeypatch):
@@ -149,12 +151,11 @@ def test_node_budget_env_exits_three(capsys, monkeypatch):
 def test_failed_recheck_exits_one_without_traceback(capsys, monkeypatch):
     # An evaluator that rejects every model makes each returned
     # counter-model fail the re-check; the CLI reports an internal error.
-    from ethica import experiments, search
+    from ethica import search
     monkeypatch.setattr(search, "evaluate", lambda formula, model: False)
     for argv in (("entail", "--premises", "PSRSubstance", "--target", "A12"),
                  ("table",),
                  ("experiment", "run", "all")):
-        monkeypatch.setattr(experiments, "_ENTAIL_CACHE", {})
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error: internal error: "), argv
@@ -213,6 +214,12 @@ def test_table_byte_identical_across_invocations(capsys):
     _, first, _ = run_cli(capsys, "table")
     _, second, _ = run_cli(capsys, "table")
     assert first == second
+
+
+def test_table_is_identical_across_worker_counts(capsys):
+    # --workers is validated and otherwise selects nothing.
+    assert run_cli(capsys, "table", "--workers", "1") == \
+        run_cli(capsys, "table", "--workers", "3")
 
 
 def test_table_json(capsys):

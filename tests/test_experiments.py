@@ -192,11 +192,6 @@ def test_table_is_byte_identical_across_runs():
     assert first.to_json_dict() == second.to_json_dict()
 
 
-def test_table_is_identical_across_worker_counts():
-    assert reducibility_table(workers=1).markdown() == \
-        reducibility_table(workers=3).markdown()
-
-
 def test_strict_claims_markdown_prints_verdicts_only():
     strict = reducibility_table().markdown(strict_claims=True)
     assert "Partial reduction" not in strict
