@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .corpus import VerificationReport, corpus_model, verify
 from .dsl import parse_model, serialize_model
@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,23 +11,24 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Optional, Union
-
 from .dsl import parse_model
-from .logic import EvaluationError, FiniteModel, ForAll, Formula, Sort, evaluate
+from .logic import (EvaluationError, FiniteModel, ForAll, Formula, Sort, Value,
+                    evaluate)
 from .registry import Selector, axiom_set
 
 FIDELITY_UNIFORM_ETERNAL_ESSENCE = "F1-uniform-eternal-essence"
 FIDELITY_TWO_CATEGORY_COLLAPSE = "F2-two-category-collapse"
 
 
-@dataclass(frozen=True)
-class CorpusModel:
-    name: str
-    model: FiniteModel
-    provenance: str
-    fidelity_flags: tuple[str, ...]
+class CorpusModel(Value):
+    __slots__ = ("name", "model", "provenance", "fidelity_flags")
+
+    def __init__(self, name: str, model: FiniteModel, provenance: str,
+                 fidelity_flags: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "fidelity_flags", fidelity_flags)
 
 
 def _load(name: str, provenance: str) -> CorpusModel:
@@ -95,20 +96,27 @@ VERDICT_CONFIRMED = "confirmed"
 VERDICT_TARGET_NOT_FALSIFIED = "target-not-falsified"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of checking a model against a premise set and a falsification
     target: every premise must hold and the target must fail, with explicit
     witness tuples for the target's outermost universal block."""
 
-    model_name: str
-    premise_values: tuple[tuple[str, bool], ...]
-    target_id: str
-    target_value: bool
-    witnesses: tuple[tuple[str, ...], ...]
-    fidelity_flags: tuple[str, ...]
-    verdict: str
-    failing_premise: Optional[str] = None
+    __slots__ = ("model_name", "premise_values", "target_id", "target_value",
+                 "witnesses", "fidelity_flags", "verdict", "failing_premise")
+
+    def __init__(self, model_name: str,
+                 premise_values: tuple[tuple[str, bool], ...], target_id: str,
+                 target_value: bool, witnesses: tuple[tuple[str, ...], ...],
+                 fidelity_flags: tuple[str, ...], verdict: str,
+                 failing_premise: str | None = None):
+        object.__setattr__(self, "model_name", model_name)
+        object.__setattr__(self, "premise_values", premise_values)
+        object.__setattr__(self, "target_id", target_id)
+        object.__setattr__(self, "target_value", target_value)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "fidelity_flags", fidelity_flags)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "failing_premise", failing_premise)
 
     @property
     def confirmed(self) -> bool:
@@ -155,7 +163,7 @@ def falsifying_witnesses(formula: Formula, model: FiniteModel) -> tuple[tuple[st
     return tuple(found)
 
 
-def verify(model: Union[FiniteModel, CorpusModel], premises: Selector,
+def verify(model: FiniteModel | CorpusModel, premises: Selector,
            target: str) -> VerificationReport:
     """Check that the model satisfies every premise and falsifies the target.
 

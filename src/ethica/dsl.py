@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Optional
 
 from .logic import FiniteModel, LogicError, Signature, Sort
 from .registry import ETHICA_SIGNATURE
@@ -39,11 +38,11 @@ def _full_table(decl, things, worlds):
     return set(itertools.product(*universes))
 
 
-def parse_model(text: str, signature: Optional[Signature] = None) -> FiniteModel:
+def parse_model(text: str, signature: Signature | None = None) -> FiniteModel:
     """Parse model DSL text into a FiniteModel validated against the signature."""
     sig = signature if signature is not None else ETHICA_SIGNATURE
-    name: Optional[str] = None
-    things: Optional[tuple[str, ...]] = None
+    name: str | None = None
+    things: tuple[str, ...] | None = None
     worlds: tuple[str, ...] = ()
     tables: dict[str, set] = {}
     saw_pred = False
@@ -152,7 +151,7 @@ def _parse_row(line_number, token, decl, things, worlds):
     return labels
 
 
-def serialize_model(model: FiniteModel, signature: Optional[Signature] = None) -> str:
+def serialize_model(model: FiniteModel, signature: Signature | None = None) -> str:
     """Canonical DSL text; parse_model(serialize_model(m)) == m.
 
     Predicates appear in signature declaration order, rows in universe order;

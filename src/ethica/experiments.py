@@ -10,12 +10,11 @@ attached; there is no declared-irreducible result kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
-from typing import Optional, Sequence
 
 from .corpus import VerificationReport, corpus_model, verify
-from .logic import FiniteModel
+from .logic import FiniteModel, Value
 from .registry import Selector, resolve_selector
 from .search import (DEFAULT_NODE_BUDGET, STATS_COUNTERS, EntailmentVerdict,
                      NoCounterexampleUpTo, RecheckError, Refuted,
@@ -47,8 +46,8 @@ OUTCOME_LABELS = {
 
 
 def classify_outcome(forward: EntailmentVerdict,
-                     backward: Optional[EntailmentVerdict] = None,
-                     restricted_form: Optional[EntailmentVerdict] = None,
+                     backward: EntailmentVerdict | None = None,
+                     restricted_form: EntailmentVerdict | None = None,
                      subset_verdicts: Sequence[EntailmentVerdict] = (),
                      converse_open: bool = False) -> OutcomeClass:
     """Assign an outcome class from verdict evidence.
@@ -81,35 +80,53 @@ def classify_outcome(forward: EntailmentVerdict,
 # Experiment fixtures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Direction:
-    premises: Selector
-    target: str
+class Direction(Value):
+    __slots__ = ("premises", "target")
+
+    def __init__(self, premises: Selector, target: str):
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "target", target)
 
     @property
     def premise_ids(self) -> tuple[str, ...]:
         return resolve_selector(self.premises)
 
 
-@dataclass(frozen=True)
-class CorpusCheck:
-    corpus_name: str
-    premises: Selector
-    target: str
+class CorpusCheck(Value):
+    __slots__ = ("corpus_name", "premises", "target")
+
+    def __init__(self, corpus_name: str, premises: Selector, target: str):
+        object.__setattr__(self, "corpus_name", corpus_name)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    name: str
-    forward: Direction
-    config: SearchConfig
-    backward: Optional[Direction] = None
-    restricted_form: Optional[Direction] = None
-    subsets: tuple[Direction, ...] = ()
-    corpus_check: Optional[CorpusCheck] = None
-    converse_open: bool = False
-    expectation: Optional[dict] = None  # verdict-key -> "refuted"|"no_counterexample"
-    extra_caveats: tuple[str, ...] = ()
+class ExperimentSpec(Value):
+    """``expectation`` maps verdict keys to "refuted" or
+    "no_counterexample"."""
+
+    __slots__ = ("name", "forward", "config", "backward", "restricted_form",
+                 "subsets", "corpus_check", "converse_open", "expectation",
+                 "extra_caveats")
+
+    def __init__(self, name: str, forward: Direction, config: SearchConfig,
+                 backward: Direction | None = None,
+                 restricted_form: Direction | None = None,
+                 subsets: tuple[Direction, ...] = (),
+                 corpus_check: CorpusCheck | None = None,
+                 converse_open: bool = False,
+                 expectation: dict | None = None,
+                 extra_caveats: tuple[str, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "backward", backward)
+        object.__setattr__(self, "restricted_form", restricted_form)
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "corpus_check", corpus_check)
+        object.__setattr__(self, "converse_open", converse_open)
+        object.__setattr__(self, "expectation", expectation)
+        object.__setattr__(self, "extra_caveats", extra_caveats)
 
     def directions(self) -> list[tuple[str, Direction]]:
         """The (verdict-key, direction) pairs in report order."""
@@ -123,15 +140,28 @@ class ExperimentSpec:
         return pairs
 
 
-@dataclass
-class ExperimentResult:
-    spec: ExperimentSpec
-    verdicts: dict
-    outcome: OutcomeClass
-    caveats: tuple[str, ...]
-    fidelity_flags: tuple[str, ...]
-    corpus_report: Optional[VerificationReport]
-    expectation_failures: tuple[str, ...]
+class ExperimentResult(Value):
+    """One experiment's verdicts and classification; mutable, so not
+    hashable."""
+
+    __slots__ = ("spec", "verdicts", "outcome", "caveats", "fidelity_flags",
+                 "corpus_report", "expectation_failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, spec: ExperimentSpec, verdicts: dict,
+                 outcome: OutcomeClass, caveats: tuple[str, ...],
+                 fidelity_flags: tuple[str, ...],
+                 corpus_report: VerificationReport | None,
+                 expectation_failures: tuple[str, ...]):
+        self.spec = spec
+        self.verdicts = verdicts
+        self.outcome = outcome
+        self.caveats = caveats
+        self.fidelity_flags = fidelity_flags
+        self.corpus_report = corpus_report
+        self.expectation_failures = expectation_failures
 
     @property
     def name(self) -> str:
@@ -376,9 +406,11 @@ _TABLE_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class ReducibilityTable:
-    results: tuple[ExperimentResult, ...]
+class ReducibilityTable(Value):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[ExperimentResult, ...]):
+        object.__setattr__(self, "results", results)
 
     @property
     def all_expectations_ok(self) -> bool:
@@ -438,7 +470,7 @@ def reducibility_table(node_budget: int = DEFAULT_NODE_BUDGET) -> ReducibilityTa
 PROBE_PREMISES = ("A1", "A1e", "A8", "A9", "A10", "A11", "A22")
 
 
-def conjecture_probe_full_register(config: Optional[SearchConfig] = None
+def conjecture_probe_full_register(config: SearchConfig | None = None
                                    ) -> EntailmentVerdict:
     """Search for a counter-model to A12 under the full Section I bridge set
     plus substance distinguishability.  No expected verdict is attached:

@@ -21,12 +21,11 @@ table atoms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .logic import (FALSE, TRUE, And, Eq, EvaluationError, Exists,
                     FiniteModel, ForAll, Formula, Iff, Implies, LogicError,
-                    Not, Or, Pred, Sort, TrueF, FalseF, Var, free_vars,
+                    Not, Or, Pred, Sort, TrueF, FalseF, Value, Var,
                     mentions_world)
 
 Atom = tuple[str, tuple[str, ...]]
@@ -39,8 +38,7 @@ class GroundingError(LogicError):
     """Grounding failed (an empty quantified universe)."""
 
 
-@dataclass(frozen=True)
-class GroundConstraintSet:
+class GroundConstraintSet(Value):
     """Propositional clauses over ground atoms for a fixed pair of universes.
 
     Literals are 1-based signed variable indices: the table atoms come
@@ -49,11 +47,16 @@ class GroundConstraintSet:
     empty clause marks an unsatisfiable set.
     """
 
-    things: tuple[str, ...]
-    worlds: tuple[str, ...]
-    atoms: tuple[Atom, ...]
-    clauses: tuple[Clause, ...]
-    definitions: tuple[Definition, ...] = ()
+    __slots__ = ("things", "worlds", "atoms", "clauses", "definitions")
+
+    def __init__(self, things: tuple[str, ...], worlds: tuple[str, ...],
+                 atoms: tuple[Atom, ...], clauses: tuple[Clause, ...],
+                 definitions: tuple[Definition, ...] = ()):
+        object.__setattr__(self, "things", things)
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "definitions", definitions)
 
     @property
     def unsatisfiable(self) -> bool:
@@ -144,7 +147,7 @@ def _predicate_profiles(formula: Formula, env: dict[str, Sort],
 
 def atom_space(formulas: Sequence[Formula], things: Sequence[str],
                worlds: Sequence[str],
-               support: Optional[Iterable[str]] = None) -> tuple[Atom, ...]:
+               support: Iterable[str] | None = None) -> tuple[Atom, ...]:
     """All ground atoms for the predicates occurring in the formulas.
 
     Atoms are ordered by predicate name, then by argument tuple in universe
@@ -176,12 +179,21 @@ _TRIVIALLY_FALSE: list[Clause] = [frozenset()]
 
 
 class _CnfBuilder:
-    def __init__(self, things, worlds, atom_index):
+    """Clauses for formulas in negation normal form over fixed universes.
+
+    ``free_cache`` maps node ids to (node, sorted free variables); a search
+    passes one dict to the builders of all its sizes, so each node's free
+    variables are computed once per search.  Cache entries hold their node,
+    so a keyed id cannot be reused by another node while the cache lives.
+    """
+
+    def __init__(self, things, worlds, atom_index, free_cache=None):
         self.things = tuple(things)
         self.worlds = tuple(worlds)
         self.atom_index = atom_index
         self.definitions: list[Definition] = []
-        self._free_cache: dict[int, tuple[str, ...]] = {}
+        self._free_cache: dict[int, tuple[Formula, tuple[str, ...]]] = \
+            {} if free_cache is None else free_cache
         self._cnf_cache: dict = {}
         self._aux_cache: dict[int, tuple[list[Clause], int]] = {}
 
@@ -189,25 +201,44 @@ class _CnfBuilder:
         return self.things if sort is Sort.THING else self.worlds
 
     def _free_vars(self, f: Formula) -> tuple[str, ...]:
-        cached = self._free_cache.get(id(f))
-        if cached is None:
-            cached = self._free_cache[id(f)] = tuple(sorted(free_vars(f)))
-        return cached
+        """The node's sorted free variables, from its children's entries."""
+        entry = self._free_cache.get(id(f))
+        if entry is not None:
+            return entry[1]
+        if isinstance(f, Pred):
+            names = {t.name for t in f.args if isinstance(t, Var)}
+        elif isinstance(f, Eq):
+            names = {t.name for t in (f.left, f.right) if isinstance(t, Var)}
+        elif isinstance(f, Not):
+            names = self._free_vars(f.body)
+        elif isinstance(f, (And, Or)):
+            names = set()
+            for item in f.items:
+                names.update(self._free_vars(item))
+        elif isinstance(f, (ForAll, Exists)):
+            names = set(self._free_vars(f.body))
+            names.discard(f.var)
+        else:
+            # Constants have none; nodes outside negation normal form are
+            # rejected by ``_build``.
+            names = ()
+        free = tuple(sorted(names))
+        self._free_cache[id(f)] = (f, free)
+        return free
 
     def build(self, f: Formula, env: dict) -> list[Clause]:
         """Clauses for a formula in negation normal form (``nnf``): ``Not``
         wraps only a ``Pred`` or an ``Eq``, and no ``Implies`` or ``Iff``
         occurs."""
         # Sub-CNFs depend only on the bindings of the node's free variables;
-        # memoizing on those makes repeated quantifier bodies cheap.  The
-        # caller keeps the root formula alive as long as the builder, so
-        # id() keys are never reused.
+        # memoizing on those makes repeated quantifier bodies cheap.  Each
+        # entry holds its node, so its id is never reused.
         if isinstance(f, (And, Or, ForAll, Exists)):
             key = (id(f), tuple([env[name] for name in self._free_vars(f)]))
-            cached = self._cnf_cache.get(key)
-            if cached is None:
-                cached = self._cnf_cache[key] = self._build(f, env)
-            return cached
+            entry = self._cnf_cache.get(key)
+            if entry is None:
+                entry = self._cnf_cache[key] = (f, self._build(f, env))
+            return entry[1]
         return self._build(f, env)
 
     def _build(self, f: Formula, env: dict) -> list[Clause]:
@@ -335,7 +366,7 @@ def definition_clauses(definitions: Iterable[Definition]) -> list[Clause]:
 
 
 def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),
-           support: Optional[Iterable[str]] = None) -> GroundConstraintSet:
+           support: Iterable[str] | None = None) -> GroundConstraintSet:
     """Ground a closed well-sorted formula over fixed universes."""
     atoms = atom_space([formula], things, worlds, support)
     index = {atom: i for i, atom in enumerate(atoms)}

@@ -8,9 +8,8 @@ the quantified sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 class Sort(Enum):
@@ -37,44 +36,94 @@ class ModelError(LogicError):
     """A finite model violates a structural invariant."""
 
 
+class Value:
+    """Base of the package's value classes.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__``, which takes them in that order (through
+    ``object.__setattr__``, since values are immutable).  Two values are
+    equal when they are of the same class and their field tuples are equal;
+    the hash is the hash of the field tuple, and the repr is
+    ``Name(field=value, ...)``.  A mutable subclass restores
+    ``object.__setattr__`` and ``object.__delattr__`` and sets ``__hash__``
+    to None.  These few methods replace ``dataclasses``, whose generated
+    methods, built by ``exec`` at import, were most of ``import ethica``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through ``__init__``, whose
+        # parameters are the fields in order.
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(Value):
     """A universe-element constant."""
 
-    sort: Sort
-    label: str
+    __slots__ = ("sort", "label")
+
+    def __init__(self, sort: Sort, label: str):
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "label", label)
 
     def __str__(self) -> str:
         return self.label
 
 
-Term = Union[Var, Elem]
+Term = Var | Elem
 
 
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrueF:
+class TrueF(Value):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
-class FalseF:
+class FalseF(Value):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "false"
 
@@ -83,70 +132,78 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
-class Pred:
-    name: str
-    args: tuple[Term, ...]
+class Pred(Value):
+    __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: Sequence[Term]):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", tuple(args))
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class Eq(Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Value):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Formula):
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple["Formula", ...]
+class And(Value):
+    __slots__ = ("items",)
 
-    def __init__(self, items: Sequence["Formula"]):
+    def __init__(self, items: Sequence[Formula]):
         object.__setattr__(self, "items", tuple(items))
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple["Formula", ...]
+class Or(Value):
+    __slots__ = ("items",)
 
-    def __init__(self, items: Sequence["Formula"]):
+    def __init__(self, items: Sequence[Formula]):
         object.__setattr__(self, "items", tuple(items))
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Iff(Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class ForAll:
-    var: str
-    sort: Sort
-    body: "Formula"
+class ForAll(Value):
+    __slots__ = ("var", "sort", "body")
+
+    def __init__(self, var: str, sort: Sort, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    sort: Sort
-    body: "Formula"
+class Exists(Value):
+    __slots__ = ("var", "sort", "body")
+
+    def __init__(self, var: str, sort: Sort, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "body", body)
 
 
-Formula = Union[TrueF, FalseF, Pred, Eq, Not, And, Or, Implies, Iff, ForAll, Exists]
+Formula = TrueF | FalseF | Pred | Eq | Not | And | Or | Implies | Iff | ForAll | Exists
 
 _QUANTIFIERS = (ForAll, Exists)
 
@@ -263,10 +320,8 @@ def _wrap(formula: Formula) -> str:
 # Signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PredicateDecl:
-    name: str
-    argument_sorts: tuple[Sort, ...]
+class PredicateDecl(Value):
+    __slots__ = ("name", "argument_sorts")
 
     def __init__(self, name: str, argument_sorts: Sequence[Sort]):
         sorts = tuple(argument_sorts)
@@ -334,33 +389,34 @@ def _normalize_tables(tables: Mapping[str, Iterable]) -> dict[str, frozenset[Row
     return out
 
 
-@dataclass(frozen=True)
-class FiniteModel:
+class FiniteModel(Value):
     """A finite two-sorted structure.
 
     Predicates absent from ``tables`` are everywhere-false; empty tables are
     dropped at construction so that equality respects that convention.
     """
 
-    name: str
-    things: tuple[str, ...]
-    worlds: tuple[str, ...] = ()
-    tables: Mapping[str, frozenset[Row]] = field(default_factory=dict)
+    __slots__ = ("name", "things", "worlds", "tables")
 
-    def __post_init__(self):
-        object.__setattr__(self, "things", tuple(self.things))
-        object.__setattr__(self, "worlds", tuple(self.worlds))
-        object.__setattr__(self, "tables", _normalize_tables(self.tables))
-        if not self.things:
+    def __init__(self, name: str, things: Sequence[str],
+                 worlds: Sequence[str] = (),
+                 tables: Mapping[str, Iterable] | None = None):
+        things, worlds = tuple(things), tuple(worlds)
+        tables = _normalize_tables({} if tables is None else tables)
+        if not things:
             raise ModelError("thing universe must be non-empty")
-        if len(set(self.things)) != len(self.things):
+        if len(set(things)) != len(things):
             raise ModelError("duplicate thing label")
-        if len(set(self.worlds)) != len(self.worlds):
+        if len(set(worlds)) != len(worlds):
             raise ModelError("duplicate world label")
-        shared = set(self.things) & set(self.worlds)
+        shared = set(things) & set(worlds)
         if shared:
             raise ModelError(
                 f"label used in both universes: {sorted(shared)[0]!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "things", things)
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "tables", tables)
 
     def universe(self, sort: Sort) -> tuple[str, ...]:
         return self.things if sort is Sort.THING else self.worlds
@@ -458,7 +514,7 @@ Assignment = Mapping[str, tuple[Sort, str]]
 
 
 def evaluate(formula: Formula, model: FiniteModel,
-             assignment: Optional[Assignment] = None) -> bool:
+             assignment: Assignment | None = None) -> bool:
     """Classical truth value of the formula on the model.
 
     Quantification over World on a model with no world universe is an error,

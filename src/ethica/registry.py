@@ -11,13 +11,12 @@ and are deliberately absent; experiments cannot reference them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from enum import Enum
-from typing import Callable, Sequence, Union
 
 from .logic import (And, Eq, Exists, ForAll, Formula, Iff, Implies, Not,
-                    Or, Pred, PredicateDecl, Signature, Sort, Term, Var,
-                    check_sorted, forall)
+                    Or, Pred, PredicateDecl, Signature, Sort, Term, Value,
+                    Var, check_sorted, forall)
 
 T = Sort.THING
 W = Sort.WORLD
@@ -122,14 +121,17 @@ STATUS_STATED = "stated"
 STATUS_DECIDED_HERE = "decided-here"
 
 
-@dataclass(frozen=True)
-class AxiomEntry:
-    id: str
-    section: Section
-    formula: Formula
-    citation: str
-    status: str
-    display: str
+class AxiomEntry(Value):
+    __slots__ = ("id", "section", "formula", "citation", "status", "display")
+
+    def __init__(self, id: str, section: Section, formula: Formula,
+                 citation: str, status: str, display: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "display", display)
 
 
 def _x(name: str) -> Var:
@@ -335,7 +337,7 @@ BUNDLES: dict[str, tuple[str, ...]] = {
     "ModalBridges": ("A18", "A3m", "A21"),
 }
 
-Selector = Union[str, Sequence[str]]
+Selector = str | Sequence[str]
 
 
 def axiom(axiom_id: str) -> AxiomEntry:

@@ -47,12 +47,11 @@ is identical across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 from .grounding import _CnfBuilder, atom_space, definition_clauses, nnf
 from .logic import (Exists, FiniteModel, Formula, LogicError, Not, Sort,
-                    collect_predicates, evaluate, mentions_world)
+                    Value, collect_predicates, evaluate, mentions_world)
 from .registry import Selector, axiom_set
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -82,26 +81,34 @@ class RecheckError(RuntimeError):
     the clause machinery, never of the input."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_thing_size: int = 4
-    #: None resolves to 0, or to 2 when any premise or the target mentions
-    #: World; an explicit value below 1 is an error for modal formulas.
-    max_world_size: Optional[int] = None
-    support_predicates: Optional[tuple[str, ...]] = None
-    pruning: str = "canonical"  # "canonical" | "none"
-    #: Propagation steps allowed per (things, worlds) size, over all branches.
-    node_budget: int = DEFAULT_NODE_BUDGET
+class SearchConfig(Value):
+    """``max_world_size`` None resolves to 0, or to 2 when any premise or
+    the target mentions World; an explicit value below 1 is an error for
+    modal formulas.  ``pruning`` is "canonical" or "none".  ``node_budget``
+    is the propagation steps allowed per (things, worlds) size, over all
+    branches."""
 
-    def __post_init__(self):
-        if self.max_thing_size < 1:
+    __slots__ = ("max_thing_size", "max_world_size", "support_predicates",
+                 "pruning", "node_budget")
+
+    def __init__(self, max_thing_size: int = 4,
+                 max_world_size: int | None = None,
+                 support_predicates: tuple[str, ...] | None = None,
+                 pruning: str = "canonical",
+                 node_budget: int = DEFAULT_NODE_BUDGET):
+        if max_thing_size < 1:
             raise SearchError("max_thing_size must be >= 1")
-        if self.max_world_size is not None and self.max_world_size < 0:
+        if max_world_size is not None and max_world_size < 0:
             raise SearchError("max_world_size must be >= 0")
-        if self.pruning not in ("canonical", "none"):
-            raise SearchError(f"unknown pruning mode {self.pruning!r}")
-        if self.node_budget < 1:
+        if pruning not in ("canonical", "none"):
+            raise SearchError(f"unknown pruning mode {pruning!r}")
+        if node_budget < 1:
             raise SearchError("node_budget must be >= 1")
+        object.__setattr__(self, "max_thing_size", max_thing_size)
+        object.__setattr__(self, "max_world_size", max_world_size)
+        object.__setattr__(self, "support_predicates", support_predicates)
+        object.__setattr__(self, "pruning", pruning)
+        object.__setattr__(self, "node_budget", node_budget)
 
 
 #: The additive counters of ``SearchStats``, in report order.
@@ -109,18 +116,33 @@ STATS_COUNTERS = ("candidates_visited", "propagations", "conflicts",
                   "pruned_subtrees", "lex_leader_cuts", "branches_total")
 
 
-@dataclass
-class SearchStats:
-    support: tuple[str, ...] = ()
-    candidates_visited: int = 0
-    propagations: int = 0
-    conflicts: int = 0
-    #: Instantiation branches skipped as non-representatives of their orbit.
-    pruned_subtrees: int = 0
-    #: Partial assignments cut by the solvers' lex-leader check.
-    lex_leader_cuts: int = 0
-    branches_total: int = 0
-    sizes_exhausted: tuple[tuple[int, int], ...] = ()
+class SearchStats(Value):
+    """The search's counters; mutable, so not hashable.
+
+    ``pruned_subtrees`` counts instantiation branches skipped as
+    non-representatives of their orbit, ``lex_leader_cuts`` the partial
+    assignments cut by the solvers' lex-leader check."""
+
+    __slots__ = ("support", "candidates_visited", "propagations", "conflicts",
+                 "pruned_subtrees", "lex_leader_cuts", "branches_total",
+                 "sizes_exhausted")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, support: tuple[str, ...] = (),
+                 candidates_visited: int = 0, propagations: int = 0,
+                 conflicts: int = 0, pruned_subtrees: int = 0,
+                 lex_leader_cuts: int = 0, branches_total: int = 0,
+                 sizes_exhausted: tuple[tuple[int, int], ...] = ()):
+        self.support = support
+        self.candidates_visited = candidates_visited
+        self.propagations = propagations
+        self.conflicts = conflicts
+        self.pruned_subtrees = pruned_subtrees
+        self.lex_leader_cuts = lex_leader_cuts
+        self.branches_total = branches_total
+        self.sizes_exhausted = sizes_exhausted
 
     def to_json_dict(self) -> dict:
         doc = {"support": list(self.support)}
@@ -129,12 +151,15 @@ class SearchStats:
         return doc
 
 
-@dataclass(frozen=True)
-class Refuted:
-    model: FiniteModel
-    thing_size: int
-    world_size: int
-    stats: SearchStats
+class Refuted(Value):
+    __slots__ = ("model", "thing_size", "world_size", "stats")
+
+    def __init__(self, model: FiniteModel, thing_size: int, world_size: int,
+                 stats: SearchStats):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "thing_size", thing_size)
+        object.__setattr__(self, "world_size", world_size)
+        object.__setattr__(self, "stats", stats)
 
     @property
     def is_refuted(self) -> bool:
@@ -146,11 +171,13 @@ class Refuted:
         return f"Refuted(size={self.thing_size})"
 
 
-@dataclass(frozen=True)
-class NoCounterexampleUpTo:
-    thing_bound: int
-    world_bound: int
-    stats: SearchStats
+class NoCounterexampleUpTo(Value):
+    __slots__ = ("thing_bound", "world_bound", "stats")
+
+    def __init__(self, thing_bound: int, world_bound: int, stats: SearchStats):
+        object.__setattr__(self, "thing_bound", thing_bound)
+        object.__setattr__(self, "world_bound", world_bound)
+        object.__setattr__(self, "stats", stats)
 
     @property
     def is_refuted(self) -> bool:
@@ -163,7 +190,7 @@ class NoCounterexampleUpTo:
         return f"NoCounterexampleUpTo({self.thing_bound})"
 
 
-EntailmentVerdict = Union[Refuted, NoCounterexampleUpTo]
+EntailmentVerdict = Refuted | NoCounterexampleUpTo
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +345,7 @@ class _Solver:
         self.qhead = qhead
         return conflict
 
-    def _cut(self) -> Optional[list[int]]:
+    def _cut(self) -> list[int] | None:
         """A conflict clause when the partial assignment is already
         lexicographically greater than its image under one of the perms
         (adjacent transpositions of the stabilizer, Crawford et al. 1996):
@@ -422,7 +449,7 @@ class _Solver:
         self._enqueue(learnt[0], ci)
         return True
 
-    def solve(self) -> Optional[list[int]]:
+    def solve(self) -> list[int] | None:
         if self.unsat:
             return None
         vals = self.vals
@@ -595,18 +622,20 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
 
     stats = SearchStats(support=support)
     exhausted: list[tuple[int, int]] = []
-    # The grounder takes negation normal form.  These trees must outlive
-    # every size's builder, whose caches are keyed on node ids.
+    # The grounder takes negation normal form.  Every size's builder shares
+    # one free-variable cache, so each node's free variables are computed
+    # once per search.
     premise_nnfs = [nnf(formula) for formula in premise_formulas]
     prefix, matrix = _existential_prefix(nnf(Not(target_entry.formula)))
+    free_cache: dict = {}
 
     for n_things in range(1, config.max_thing_size + 1):
         for n_worlds in world_range:
             things = tuple(f"t{i}" for i in range(n_things))
             worlds = tuple(f"w{i}" for i in range(n_worlds))
             atoms = atom_space(all_formulas, things, worlds, support)
-            best = _least_branch_key(premise_nnfs, prefix, matrix,
-                                     things, worlds, atoms, config, stats)
+            best = _least_branch_key(premise_nnfs, prefix, matrix, things,
+                                     worlds, atoms, config, stats, free_cache)
             if best is not None:
                 model = FiniteModel("countermodel", things, worlds,
                                     _tables(atoms, best))
@@ -620,14 +649,14 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
 
 
 def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
-                     config: SearchConfig, stats: SearchStats):
+                      config: SearchConfig, stats: SearchStats, free_cache):
     """Ground one size and solve its branches: the least canonical key of
     a branch solution, or None when the size is exhausted.  What the size
     built is freed on return, before the next size is grounded."""
     n_things, n_worlds = len(things), len(worlds)
     prefix_sorts = [sort for _, sort in prefix]
     atom_index = {atom: i for i, atom in enumerate(atoms)}
-    builder = _CnfBuilder(things, worlds, atom_index)
+    builder = _CnfBuilder(things, worlds, atom_index, free_cache)
     # The premises and their definitions are converted once per size;
     # every branch's solver reads them and adds its own clauses.
     sigma = [clause for formula in premise_nnfs
@@ -654,10 +683,15 @@ def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
             else:
                 env[var] = worlds[value]
                 used_worlds.add(value)
+        clauses = builder.build(matrix, env)
+        stats.branches_total += 1
+        if not all(clauses):
+            # The branch's own clauses hold the empty clause: no solver,
+            # and 0 steps, as a solver would report.
+            continue
         # Aux variables are memoized across branches, so a branch may
         # use any definition the size's builder has made so far.
-        clauses = builder.build(matrix, env) + definition_clauses(
-            builder.definitions[premise_defs:])
+        clauses = clauses + definition_clauses(builder.definitions[premise_defs:])
         nvars = len(atoms) + len(builder.definitions)
         perms: Sequence[Sequence[int]] = ()
         if config.pruning == "canonical":
@@ -673,7 +707,6 @@ def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
             raise ResourceLimitExceeded(
                 n_things, n_worlds, config.node_budget) from None
         remaining -= solver.steps
-        stats.branches_total += 1
         counters = solver.counters
         stats.candidates_visited += counters.decisions
         stats.propagations += solver.steps
@@ -702,8 +735,8 @@ def _recheck(model: FiniteModel, premise_entries, target_entry) -> None:
 
 
 def find_countermodel(premises: Selector, target: str,
-                      config: Optional[SearchConfig] = None
-                      ) -> Optional[tuple[FiniteModel, int]]:
+                      config: SearchConfig | None = None
+                      ) -> tuple[FiniteModel, int] | None:
     """First counter-model in canonical enumeration order, with its thing
     size, or None when every size up to the bound exhausts."""
     verdict = _search(premises, target, config or SearchConfig())
@@ -713,7 +746,7 @@ def find_countermodel(premises: Selector, target: str,
 
 
 def entails_bounded(premises: Selector, target: str,
-                    config: Optional[SearchConfig] = None) -> EntailmentVerdict:
+                    config: SearchConfig | None = None) -> EntailmentVerdict:
     """Refuted(model) when a counter-model exists up to the bound, otherwise
     NoCounterexampleUpTo(bound); never a claim of unbounded validity."""
     return _search(premises, target, config or SearchConfig())

@@ -1,11 +1,13 @@
 """The command-line driver: subcommands, exit codes, output contracts."""
 
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
 
+import ethica
 from ethica.cli import main
 from ethica.dsl import serialize_model
 from ethica.experiments import REPORT_SCHEMA
@@ -246,6 +248,19 @@ def test_export_axioms_json(capsys):
     assert entries["A22"]["section"] == "PSRCandidate"
     assert entries["A12"]["formula"].startswith("∀s1 s2 a.")
     assert all("citation" in entry for entry in entries.values())
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_inspect():
+    # Importing these (and building dataclass methods) was most of the
+    # CLI's start-up time; a fresh interpreter must not load them.
+    source_root = os.path.dirname(os.path.dirname(ethica.__file__))
+    probe = ("import sys, ethica.cli; print(sorted(set(sys.modules) & "
+             "{'dataclasses', 'typing', 'inspect'}))")
+    child = subprocess.run([sys.executable, "-S", "-c", probe],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": source_root})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
 
 
 def test_cli_byte_identity_across_processes():

@@ -5,7 +5,7 @@ import pytest
 import jsonschema
 
 from ethica.corpus import verify
-from ethica.experiments import (PROBE_PREMISES, REPORT_SCHEMA,
+from ethica.experiments import (PROBE_PREMISES, REPORT_SCHEMA, ExperimentSpec,
                                 InsufficientEvidenceError, OutcomeClass,
                                 bundled_experiments, classify_outcome,
                                 conjecture_probe_full_register,
@@ -156,9 +156,14 @@ def test_report_json_validates_against_schema():
 
 
 def test_expectation_mismatches_are_flagged_not_hidden():
-    from dataclasses import replace
-    wrong = replace(bundled_experiments()["A14_demote"],
-                    expectation={"forward": "refuted"})
+    spec = bundled_experiments()["A14_demote"]
+    wrong = ExperimentSpec(
+        name=spec.name, forward=spec.forward, config=spec.config,
+        backward=spec.backward, restricted_form=spec.restricted_form,
+        subsets=spec.subsets, corpus_check=spec.corpus_check,
+        converse_open=spec.converse_open,
+        expectation={"forward": "refuted"},
+        extra_caveats=spec.extra_caveats)
     result = run_experiment(wrong)
     assert not result.expectation_ok
     assert result.expectation_failures == (

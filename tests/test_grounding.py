@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from ethica.grounding import (GroundingError, evaluate_via_grounding, ground,
-                              nnf)
+from ethica.grounding import (GroundingError, _CnfBuilder, atom_space,
+                              evaluate_via_grounding, ground, nnf)
 from ethica.logic import (TRUE, And, Eq, EvaluationError, Exists, ForAll,
                           Not, Or, Pred, Sort, Var, evaluate, mentions_world)
 from ethica.registry import axiom, axiom_ids
@@ -188,3 +188,32 @@ def test_nnf_strips_implications():
 def test_grounding_world_quantifier_without_worlds_fails():
     with pytest.raises(GroundingError):
         ground(axiom("A18").formula, ("e0",), ())
+
+
+def test_one_builder_grounds_temporary_trees_like_a_fresh_builder_each():
+    # Each tree is freed after its build, so a later tree's nodes may get
+    # an earlier tree's ids; the builder's caches must not hand them the
+    # earlier entries.  A shared builder numbers a tree's aux variables
+    # after the earlier trees' definitions, so they are shifted back.
+    things, worlds = ("t0", "t1", "t2"), ("w0", "w1")
+    formulas = [polarity for axiom_id in axiom_ids()
+                for polarity in (axiom(axiom_id).formula,
+                                 Not(axiom(axiom_id).formula))]
+    atoms = atom_space(formulas, things, worlds)
+    index = {atom: i for i, atom in enumerate(atoms)}
+    shared = _CnfBuilder(things, worlds, index)
+    for formula in formulas:
+        offset = len(shared.definitions)
+
+        def shifted(clause):
+            return frozenset(lit - offset if lit > len(atoms) else
+                             lit + offset if lit < -len(atoms) else lit
+                             for lit in clause)
+
+        got = shared.build(nnf(formula), {})
+        fresh = _CnfBuilder(things, worlds, index)
+        assert [shifted(clause) for clause in got] == \
+            fresh.build(nnf(formula), {})
+        assert [(var - offset, tuple(map(shifted, clauses)))
+                for var, clauses in shared.definitions[offset:]] == \
+            fresh.definitions

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ethica.grounding import _CnfBuilder, atom_space, definition_clauses, nnf
+from ethica import search
 from ethica.logic import FiniteModel, Not, Sort, evaluate
 from ethica.registry import axiom, axiom_set
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
@@ -330,6 +331,25 @@ def test_lex_leader_cuts_fire_in_a_bundled_search():
                               SearchConfig(max_thing_size=4))
     assert isinstance(verdict, NoCounterexampleUpTo)
     assert verdict.stats.lex_leader_cuts > 0
+
+
+def test_no_solver_is_built_for_a_branch_whose_clauses_are_already_false(
+        monkeypatch):
+    # Up to 8 things, 8 of PropV_allshared's 15 branches ground to the
+    # empty clause; they count as branches with 0 steps, without a solver.
+    built = []
+
+    class CountingSolver(search._Solver):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_Solver", CountingSolver)
+    verdict = entails_bounded("PSRSubstance", "PropV_allshared",
+                              SearchConfig(max_thing_size=8))
+    assert isinstance(verdict, NoCounterexampleUpTo)
+    assert verdict.stats.branches_total == 15
+    assert len(built) == 7
 
 
 def test_a25_self_entailment_needs_fewer_decisions_than_the_distributed_cnf():
