@@ -102,7 +102,6 @@ def _stats_line(stats: SearchStats) -> str:
     return (f"stats: candidates={stats.candidates_visited} "
             f"propagations={stats.propagations} "
             f"pruned={stats.pruned_subtrees} "
-            f"cuts={stats.lex_leader_cuts} "
             f"branches={stats.branches_total}")
 
 

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from enum import Enum
 
 from .corpus import VerificationReport, corpus_model, verify
-from .logic import FiniteModel, Value
+from .logic import FiniteModel, FrozenDict, Value
 from .registry import Selector, resolve_selector
 from .search import (DEFAULT_NODE_BUDGET, STATS_COUNTERS, EntailmentVerdict,
                      NoCounterexampleUpTo, RecheckError, Refuted,
@@ -103,7 +103,7 @@ class CorpusCheck(Value):
 
 class ExperimentSpec(Value):
     """``expectation`` maps verdict keys to "refuted" or
-    "no_counterexample"."""
+    "no_counterexample"; it is kept as a read-only ``FrozenDict``."""
 
     __slots__ = ("name", "forward", "config", "backward", "restricted_form",
                  "subsets", "corpus_check", "converse_open", "expectation",
@@ -125,7 +125,8 @@ class ExperimentSpec(Value):
         object.__setattr__(self, "subsets", subsets)
         object.__setattr__(self, "corpus_check", corpus_check)
         object.__setattr__(self, "converse_open", converse_open)
-        object.__setattr__(self, "expectation", expectation)
+        object.__setattr__(self, "expectation", None if expectation is None
+                           else FrozenDict(expectation))
         object.__setattr__(self, "extra_caveats", extra_caveats)
 
     def directions(self) -> list[tuple[str, Direction]]:

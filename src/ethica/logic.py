@@ -80,6 +80,26 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class FrozenDict(dict):
+    """A dict that refuses mutation and hashes its items: the mapping field
+    of a frozen value.  Its repr and equality are those of a dict."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{self.__class__.__name__} is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        # Pickle would otherwise rebuild the dict through ``__setitem__``.
+        return self.__class__, (dict(self),)
+
+
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
@@ -378,7 +398,7 @@ class Signature:
 Row = tuple[str, ...]
 
 
-def _normalize_tables(tables: Mapping[str, Iterable]) -> dict[str, frozenset[Row]]:
+def _normalize_tables(tables: Mapping[str, Iterable]) -> FrozenDict:
     out: dict[str, frozenset[Row]] = {}
     for name, rows in tables.items():
         norm = set()
@@ -386,7 +406,7 @@ def _normalize_tables(tables: Mapping[str, Iterable]) -> dict[str, frozenset[Row
             norm.add((row,) if isinstance(row, str) else tuple(row))
         if norm:
             out[name] = frozenset(norm)
-    return out
+    return FrozenDict(out)
 
 
 class FiniteModel(Value):
@@ -394,6 +414,7 @@ class FiniteModel(Value):
 
     Predicates absent from ``tables`` are everywhere-false; empty tables are
     dropped at construction so that equality respects that convention.
+    ``tables`` is a read-only ``FrozenDict`` of frozensets of rows.
     """
 
     __slots__ = ("name", "things", "worlds", "tables")

@@ -22,16 +22,9 @@ difference from the least model follows from decisions below that
 variable, which agree with the least model, so the least model would set
 it true as well.
 
-Canonical pruning also cuts partial assignments that are not lex-leaders
-under the adjacent transpositions of a branch's free things and free worlds,
-which generate its stabilizer (Crawford, Ginsberg, Luks & Roy, "Symmetry-
-breaking predicates for search problems", KR 1996).  A cut is a conflict
-clause, the negations of the literals compared up to the violating
-position, and is learned from like any other.  Checking generators only
-misses some symmetric assignments but is sound: the least solution of a
-branch is a lex-leader under every permutation of the stabilizer, so under
-any subset of them too, and it satisfies every cut clause.  Learned and cut
-clauses end with their branch.
+Skipping the branches that do not represent their orbit is the search's
+only symmetry mechanism; lex-leader cuts within a branch were removed
+because they did not reduce the conflicts of any measured search.
 
 The node budget counts assignments, decisions and auxiliary ones included,
 per size across all of its branches.
@@ -85,8 +78,8 @@ class SearchConfig(Value):
     """``max_world_size`` None resolves to 0, or to 2 when any premise or
     the target mentions World; an explicit value below 1 is an error for
     modal formulas.  ``pruning`` is "canonical" or "none".  ``node_budget``
-    is the propagation steps allowed per (things, worlds) size, over all
-    branches."""
+    is the assignments allowed per (things, worlds) size, decisions
+    included, over all branches."""
 
     __slots__ = ("max_thing_size", "max_world_size", "support_predicates",
                  "pruning", "node_budget")
@@ -113,19 +106,17 @@ class SearchConfig(Value):
 
 #: The additive counters of ``SearchStats``, in report order.
 STATS_COUNTERS = ("candidates_visited", "propagations", "conflicts",
-                  "pruned_subtrees", "lex_leader_cuts", "branches_total")
+                  "pruned_subtrees", "branches_total")
 
 
 class SearchStats(Value):
     """The search's counters; mutable, so not hashable.
 
     ``pruned_subtrees`` counts instantiation branches skipped as
-    non-representatives of their orbit, ``lex_leader_cuts`` the partial
-    assignments cut by the solvers' lex-leader check."""
+    non-representatives of their orbit."""
 
     __slots__ = ("support", "candidates_visited", "propagations", "conflicts",
-                 "pruned_subtrees", "lex_leader_cuts", "branches_total",
-                 "sizes_exhausted")
+                 "pruned_subtrees", "branches_total", "sizes_exhausted")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -133,14 +124,13 @@ class SearchStats(Value):
     def __init__(self, support: tuple[str, ...] = (),
                  candidates_visited: int = 0, propagations: int = 0,
                  conflicts: int = 0, pruned_subtrees: int = 0,
-                 lex_leader_cuts: int = 0, branches_total: int = 0,
+                 branches_total: int = 0,
                  sizes_exhausted: tuple[tuple[int, int], ...] = ()):
         self.support = support
         self.candidates_visited = candidates_visited
         self.propagations = propagations
         self.conflicts = conflicts
         self.pruned_subtrees = pruned_subtrees
-        self.lex_leader_cuts = lex_leader_cuts
         self.branches_total = branches_total
         self.sizes_exhausted = sizes_exhausted
 
@@ -201,15 +191,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _BranchCounters:
-    __slots__ = ("decisions", "conflicts", "pruned")
-
-    def __init__(self):
-        self.decisions = 0
-        self.conflicts = 0
-        self.pruned = 0
-
-
 def _encode(clauses: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Clauses over variables 1..n (``-v`` for not v) as tuples of literal
     codes: variable v - 1 becomes 2(v - 1), its negation 2(v - 1) + 1."""
@@ -229,12 +210,12 @@ class _Solver:
     decisions included, against ``budget``."""
 
     def __init__(self, nvars: int, clauses: Sequence[Sequence[int]],
-                 budget: int, perms: Sequence[Sequence[int]] = (),
-                 premises: Sequence[tuple[int, ...]] = ()):
+                 budget: int, premises: Sequence[tuple[int, ...]] = ()):
         self.nvars = nvars
         self.budget = budget
-        self.counters = _BranchCounters()
         self.steps = 0
+        self.decisions = 0
+        self.conflicts = 0
         self.clauses = list(premises)
         self.clauses.extend(_encode(clauses))
         # Values and watch lists are indexed by literal code; levels and
@@ -265,10 +246,6 @@ class _Solver:
                     self.units.append((clause[0], ci))
                 else:
                     self.unsat = True
-        # A fixed point compares a variable with itself, so only the moved
-        # positions of a permutation take part in the lex-leader check.
-        self.perms = [[(i + i, j + j) for i, j in enumerate(perm) if i != j]
-                      for perm in perms]
 
     def _enqueue(self, lit: int, reason: int) -> None:
         self.vals[lit] = 1
@@ -344,29 +321,6 @@ class _Solver:
         self.steps = steps
         self.qhead = qhead
         return conflict
-
-    def _cut(self) -> list[int] | None:
-        """A conflict clause when the partial assignment is already
-        lexicographically greater than its image under one of the perms
-        (adjacent transpositions of the stabilizer, Crawford et al. 1996):
-        the negations of the literals compared up to the violating position.
-        Every completion then has a smaller sibling in the same branch, and
-        the least solution, a leader under every stabilizer permutation,
-        satisfies the clause."""
-        vals = self.vals
-        for pairs in self.perms:
-            clause = []
-            for i, j in pairs:
-                a = vals[i]
-                b = vals[j]
-                if a == -1 or b == -1 or a < b:
-                    break
-                clause.append(i + a)
-                clause.append(j + b)
-                if a > b:
-                    self.counters.pruned += 1
-                    return clause
-        return None
 
     def _backtrack(self, lvl: int) -> None:
         trail_lim = self.trail_lim
@@ -455,33 +409,28 @@ class _Solver:
         vals = self.vals
         for lit, ci in self.units:
             if vals[lit] == 0:
-                self.counters.conflicts += 1
+                self.conflicts += 1
                 return None
             if vals[lit] == -1:
                 self._enqueue(lit, ci)
         nvars = self.nvars
-        counters = self.counters
         while True:
             conflict = self._propagate()
             if conflict >= 0:
-                counters.conflicts += 1
-                lits = self.clauses[conflict]
-            else:
-                lits = self._cut() if self.perms else None
-                if lits is None:
-                    # Decide the lowest unassigned variable, false first.
-                    var = self.next_var
-                    while var < nvars and vals[var + var] != -1:
-                        var += 1
-                    self.next_var = var
-                    if var == nvars:
-                        return vals[0::2]
-                    counters.decisions += 1
-                    self.trail_lim.append(len(self.trail))
-                    self._enqueue(var + var + 1, -1)
-                    continue
-            if not self._learn(lits):
-                return None
+                self.conflicts += 1
+                if not self._learn(self.clauses[conflict]):
+                    return None
+                continue
+            # Decide the lowest unassigned variable, false first.
+            var = self.next_var
+            while var < nvars and vals[var + var] != -1:
+                var += 1
+            self.next_var = var
+            if var == nvars:
+                return vals[0::2]
+            self.decisions += 1
+            self.trail_lim.append(len(self.trail))
+            self._enqueue(var + var + 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -509,26 +458,6 @@ def _is_orbit_representative(combo: Sequence[int], sorts: Sequence[Sort]) -> boo
             if value == frontier:
                 frontier += 1
     return True
-
-
-def _stabilizer_perms(used_things: set[int], n_things: int,
-                      used_worlds: set[int], n_worlds: int,
-                      atoms, atom_index) -> list[tuple[int, ...]]:
-    """Atom-index permutations induced by the adjacent transpositions of the
-    branch's free things, then of its free worlds: generators of the
-    relabelings that fix the witness elements pointwise."""
-    swaps = []
-    for prefix, used, total in (("t", used_things, n_things),
-                                ("w", used_worlds, n_worlds)):
-        free = [f"{prefix}{i}" for i in range(total) if i not in used]
-        swaps.extend(zip(free, free[1:]))
-    atom_perms = []
-    for a, b in swaps:
-        swap = {a: b, b: a}
-        atom_perms.append(tuple(
-            atom_index[pred, tuple(swap.get(label, label) for label in labels)]
-            for pred, labels in atoms))
-    return atom_perms
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +603,8 @@ def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
                 not _is_orbit_representative(combo, prefix_sorts):
             stats.pruned_subtrees += 1
             continue
-        env = {}
-        used_things, used_worlds = set(), set()
-        for (var, sort), value in zip(prefix, combo):
-            if sort is Sort.THING:
-                env[var] = things[value]
-                used_things.add(value)
-            else:
-                env[var] = worlds[value]
-                used_worlds.add(value)
+        env = {var: (things if sort is Sort.THING else worlds)[value]
+               for (var, sort), value in zip(prefix, combo)}
         clauses = builder.build(matrix, env)
         stats.branches_total += 1
         if not all(clauses):
@@ -693,12 +615,7 @@ def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
         # use any definition the size's builder has made so far.
         clauses = clauses + definition_clauses(builder.definitions[premise_defs:])
         nvars = len(atoms) + len(builder.definitions)
-        perms: Sequence[Sequence[int]] = ()
-        if config.pruning == "canonical":
-            perms = _stabilizer_perms(used_things, n_things,
-                                      used_worlds, n_worlds,
-                                      atoms, atom_index)
-        solver = _Solver(nvars, clauses, remaining, perms, premises)
+        solver = _Solver(nvars, clauses, remaining, premises)
         try:
             solution = solver.solve()
         except _BudgetExceeded:
@@ -707,11 +624,9 @@ def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
             raise ResourceLimitExceeded(
                 n_things, n_worlds, config.node_budget) from None
         remaining -= solver.steps
-        counters = solver.counters
-        stats.candidates_visited += counters.decisions
+        stats.candidates_visited += solver.decisions
         stats.propagations += solver.steps
-        stats.conflicts += counters.conflicts
-        stats.lex_leader_cuts += counters.pruned
+        stats.conflicts += solver.conflicts
         if solution is not None:
             # Equal keys denote the same model, so the first branch
             # reaching the least key decides it.

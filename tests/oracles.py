@@ -3,8 +3,8 @@
 These enumerate every table assignment over a support set and evaluate
 formulas with the plain evaluator, bypassing the grounding and search
 machinery entirely; search results are checked against them.  The search's
-earlier pieces are kept here too, as oracles for their replacements: the
-whole-stabilizer permutation builder and the DPLL solver without learning.
+DPLL solver without learning is kept here too, as an oracle for the
+clause-learning solver that replaced it.
 """
 
 import itertools
@@ -60,29 +60,6 @@ def random_model(rng, n_things, support, n_worlds=0, density=0.5):
         if rng.random() < density:
             tables.setdefault(pred, set()).add(row)
     return FiniteModel("random", things, worlds, tables)
-
-
-def stabilizer_group_perms(used_things, n_things, used_worlds, n_worlds,
-                           atoms, atom_index):
-    """Every non-identity atom-index permutation induced by a relabeling
-    that fixes the witness elements pointwise: the whole stabilizer, all
-    (free things)! x (free worlds)! - 1 of it, in the search's
-    ``_stabilizer_perms`` format (entry i is the index of the image of
-    ``atoms[i]``)."""
-    free_things = [f"t{i}" for i in range(n_things) if i not in used_things]
-    free_worlds = [f"w{i}" for i in range(n_worlds) if i not in used_worlds]
-    perms = []
-    for thing_image in itertools.permutations(free_things):
-        for world_image in itertools.permutations(free_worlds):
-            mapping = dict(zip(free_things, thing_image))
-            mapping.update(zip(free_worlds, world_image))
-            if all(src == dst for src, dst in mapping.items()):
-                continue
-            perms.append(tuple(
-                atom_index[pred, tuple(mapping.get(label, label)
-                                       for label in labels)]
-                for pred, labels in atoms))
-    return perms
 
 
 class _Dpll:

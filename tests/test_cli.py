@@ -92,6 +92,17 @@ def test_entail_reports_verdict_only(capsys):
     assert out.strip() == "NoCounterexampleUpTo(3)"
 
 
+def test_search_stats_line_pins_the_counters(capsys):
+    # The counters are deterministic: decisions, assignments, branches
+    # skipped as non-representatives of their orbit, branches solved.
+    code, out, _ = run_cli(capsys, "search", "--premises", "PSRPlenitude",
+                           "--target", "A15", "--max-things", "4")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "NoCounterexampleUpTo(4)",
+        "stats: candidates=324 propagations=2482 pruned=85 branches=15"]
+
+
 def test_search_json_validates_direction_schema(capsys):
     code, out, _ = run_cli(capsys, "search", "--premises", "PSRSubstance",
                            "--target", "A12", "--max-things", "2", "--json")
@@ -268,8 +279,11 @@ def test_cli_byte_identity_across_processes():
     # (model rendering included) must still come out byte-identical.
     argv = [sys.executable, "-m", "ethica", "search", "--premises",
             "PSRSubstance", "--target", "A12", "--max-things", "3"]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
-    assert first.returncode == 0
+    # The children import the package this test imported.
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(ethica.__file__))}
+    first = subprocess.run(argv, capture_output=True, text=True, env=env)
+    second = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert first.returncode == 0, first.stderr
     assert "Refuted(size=2)" in first.stdout
     assert first.stdout == second.stdout

@@ -11,12 +11,12 @@ from ethica.logic import FiniteModel, Not, Sort, evaluate
 from ethica.registry import axiom, axiom_set
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
                            SearchConfig, SearchError, _existential_prefix,
-                           _is_orbit_representative, _Solver, _stabilizer_perms,
+                           _is_orbit_representative, _Solver,
                            canonical_form, check_naive_psr, entails_bounded,
                            find_countermodel)
 
 from oracles import (countermodel_exists, dpll_least_solution, random_model,
-                     refutes, stabilizer_group_perms)
+                     refutes)
 
 A22_SUPPORT = ("inItself", "perSeConceived", "intellectPerceivesAsEssence")
 
@@ -326,13 +326,6 @@ def test_pruning_actually_prunes():
     assert pruned.stats.branches_total < unpruned.stats.branches_total
 
 
-def test_lex_leader_cuts_fire_in_a_bundled_search():
-    verdict = entails_bounded("PSRPlenitude", "A15",
-                              SearchConfig(max_thing_size=4))
-    assert isinstance(verdict, NoCounterexampleUpTo)
-    assert verdict.stats.lex_leader_cuts > 0
-
-
 def test_no_solver_is_built_for_a_branch_whose_clauses_are_already_false(
         monkeypatch):
     # Up to 8 things, 8 of PropV_allshared's 15 branches ground to the
@@ -363,8 +356,7 @@ def test_a25_self_entailment_needs_fewer_decisions_than_the_distributed_cnf():
 
 def _branch_inputs(premises, target, n_things, n_worlds):
     """What the search hands each orbit-representative branch's solver at
-    one size: the variable count, the clauses and the stabilizer's
-    ``_stabilizer_perms`` arguments."""
+    one size: the variable count and the clauses."""
     premise_formulas = [entry.formula for entry in axiom_set(premises)]
     target_formula = axiom_set([target])[0].formula
     things = tuple(f"t{i}" for i in range(n_things))
@@ -384,112 +376,28 @@ def _branch_inputs(premises, target, n_things, n_worlds):
             continue
         env = {var: universe[value] for (var, _), universe, value
                in zip(prefix, universes, combo)}
-        used_things = {v for v, sort in zip(combo, sorts) if sort is Sort.THING}
-        used_worlds = {v for v, sort in zip(combo, sorts) if sort is Sort.WORLD}
         branch = builder.build(matrix, env)
         clauses = sigma + [tuple(sorted(c)) for c in
                            branch + definition_clauses(builder.definitions)]
-        yield (len(atoms) + len(builder.definitions), clauses,
-               (used_things, n_things, used_worlds, n_worlds, atoms, atom_index))
+        yield len(atoms) + len(builder.definitions), clauses
 
 
 def test_generator_pruning_matches_full_group_and_no_pruning():
-    # The least solution of a branch is a lex-leader under every permutation
-    # of the branch's stabilizer, so pruning with its adjacent transpositions,
-    # with the whole stabilizer or with nothing finds the same solution.
-    solved = 0
+    # Orbit skipping is the search's only pruning, so the solver of every
+    # branch it keeps must return the least solution, the one the DPLL
+    # oracle finds by plain enumeration without learning.
+    solved = unsat = 0
     for premises, target, worlds in BUNDLED_DIRECTIONS:
         for n_things in (1, 2, 3):
             for n_worlds in range(1, worlds + 1) if worlds else (0,):
-                for nvars, clauses, stabilizer in _branch_inputs(
+                for nvars, clauses in _branch_inputs(
                         premises, target, n_things, n_worlds):
-                    generators = _Solver(nvars, clauses, 10**8,
-                                         _stabilizer_perms(*stabilizer))
-                    solution = generators.solve()
-                    for perms in (stabilizer_group_perms(*stabilizer), ()):
-                        assert _Solver(nvars, clauses, 10**8, perms).solve() \
-                            == solution, (premises, target, n_things, n_worlds)
+                    solution = _Solver(nvars, clauses, 10**8).solve()
+                    assert solution == dpll_least_solution(nvars, clauses), \
+                        (premises, target, n_things, n_worlds)
                     solved += solution is not None
-    assert solved > 0
-
-
-def test_transposition_pruning_keeps_the_least_solution_of_symmetric_clauses():
-    # Random clause sets closed under the stabilizer of the witness things,
-    # over a unary and a binary predicate at four things.  The solver meets
-    # assignments in ascending order, so every subtree it prunes is the
-    # image of one it has already refuted: few satisfiable sets are pruned
-    # at all, and the count keeps the test from passing without one.
-    rng = random.Random(2026)
-    things = [f"t{i}" for i in range(4)]
-    atoms = [("P", (t,)) for t in things] + \
-        [("R", (a, b)) for a in things for b in things]
-    atom_index = {atom: i for i, atom in enumerate(atoms)}
-    pruned_solutions = 0
-    for _ in range(600):
-        stabilizer = (set(range(rng.randint(0, 1))), 4, set(), 0, atoms, atom_index)
-        group = stabilizer_group_perms(*stabilizer)
-        clauses = set()
-        for _ in range(rng.randint(2, 6)):
-            clause = [rng.randint(1, len(atoms)) * (1 if rng.random() < 0.6 else -1)
-                      for _ in range(rng.randint(2, 3))]
-            for perm in [range(len(atoms))] + group:
-                clauses.add(tuple(sorted({(perm[abs(lit) - 1] + 1) * (lit // abs(lit))
-                                          for lit in clause})))
-        clauses = sorted(clauses)
-        generators = _Solver(len(atoms), clauses, 10**6, _stabilizer_perms(*stabilizer))
-        solution = generators.solve()
-        for perms in (group, ()):
-            assert _Solver(len(atoms), clauses, 10**6, perms).solve() == solution
-        pruned_solutions += solution is not None and generators.counters.pruned > 0
-    assert pruned_solutions > 0
-
-
-def test_lex_leader_cut_clauses_are_false_only_on_non_leaders():
-    # A cut is learned from like any conflict clause, so it must be false
-    # under the partial assignment and true on every full assignment that
-    # is a lex-leader under the perms: that is what keeps the least
-    # solution reachable after learning from it.
-    rng = random.Random(7)
-    things = [f"t{i}" for i in range(3)]
-    atoms = [("P", (t,)) for t in things] + \
-        [("R", (a, b)) for a in things for b in things]
-    atom_index = {atom: i for i, atom in enumerate(atoms)}
-    perms = _stabilizer_perms(set(), 3, set(), 0, atoms, atom_index)
-    leaders = [bits for bits in itertools.product((0, 1), repeat=len(atoms))
-               if all(bits <= tuple(bits[j] for j in perm) for perm in perms)]
-    cuts = 0
-    for _ in range(300):
-        solver = _Solver(len(atoms), [], 1, perms)
-        for var in rng.sample(range(len(atoms)), rng.randint(1, len(atoms))):
-            value = rng.randint(0, 1)
-            solver.vals[2 * var] = value
-            solver.vals[2 * var + 1] = 1 - value
-        clause = solver._cut()
-        if clause is None:
-            continue
-        cuts += 1
-        assert all(solver.vals[lit] == 0 for lit in clause)
-        for bits in leaders:
-            assert any(bits[lit >> 1] != lit & 1 for lit in clause), clause
-    assert cuts > 0
-
-
-def test_stabilizer_perms_are_the_adjacent_transpositions_of_the_free_things():
-    # Six free things give five generators, not the 6! - 1 = 719
-    # non-identity relabelings of the whole stabilizer.
-    formulas = [entry.formula for entry in axiom_set(["A22", "PropV_allshared"])]
-    things = tuple(f"t{i}" for i in range(8))
-    atoms = atom_space(formulas, things, ())
-    atom_index = {atom: i for i, atom in enumerate(atoms)}
-    perms = _stabilizer_perms({0, 1}, 8, set(), 0, atoms, atom_index)
-    assert len(perms) == 5
-    witness_atoms = [i for i, (_, labels) in enumerate(atoms)
-                     if set(labels) <= {"t0", "t1"}]
-    for perm in perms:
-        assert sorted(perm) == sorted(atom_index.values())
-        assert all(perm[perm[i]] == i for i in range(len(atoms)))
-        assert perm != tuple(range(len(atoms)))
-        assert all(perm[i] == i for i in witness_atoms)
+                    unsat += solution is None
+    assert solved > 0 and unsat > 0
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ MUTABLE = {
     SearchStats: lambda: SearchStats(support=("inItself",), conflicts=3),
     ExperimentResult: _result,
 }
+#: The frozen classes with a field of a mutable class above.
+HOLDS_MUTABLE = {Refuted, NoCounterexampleUpTo, ReducibilityTable}
 
 
 def _fields(value):
@@ -103,20 +105,39 @@ def test_equal_fields_in_another_class_are_not_equal():
 def test_frozen_values_hash_their_fields_and_refuse_assignment(cls):
     value = FROZEN[cls]()
     assert cls.__hash__ is not None
-    try:
-        expected = hash(_fields(value))
-    except TypeError:
-        # A field is mutable (a dict of tables, the search's stats).
+    if cls in HOLDS_MUTABLE:
         with pytest.raises(TypeError):
             hash(value)
     else:
-        assert hash(value) == expected == hash(FROZEN[cls]())
+        assert hash(value) == hash(_fields(value)) == hash(FROZEN[cls]())
     name = (cls.__slots__ or ("anything",))[0]
     with pytest.raises(AttributeError):
         setattr(value, name, None)
     with pytest.raises(AttributeError):
         delattr(value, name)
     assert _fields(value) == _fields(FROZEN[cls]())
+
+
+def test_mapping_fields_refuse_mutation():
+    model, spec = _model(), _spec()
+    mutations = [
+        lambda: model.tables.__setitem__("inItself", frozenset()),
+        lambda: model.tables.__delitem__("inItself"),
+        lambda: model.tables.update(perSeConceived=frozenset()),
+        lambda: model.tables.setdefault("perSeConceived", frozenset()),
+        lambda: model.tables.pop("inItself"),
+        lambda: model.tables.popitem(),
+        model.tables.clear,
+        lambda: spec.expectation.__setitem__("forward", "refuted"),
+        lambda: spec.expectation.__ior__({"forward": "refuted"}),
+    ]
+    for mutate in mutations:
+        with pytest.raises(TypeError):
+            mutate()
+    assert model == _model() and spec == _spec()
+    assert dict(model.tables) == {"inItself": frozenset({("t0",)})}
+    assert spec.expectation == {"forward": "no_counterexample"}
+    assert hash(model.tables) == hash(_model().tables)
 
 
 @pytest.mark.parametrize("cls", list(MUTABLE), ids=lambda cls: cls.__name__)
@@ -152,7 +173,7 @@ def test_repr_lists_the_fields_in_order():
         "node_budget=100000000)")
     assert repr(SearchStats(support=("inItself",), conflicts=3)) == (
         "SearchStats(support=('inItself',), candidates_visited=0, "
-        "propagations=0, conflicts=3, pruned_subtrees=0, lex_leader_cuts=0, "
+        "propagations=0, conflicts=3, pruned_subtrees=0, "
         "branches_total=0, sizes_exhausted=())")
     assert repr(FiniteModel("m", ("t0",), tables={"inItself": ["t0"]})) == \
         "FiniteModel(name='m', things=('t0',), worlds=(), " \
