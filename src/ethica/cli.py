@@ -3,7 +3,8 @@ and axiom export.
 
 Exit codes: 0 all attached expectations held; 1 an expectation or
 verification failed, or a returned model failed the evaluator re-check
-(an internal error); 2 usage or input error; 3 resource limit exceeded.
+(an internal error); 2 usage or input error; 3 resource limit exceeded:
+the node budget ran out, or the process ran out of memory.
 Output is deterministic: identical invocations produce byte-identical
 reports (elapsed times never appear in them).
 """
@@ -310,6 +311,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ResourceLimitExceeded as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
+    except MemoryError:
+        print("error: out of memory; smaller bounds need less",
+              file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
     except RecheckError as err:
         print(f"error: {err}", file=sys.stderr)

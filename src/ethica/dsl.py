@@ -79,6 +79,11 @@ def parse_model(text: str, signature: Signature | None = None) -> FiniteModel:
             if saw_pred:
                 raise ModelParseError(line_number, "worlds must precede pred lines")
             worlds = _parse_labels(line_number, rest, "world")
+            shared = set(things) & set(worlds)
+            if shared:
+                raise ModelParseError(
+                    line_number,
+                    f"label used in both universes: {sorted(shared)[0]!r}")
             saw_worlds = True
             continue
 

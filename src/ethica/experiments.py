@@ -447,15 +447,16 @@ def reducibility_table(node_budget: int = DEFAULT_NODE_BUDGET) -> ReducibilityTa
     """Run the four bundled demote experiments and assemble the table.
 
     Any experiment error aborts the assembly; the raised error names the
-    rows already completed.  Running out of node budget and a failed
-    evaluator re-check are not errors of the table and propagate unwrapped.
+    rows already completed.  Running out of node budget or memory and a
+    failed evaluator re-check are not errors of the table and propagate
+    unwrapped.
     """
     specs = bundled_experiments(node_budget)
     results = []
     for axiom_id, spec_name, _ in _TABLE_ROWS:
         try:
             results.append(run_experiment(specs[spec_name]))
-        except (ResourceLimitExceeded, RecheckError):
+        except (ResourceLimitExceeded, RecheckError, MemoryError):
             raise
         except Exception as err:
             done = ", ".join(r.name for r in results) or "none"

@@ -12,10 +12,18 @@ inside a disjunction, every multi-clause part but the widest is replaced by
 one auxiliary literal ``v``, defined in one direction only by the clauses
 ``not v or c`` for each clause ``c`` of the part, after unit propagation
 inside the part.  Formulas are put in negation normal form first, so the
-polarity rules live only in ``nnf``.  Ground subformulas are memoized on
-(node, free-variable bindings), so every instance of a shared subformula
-shares one auxiliary variable.  Auxiliary variables are numbered after all
-table atoms.
+polarity rules live only in ``nnf``.  Auxiliary variables are numbered after
+all table atoms.
+
+A formula is compiled once (``compile_formula``) and then ground at any
+pair of universes (``Grounder``), so a search compiles its formulas once and
+grounds them at every size.  Compiling resolves each variable to a slot of
+an integer environment, one slot per quantifier depth, that holds an
+element's index in its universe.  Grounding turns each node into a closure
+over that environment: an atom's index is its predicate's offset in the
+atom space plus the mixed-radix number of its element indices, and each
+connective or quantifier is memoized on the indices of its free variables,
+so every instance of a shared subformula shares one auxiliary variable.
 """
 
 from __future__ import annotations
@@ -171,164 +179,319 @@ def atom_space(formulas: Sequence[Formula], things: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# CNF construction
+# Compilation
 # ---------------------------------------------------------------------------
 
 _TRIVIALLY_TRUE: list[Clause] = []
 _TRIVIALLY_FALSE: list[Clause] = [frozenset()]
 
 
-class _CnfBuilder:
-    """Clauses for formulas in negation normal form over fixed universes.
+class CompiledFormula:
+    """A formula compiled by ``compile_formula``: ``make(grounder)`` returns
+    the function from an environment (a list of ``depth`` element indices)
+    to the formula's clauses at that grounder's universes."""
 
-    ``free_cache`` maps node ids to (node, sorted free variables); a search
-    passes one dict to the builders of all its sizes, so each node's free
-    variables are computed once per search.  Cache entries hold their node,
-    so a keyed id cannot be reused by another node while the cache lives.
-    """
+    __slots__ = ("make", "depth")
 
-    def __init__(self, things, worlds, atom_index, free_cache=None):
-        self.things = tuple(things)
-        self.worlds = tuple(worlds)
-        self.atom_index = atom_index
-        self.definitions: list[Definition] = []
-        self._free_cache: dict[int, tuple[Formula, tuple[str, ...]]] = \
-            {} if free_cache is None else free_cache
-        self._cnf_cache: dict = {}
-        self._aux_cache: dict[int, tuple[list[Clause], int]] = {}
+    def __init__(self, make, depth: int):
+        self.make = make
+        self.depth = depth
 
-    def universe(self, sort: Sort) -> tuple[str, ...]:
-        return self.things if sort is Sort.THING else self.worlds
 
-    def _free_vars(self, f: Formula) -> tuple[str, ...]:
-        """The node's sorted free variables, from its children's entries."""
-        entry = self._free_cache.get(id(f))
-        if entry is not None:
-            return entry[1]
-        if isinstance(f, Pred):
-            names = {t.name for t in f.args if isinstance(t, Var)}
-        elif isinstance(f, Eq):
-            names = {t.name for t in (f.left, f.right) if isinstance(t, Var)}
-        elif isinstance(f, Not):
-            names = self._free_vars(f.body)
-        elif isinstance(f, (And, Or)):
-            names = set()
-            for item in f.items:
-                names.update(self._free_vars(item))
-        elif isinstance(f, (ForAll, Exists)):
-            names = set(self._free_vars(f.body))
-            names.discard(f.var)
-        else:
-            # Constants have none; nodes outside negation normal form are
-            # rejected by ``_build``.
-            names = ()
-        free = tuple(sorted(names))
-        self._free_cache[id(f)] = (f, free)
-        return free
+def compile_formula(formula: Formula,
+                    bound: Sequence[tuple[str, Sort]] = ()) -> CompiledFormula:
+    """Compile a well-sorted formula in negation normal form, as ``nnf``
+    returns it: a tree in which ``Not`` wraps only a ``Pred`` or an ``Eq``
+    and no ``Implies`` or ``Iff`` occurs.  Its free variables are ``bound``;
+    environment slot i holds the element index of ``bound[i]``, and each
+    quantifier binds the slot of its depth."""
+    scope = {var: (slot, sort) for slot, (var, sort) in enumerate(bound)}
+    make, _, depth = _compile(formula, scope, len(bound))
+    return CompiledFormula(make, depth)
 
-    def build(self, f: Formula, env: dict) -> list[Clause]:
-        """Clauses for a formula in negation normal form (``nnf``): ``Not``
-        wraps only a ``Pred`` or an ``Eq``, and no ``Implies`` or ``Iff``
-        occurs."""
-        # Sub-CNFs depend only on the bindings of the node's free variables;
-        # memoizing on those makes repeated quantifier bodies cheap.  Each
-        # entry holds its node, so its id is never reused.
-        if isinstance(f, (And, Or, ForAll, Exists)):
-            key = (id(f), tuple([env[name] for name in self._free_vars(f)]))
-            entry = self._cnf_cache.get(key)
-            if entry is None:
-                entry = self._cnf_cache[key] = (f, self._build(f, env))
-            return entry[1]
-        return self._build(f, env)
 
-    def _build(self, f: Formula, env: dict) -> list[Clause]:
-        if isinstance(f, TrueF):
-            return _TRIVIALLY_TRUE
-        if isinstance(f, FalseF):
-            return _TRIVIALLY_FALSE
-        if isinstance(f, (Pred, Eq)):
-            return self._literal(f, True, env)
-        if isinstance(f, Not) and isinstance(f.body, (Pred, Eq)):
-            return self._literal(f.body, False, env)
-        if isinstance(f, And):
-            return self.conjoin(self.build(item, env) for item in f.items)
-        if isinstance(f, Or):
-            return self.disjoin([self.build(item, env) for item in f.items])
-        if isinstance(f, (ForAll, Exists)):
-            universe = self.universe(f.sort)
-            if not universe:
+def _compile(f: Formula, scope: dict, depth: int):
+    """(make, free slots as (slot, sort) pairs, environment length)."""
+    if isinstance(f, TrueF):
+        return _constant(_TRIVIALLY_TRUE), frozenset(), depth
+    if isinstance(f, FalseF):
+        return _constant(_TRIVIALLY_FALSE), frozenset(), depth
+    if isinstance(f, (Pred, Eq)):
+        return _compile_literal(f, True, scope) + (depth,)
+    if isinstance(f, Not) and isinstance(f.body, (Pred, Eq)):
+        return _compile_literal(f.body, False, scope) + (depth,)
+    if isinstance(f, (And, Or)):
+        compiled = [_compile(item, scope, depth) for item in f.items]
+        makes = [make for make, _, _ in compiled]
+        free = frozenset().union(*[free for _, free, _ in compiled])
+        size = max([depth] + [size for _, _, size in compiled])
+        conjunctive = isinstance(f, And)
+
+        def make(g):
+            fns = [make(g) for make in makes]
+            raw = _conjunction(fns) if conjunctive else _disjunction(fns, g.disjoin)
+            return _memoized(raw, free, g)
+        return make, free, size
+    if isinstance(f, (ForAll, Exists)):
+        slot, sort = depth, f.sort
+        body_make, body_free, size = _compile(
+            f.body, {**scope, f.var: (slot, sort)}, depth + 1)
+        free = body_free - {(slot, sort)}
+        universal = isinstance(f, ForAll)
+
+        def make(g):
+            n = g.size[sort]
+            if not n:
                 raise GroundingError(
                     "quantification over World on universes with no worlds")
-            parts = []
-            saved = env.get(f.var)
-            had = f.var in env
-            try:
-                for label in universe:
-                    env[f.var] = label
-                    parts.append(self.build(f.body, env))
-            finally:
-                if had:
-                    env[f.var] = saved
-                elif f.var in env:
-                    del env[f.var]
-            return self.conjoin(parts) if isinstance(f, ForAll) else self.disjoin(parts)
-        raise TypeError(f"not a formula in negation normal form: {f!r}")
+            body = body_make(g)
+            raw = _universal(body, slot, n) if universal else \
+                _existential(body, slot, n, g.disjoin)
+            return _memoized(raw, free, g)
+        return make, free, size
+    raise TypeError(f"not a formula in negation normal form: {f!r}")
 
-    def _literal(self, f: Formula, positive: bool, env: dict) -> list[Clause]:
-        if isinstance(f, Pred):
-            labels = tuple(env[t.name] if isinstance(t, Var) else t.label for t in f.args)
-            index = self.atom_index.get((f.name, labels))
-            if index is None:
-                # Predicate outside the atom space: frozen everywhere-false.
-                return _TRIVIALLY_FALSE if positive else _TRIVIALLY_TRUE
-            return [frozenset((index + 1 if positive else -(index + 1),))]
-        left = env[f.left.name] if isinstance(f.left, Var) else f.left.label
-        right = env[f.right.name] if isinstance(f.right, Var) else f.right.label
-        return _TRIVIALLY_TRUE if (left == right) == positive else _TRIVIALLY_FALSE
 
-    def conjoin(self, parts: Iterable[list[Clause]]) -> list[Clause]:
+def _always(clauses: list[Clause]):
+    return lambda env: clauses
+
+
+def _constant(clauses: list[Clause]):
+    fn = _always(clauses)
+    return lambda g: fn
+
+
+def _compile_literal(f: Formula, positive: bool, scope: dict):
+    # A term is (slot, sort, label): a variable has no label, a constant no
+    # slot.
+    terms = [(*scope[t.name], None) if isinstance(t, Var) else (None, t.sort, t.label)
+             for t in ((f.left, f.right) if isinstance(f, Eq) else f.args)]
+    free = frozenset((slot, sort) for slot, sort, _ in terms if slot is not None)
+    true, false = (_TRIVIALLY_TRUE, _TRIVIALLY_FALSE) if positive else \
+        (_TRIVIALLY_FALSE, _TRIVIALLY_TRUE)
+    if isinstance(f, Eq):
+        return _compile_equality(terms, true, false), free
+
+    def make(g):
+        # Atom index: the predicate's offset plus the mixed-radix number of
+        # its element indices, the first argument most significant.
+        offset = g.offsets.get(f.name)
+        if offset is None:
+            # Predicate outside the atom space: frozen everywhere-false.
+            return _always(false)
+        table = g.positive if positive else g.negative
+        weights = []
+        weight = 1
+        for slot, sort, label in reversed(terms):
+            if slot is None:
+                index = g.index[sort].get(label)
+                if index is None:
+                    return _always(false)
+                offset += index * weight
+            else:
+                weights.append((slot, weight))
+            weight *= g.size[sort]
+        if not weights:
+            return _always(table[offset])
+        index_of = _linear(offset, weights)
+        return lambda env: table[index_of(env)]
+    return make, free
+
+
+def _compile_equality(terms, true, false):
+    # Universe elements are distinct individuals, so equality is decided
+    # here; with the same sort on both sides, equal labels are equal indices.
+    (a, sort, label_a), (b, sort_b, label_b) = terms
+    if a is None and b is None:
+        return _constant(true if label_a == label_b else false)
+    if a is None:
+        a, sort, b, label_b = b, sort_b, a, label_a
+    if b is not None:
+        return lambda g: lambda env: true if env[a] == env[b] else false
+
+    def make(g):
+        index = g.index[sort].get(label_b)
+        if index is None:
+            return _always(false)
+        return lambda env: true if env[a] == index else false
+    return make
+
+
+def _memoized(raw, free, g):
+    """``raw`` memoized on the element indices of the node's free slots,
+    read as one mixed-radix number, so each instance of a subformula is
+    ground once per grounder.  The memo keeps every list it returns, so
+    ``Grounder`` may key on list ids."""
+    memo: dict = {}
+    get = memo.get
+    weights = []
+    weight = 1
+    for slot, sort in sorted(free, reverse=True):
+        weights.append((slot, weight))
+        weight *= g.size[sort]
+    if len(weights) == 1:
+        slot = weights[0][0]
+
+        def fn(env):
+            key = env[slot]
+            clauses = get(key)
+            if clauses is None:
+                clauses = memo[key] = raw(env)
+            return clauses
+        return fn
+    key_of = _linear(0, weights)
+
+    def fn(env):
+        key = key_of(env)
+        clauses = get(key)
+        if clauses is None:
+            clauses = memo[key] = raw(env)
+        return clauses
+    return fn
+
+
+def _linear(base: int, weights: list[tuple[int, int]]):
+    """env -> base plus the sum of env[slot] * weight over the pairs."""
+    if not weights:
+        return lambda env: base
+    if len(weights) == 1:
+        ((a, wa),) = weights
+        return lambda env: base + env[a] * wa
+    if len(weights) == 2:
+        (a, wa), (b, wb) = weights
+        return lambda env: base + env[a] * wa + env[b] * wb
+    if len(weights) == 3:
+        (a, wa), (b, wb), (c, wc) = weights
+        return lambda env: base + env[a] * wa + env[b] * wb + env[c] * wc
+    return lambda env: base + sum([env[s] * w for s, w in weights])
+
+
+def _conjunction(fns):
+    if len(fns) == 2:
+        first, second = fns
+        return lambda env: first(env) + second(env)
+
+    def fn(env):
         out: list[Clause] = []
-        for clauses in parts:
-            out.extend(clauses)
+        for item in fns:
+            out += item(env)
         return out
+    return fn
+
+
+def _disjunction(fns, disjoin):
+    return lambda env: disjoin([item(env) for item in fns])
+
+
+def _universal(body, slot: int, n: int):
+    elements = range(n)
+
+    def fn(env):
+        out: list[Clause] = []
+        for i in elements:
+            env[slot] = i
+            out += body(env)
+        return out
+    return fn
+
+
+def _existential(body, slot: int, n: int, disjoin):
+    elements = range(n)
+
+    def fn(env):
+        parts = []
+        for i in elements:
+            env[slot] = i
+            parts.append(body(env))
+        return disjoin(parts)
+    return fn
+
+
+# ---------------------------------------------------------------------------
+# Grounding at one pair of universes
+# ---------------------------------------------------------------------------
+
+class Grounder:
+    """Clauses of compiled formulas over fixed universes and atoms.
+
+    The formulas a grounder instantiates share its auxiliary variables,
+    numbered after the table atoms in the order they are made;
+    ``definitions`` lists them with their clauses.
+    """
+
+    def __init__(self, things: Sequence[str], worlds: Sequence[str],
+                 atoms: Sequence[Atom]):
+        self.size = {Sort.THING: len(things), Sort.WORLD: len(worlds)}
+        self.index = {Sort.THING: {label: i for i, label in enumerate(things)},
+                      Sort.WORLD: {label: i for i, label in enumerate(worlds)}}
+        self.offsets: dict[str, int] = {}
+        for i, (pred, _) in enumerate(atoms):
+            self.offsets.setdefault(pred, i)
+        self.natoms = len(atoms)
+        # One shared clause list per literal: single-clause parts are never
+        # replaced by an auxiliary variable, so their identity is free.
+        self.positive = [[frozenset((v,))] for v in range(1, self.natoms + 1)]
+        self.negative = [[frozenset((-v,))] for v in range(1, self.natoms + 1)]
+        self.definitions: list[Definition] = []
+        # Part list id -> [the list, its unit reduction, its aux or 0]; the
+        # entry holds the list, so its id cannot be reused.
+        self._parts: dict[int, list] = {}
+
+    def instantiate(self, compiled: CompiledFormula):
+        """The function from the element indices of a compiled formula's
+        bound variables to its clauses at these universes.  It holds the
+        formula's memo tables, so each formula is instantiated once per
+        grounder.  The grounder does not hold it: no reference cycle keeps a
+        size's clauses alive once the caller lets go of them."""
+        fn = compiled.make(self)
+        depth = compiled.depth
+
+        def clauses(env: Sequence[int] = ()) -> list[Clause]:
+            values = list(env)
+            values += [0] * (depth - len(values))
+            return fn(values)
+        return clauses
 
     def disjoin(self, parts: list[list[Clause]]) -> list[Clause]:
         # An empty part ([] = true) makes the whole disjunction true.  The
-        # widest part is kept; every other multi-clause part is replaced by
-        # its aux literal, so each clause of the widest part gains the other
-        # parts' literals and the product never multiplies two sides.
-        if any(not clauses for clauses in parts):
+        # first widest part is kept; every other multi-clause part is
+        # replaced by its aux literal, so each clause of the widest part
+        # gains the other parts' literals and the product never multiplies
+        # two sides.
+        if not all(parts):
             return _TRIVIALLY_TRUE
         widest = max(parts, key=len)
         extra: set[int] = set()
         for clauses in parts:
-            if clauses is widest:
-                continue
-            if len(clauses) == 1:
-                extra |= clauses[0]
-            else:
-                extra.add(self._aux(clauses))
-        seen = set()
-        out: list[Clause] = []
-        for clause in _unit_reduced(widest):
-            merged = clause | extra
-            if merged not in seen and not _tautology(merged):
-                seen.add(merged)
-                out.append(merged)
-        return out
+            if clauses is not widest:
+                if len(clauses) == 1:
+                    extra |= clauses[0]
+                else:
+                    extra.add(self._aux(clauses))
+        reduced = widest if len(widest) == 1 else self._part(widest)[1]
+        if not extra:
+            return list(dict.fromkeys(reduced))
+        # No clause the grounder makes is a tautology (literals, subsets of
+        # its clauses, and merges filtered here), so a merged clause is one
+        # exactly when ``negated`` meets its clause or ``extra`` itself.
+        negated = {-lit for lit in extra}
+        if not negated.isdisjoint(extra):
+            return []
+        return list(dict.fromkeys([clause | extra for clause in reduced
+                                   if negated.isdisjoint(clause)]))
+
+    def _part(self, clauses: list[Clause]) -> list:
+        entry = self._parts.get(id(clauses))
+        if entry is None:
+            entry = self._parts[id(clauses)] = [clauses, _unit_reduced(clauses), 0]
+        return entry
 
     def _aux(self, clauses: list[Clause]) -> int:
-        # The entry retains the keyed list so its id cannot be reused.
-        entry = self._aux_cache.get(id(clauses))
-        if entry is None:
-            var = len(self.atom_index) + len(self.definitions) + 1
-            self.definitions.append((var, tuple(_unit_reduced(clauses))))
-            entry = self._aux_cache[id(clauses)] = (clauses, var)
-        return entry[1]
-
-
-def _tautology(clause: Clause) -> bool:
-    return any(-lit in clause for lit in clause)
+        entry = self._part(clauses)
+        if not entry[2]:
+            entry[2] = self.natoms + len(self.definitions) + 1
+            self.definitions.append((entry[2], tuple(entry[1])))
+        return entry[2]
 
 
 def _unit_reduced(clauses: list[Clause]) -> list[Clause]:
@@ -340,23 +503,37 @@ def _unit_reduced(clauses: list[Clause]) -> list[Clause]:
     Attribute(a, s) repeats Substance(s): without them the search for
     PSRPlenitude |= A15 up to 3 things makes 3,150 decisions instead of 2,202.
     """
-    units: set[int] = set()
     while True:
-        new_units = {next(iter(c)) for c in clauses if len(c) == 1} - units
-        if not new_units:
+        units: set[int] = set()
+        for clause in clauses:
+            if len(clause) == 1:
+                units |= clause
+        if not units:
             return clauses
-        units |= new_units
-        if any(-lit in units for lit in new_units):
+        negated = {-lit for lit in units}
+        if not negated.isdisjoint(units):
             return _TRIVIALLY_FALSE
+        for clause in clauses:
+            if len(clause) > 1 and not (units.isdisjoint(clause)
+                                        and negated.isdisjoint(clause)):
+                break
+        else:
+            return clauses
         reduced: list[Clause] = []
+        # Only a clause struck down to one literal can make a new unit.
+        again = False
         for clause in clauses:
             if len(clause) > 1:
-                if clause & units:
+                if not units.isdisjoint(clause):
                     continue
-                clause = frozenset(lit for lit in clause if -lit not in units)
-                if not clause:
-                    return _TRIVIALLY_FALSE
+                clause = clause - negated
+                if len(clause) < 2:
+                    if not clause:
+                        return _TRIVIALLY_FALSE
+                    again = True
             reduced.append(clause)
+        if not again:
+            return reduced
         clauses = reduced
 
 
@@ -369,11 +546,11 @@ def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),
            support: Iterable[str] | None = None) -> GroundConstraintSet:
     """Ground a closed well-sorted formula over fixed universes."""
     atoms = atom_space([formula], things, worlds, support)
-    index = {atom: i for i, atom in enumerate(atoms)}
-    builder = _CnfBuilder(things, worlds, index)
-    clauses = builder.build(nnf(formula), {}) + definition_clauses(builder.definitions)
+    grounder = Grounder(things, worlds, atoms)
+    clauses = grounder.instantiate(compile_formula(nnf(formula)))()
+    clauses = clauses + definition_clauses(grounder.definitions)
     return GroundConstraintSet(tuple(things), tuple(worlds), atoms, tuple(clauses),
-                               tuple(builder.definitions))
+                               tuple(grounder.definitions))
 
 
 def evaluate_via_grounding(formula: Formula, model: FiniteModel) -> bool:

@@ -1,17 +1,19 @@
 """Bounded counter-model search and bounded semantic entailment.
 
 The engine looks for a finite model satisfying the premises while falsifying
-the target, ascending through thing-universe sizes.  Within a size the
-premises are grounded once, definitionally: auxiliary variables stand for
-shared ground subformulas and are numbered after the table atoms.  The
-premise clauses and their definitions are converted to literal codes once
-per size and shared read-only by the size's branches.  The negated target's
-existential prefix is split into instantiation branches (orbit
-representatives under canonical pruning); each branch adds its matrix and
-the definitions made after the premises, and is decided by conflict-driven
-clause learning: watched literals over literal-indexed arrays, first-UIP
-learned clauses and backjumping (Een & Sorensson, "An extensible
-SAT-solver", 2003).
+the target, ascending through thing-universe sizes.  The premises and the
+matrix of the negated target are compiled once per search
+(``grounding.compile_formula``); each size grounds the premises once,
+definitionally: auxiliary variables stand for shared ground subformulas and
+are numbered after the table atoms.  The premise clauses and their
+definitions are converted to literal codes in one pass per size and shared
+read-only by the size's branches.  The negated target's existential prefix
+is split into instantiation branches (orbit representatives under canonical
+pruning); each branch grounds the matrix with the prefix bound to the
+branch's element indices, adds the definitions made after the premises,
+and is decided by conflict-driven clause learning: watched literals over
+literal-indexed arrays, first-UIP learned clauses and backjumping (Een &
+Sorensson, "An extensible SAT-solver", 2003).
 
 The solver always decides the lowest unassigned variable, false first, and
 neither restarts, reorders variables nor deletes clauses, so its first
@@ -42,7 +44,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from .grounding import _CnfBuilder, atom_space, definition_clauses, nnf
+from .grounding import (Definition, Grounder, atom_space, compile_formula,
+                        definition_clauses, nnf)
 from .logic import (Exists, FiniteModel, Formula, LogicError, Not, Sort,
                     Value, collect_predicates, evaluate, mentions_world)
 from .registry import Selector, axiom_set
@@ -191,11 +194,22 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _encode(clauses: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Clauses over variables 1..n (``-v`` for not v) as tuples of literal
-    codes: variable v - 1 becomes 2(v - 1), its negation 2(v - 1) + 1."""
-    return [tuple([lit + lit - 2 if lit > 0 else -lit - lit - 1
-                   for lit in sorted(clause)]) for clause in clauses]
+def _encode(clauses: Sequence[Sequence[int]], nvars: int,
+            definitions: Sequence[Definition] = ()) -> list[tuple[int, ...]]:
+    """Clauses over variables 1..nvars (``-v`` for not v), then the clauses
+    ``not v or c`` for each clause ``c`` defining ``v``, as tuples of
+    literal codes: variable v - 1 becomes 2(v - 1), its negation
+    2(v - 1) + 1.  Codes follow the literals in ascending order; ``not v``
+    is the least literal of the clauses defining v, so its code leads."""
+    # code[lit] is the code of a literal, negative ones indexed from the end.
+    code = [0] * (2 * nvars + 1)
+    code[1:nvars + 1] = range(0, 2 * nvars, 2)
+    code[nvars + 1:] = range(2 * nvars - 1, 0, -2)
+    get = code.__getitem__
+    out = [tuple(map(get, sorted(clause))) for clause in clauses]
+    out += [(var + var - 1,) + tuple(map(get, sorted(clause)))
+            for var, defining in definitions for clause in defining]
+    return out
 
 
 class _Solver:
@@ -217,7 +231,7 @@ class _Solver:
         self.decisions = 0
         self.conflicts = 0
         self.clauses = list(premises)
-        self.clauses.extend(_encode(clauses))
+        self.clauses.extend(_encode(clauses, nvars))
         # Values and watch lists are indexed by literal code; levels and
         # reasons (clause indices, -1 for decisions) by variable.
         self.vals = [-1] * (2 * nvars)
@@ -551,20 +565,19 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
 
     stats = SearchStats(support=support)
     exhausted: list[tuple[int, int]] = []
-    # The grounder takes negation normal form.  Every size's builder shares
-    # one free-variable cache, so each node's free variables are computed
-    # once per search.
-    premise_nnfs = [nnf(formula) for formula in premise_formulas]
+    # The premises and the negated target's matrix are compiled once per
+    # search; every size instantiates them.
+    premises = [compile_formula(nnf(formula)) for formula in premise_formulas]
     prefix, matrix = _existential_prefix(nnf(Not(target_entry.formula)))
-    free_cache: dict = {}
+    matrix = compile_formula(matrix, prefix)
 
     for n_things in range(1, config.max_thing_size + 1):
         for n_worlds in world_range:
             things = tuple(f"t{i}" for i in range(n_things))
             worlds = tuple(f"w{i}" for i in range(n_worlds))
             atoms = atom_space(all_formulas, things, worlds, support)
-            best = _least_branch_key(premise_nnfs, prefix, matrix, things,
-                                     worlds, atoms, config, stats, free_cache)
+            best = _least_branch_key(premises, prefix, matrix, things,
+                                     worlds, atoms, config, stats)
             if best is not None:
                 model = FiniteModel("countermodel", things, worlds,
                                     _tables(atoms, best))
@@ -577,21 +590,23 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
     return NoCounterexampleUpTo(config.max_thing_size, world_bound, stats)
 
 
-def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
-                      config: SearchConfig, stats: SearchStats, free_cache):
+def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
+                      config: SearchConfig, stats: SearchStats):
     """Ground one size and solve its branches: the least canonical key of
     a branch solution, or None when the size is exhausted.  What the size
     built is freed on return, before the next size is grounded."""
     n_things, n_worlds = len(things), len(worlds)
     prefix_sorts = [sort for _, sort in prefix]
-    atom_index = {atom: i for i, atom in enumerate(atoms)}
-    builder = _CnfBuilder(things, worlds, atom_index, free_cache)
-    # The premises and their definitions are converted once per size;
-    # every branch's solver reads them and adds its own clauses.
-    sigma = [clause for formula in premise_nnfs
-             for clause in builder.build(formula, {})]
-    premise_defs = len(builder.definitions)
-    premises = _encode(sigma + definition_clauses(builder.definitions))
+    grounder = Grounder(things, worlds, atoms)
+    # The premise clauses and their definitions go to literal codes in one
+    # pass per size; every branch's solver reads them and adds its own.
+    sigma = []
+    for premise in premises:
+        sigma += grounder.instantiate(premise)()
+    premise_defs = len(grounder.definitions)
+    shared = _encode(sigma, len(atoms) + premise_defs, grounder.definitions)
+
+    branch_clauses = grounder.instantiate(matrix)
 
     # The node budget is per size: every branch draws on one counter.
     remaining = config.node_budget
@@ -603,19 +618,17 @@ def _least_branch_key(premise_nnfs, prefix, matrix, things, worlds, atoms,
                 not _is_orbit_representative(combo, prefix_sorts):
             stats.pruned_subtrees += 1
             continue
-        env = {var: (things if sort is Sort.THING else worlds)[value]
-               for (var, sort), value in zip(prefix, combo)}
-        clauses = builder.build(matrix, env)
+        clauses = branch_clauses(combo)
         stats.branches_total += 1
         if not all(clauses):
             # The branch's own clauses hold the empty clause: no solver,
             # and 0 steps, as a solver would report.
             continue
         # Aux variables are memoized across branches, so a branch may
-        # use any definition the size's builder has made so far.
-        clauses = clauses + definition_clauses(builder.definitions[premise_defs:])
-        nvars = len(atoms) + len(builder.definitions)
-        solver = _Solver(nvars, clauses, remaining, premises)
+        # use any definition the size's grounder has made so far.
+        clauses = clauses + definition_clauses(grounder.definitions[premise_defs:])
+        nvars = len(atoms) + len(grounder.definitions)
+        solver = _Solver(nvars, clauses, remaining, shared)
         try:
             solution = solver.solve()
         except _BudgetExceeded:

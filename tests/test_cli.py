@@ -175,6 +175,31 @@ def test_failed_recheck_exits_one_without_traceback(capsys, monkeypatch):
         assert "Traceback" not in err, argv
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+def test_out_of_memory_exits_three_without_traceback(capsys, monkeypatch):
+    # A search that runs out of memory is a resource limit, like the node
+    # budget; the table must not wrap it in its own error.
+    from ethica import cli, experiments
+    monkeypatch.setattr(cli, "entails_bounded", _out_of_memory)
+    monkeypatch.setattr(experiments, "entails_bounded", _out_of_memory)
+    monkeypatch.setattr(cli, "run_experiment", _out_of_memory)
+    monkeypatch.setattr(experiments, "run_experiment", _out_of_memory)
+    for argv in (("entail", "--premises", "PSRSubstance",
+                  "--target", "PropV_allshared", "--max-things", "4"),
+                 ("search", "--premises", "PSRSubstance", "--target", "A12"),
+                 ("probe", "full-register"),
+                 ("table",),
+                 ("experiment", "run", "all")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert err.startswith("error: out of memory"), argv
+        assert "Traceback" not in err and "table aborted" not in err, argv
+        assert out == "", argv
+
+
 def test_no_prune_flag(capsys):
     code, out, _ = run_cli(capsys, "entail", "--premises", "A24",
                            "--target", "A14", "--max-things", "3", "--no-prune")

@@ -87,6 +87,12 @@ def test_duplicate_label_reports_line():
         parse_model("model m\nthings x x\n")
 
 
+def test_label_in_both_universes_reports_the_worlds_line():
+    with pytest.raises(ModelParseError,
+                       match="line 3: label used in both universes: 'a'"):
+        parse_model("model x\nthings a b\nworlds a\n")
+
+
 def test_missing_model_line():
     with pytest.raises(ModelParseError, match="expected 'model <name>' first"):
         parse_model("things x\n")

@@ -245,3 +245,13 @@ def test_probe_hand_construction_is_a_witness_at_size_three():
 def test_probe_statistics_show_pruning_at_work():
     verdict = conjecture_probe_full_register(SearchConfig(max_thing_size=3))
     assert verdict.stats.pruned_subtrees > 0
+
+
+def test_table_reraises_memory_error_unwrapped(monkeypatch):
+    from ethica import experiments
+
+    def out_of_memory(spec):
+        raise MemoryError()
+    monkeypatch.setattr(experiments, "run_experiment", out_of_memory)
+    with pytest.raises(MemoryError):
+        reducibility_table()

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from ethica.grounding import (GroundingError, _CnfBuilder, atom_space,
-                              evaluate_via_grounding, ground, nnf)
-from ethica.logic import (TRUE, And, Eq, EvaluationError, Exists, ForAll,
-                          Not, Or, Pred, Sort, Var, evaluate, mentions_world)
+from ethica.grounding import (Grounder, GroundingError, atom_space,
+                              compile_formula, evaluate_via_grounding, ground,
+                              nnf)
+from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
+                          ForAll, Not, Or, Pred, Sort, Var, evaluate,
+                          mentions_world)
 from ethica.registry import axiom, axiom_ids
 from ethica.search import _Solver
 
-from oracles import all_models, atom_list, random_model
+from oracles import all_models, atom_list, random_model, reference_ground
 
 T = Sort.THING
 
@@ -191,17 +193,17 @@ def test_grounding_world_quantifier_without_worlds_fails():
 
 
 def test_one_builder_grounds_temporary_trees_like_a_fresh_builder_each():
-    # Each tree is freed after its build, so a later tree's nodes may get
-    # an earlier tree's ids; the builder's caches must not hand them the
-    # earlier entries.  A shared builder numbers a tree's aux variables
-    # after the earlier trees' definitions, so they are shifted back.
+    # Each tree and its compiled form are freed after grounding, so a later
+    # tree's nodes may get an earlier tree's ids; the grounder's caches must
+    # not hand them the earlier entries.  A shared grounder numbers a tree's
+    # aux variables after the earlier trees' definitions, so they are
+    # shifted back.
     things, worlds = ("t0", "t1", "t2"), ("w0", "w1")
     formulas = [polarity for axiom_id in axiom_ids()
                 for polarity in (axiom(axiom_id).formula,
                                  Not(axiom(axiom_id).formula))]
     atoms = atom_space(formulas, things, worlds)
-    index = {atom: i for i, atom in enumerate(atoms)}
-    shared = _CnfBuilder(things, worlds, index)
+    shared = Grounder(things, worlds, atoms)
     for formula in formulas:
         offset = len(shared.definitions)
 
@@ -210,10 +212,73 @@ def test_one_builder_grounds_temporary_trees_like_a_fresh_builder_each():
                              lit + offset if lit < -len(atoms) else lit
                              for lit in clause)
 
-        got = shared.build(nnf(formula), {})
-        fresh = _CnfBuilder(things, worlds, index)
+        got = shared.instantiate(compile_formula(nnf(formula)))()
+        fresh = Grounder(things, worlds, atoms)
         assert [shifted(clause) for clause in got] == \
-            fresh.build(nnf(formula), {})
+            fresh.instantiate(compile_formula(nnf(formula)))()
         assert [(var - offset, tuple(map(shifted, clauses)))
                 for var, clauses in shared.definitions[offset:]] == \
             fresh.definitions
+
+
+T_ = Sort.THING
+W = Sort.WORLD
+#: Formulas naming universe elements (present and absent labels, in atoms
+#: and in equalities, under quantifiers and outside them), and a disjunction
+#: whose literal parts are complementary.
+EDGE_FORMULAS = [
+    ForAll("x", T_, Or((Pred("inItself", (Var("x"),)),
+                        Not(Pred("inItself", (Var("x"),))),
+                        And((Pred("perSeConceived", (Var("x"),)),
+                             Pred("inAnother", (Var("x"),))))))),
+    Pred("inItself", (Elem(T_, "t1"),)),
+    Not(Pred("inItself", (Elem(T_, "t9"),))),
+    ForAll("x", T_, Or((Pred("intellectPerceivesAsEssence", (Var("x"), Elem(T_, "t0"))),
+                        Eq(Var("x"), Elem(T_, "t2"))))),
+    Exists("x", T_, And((Not(Eq(Elem(T_, "t9"), Var("x"))),
+                         Pred("perSeConceived", (Var("x"),))))),
+    ForAll("w", W, Or((Pred("existsAt", (Elem(T_, "t0"), Var("w"))),
+                       Eq(Elem(W, "w1"), Var("w"))))),
+    Or((Eq(Elem(T_, "t0"), Elem(T_, "t0")), Pred("inItself", (Elem(T_, "t0"),)))),
+    And((Not(Eq(Elem(T_, "t0"), Elem(T_, "t1"))), FALSE)),
+    ForAll("x", T_, ForAll("y", T_, Or((
+        Eq(Var("x"), Var("y")),
+        Exists("z", T_, And((Pred("conceptualDep", (Var("x"), Var("z"))),
+                             Pred("conceptualDep", (Var("z"), Elem(T_, "t1")))))))))),
+]
+
+
+def test_ground_matches_the_tree_walking_grounder():
+    # The same atoms, clauses in the same order and the same definitions,
+    # for every registry axiom and its negation and for the edge cases above;
+    # a world quantifier with no worlds fails on both.
+    formulas = [polarity for axiom_id in axiom_ids()
+                for polarity in (axiom(axiom_id).formula,
+                                 Not(axiom(axiom_id).formula))]
+    formulas += EDGE_FORMULAS + [Not(f) for f in EDGE_FORMULAS]
+    cases = 0
+    for formula in formulas:
+        for n_things in (1, 2, 3, 4):
+            things = tuple(f"t{i}" for i in range(n_things))
+            for n_worlds in (0, 1, 2):
+                worlds = tuple(f"w{i}" for i in range(n_worlds))
+                try:
+                    expected = reference_ground(formula, things, worlds)
+                except GroundingError:
+                    with pytest.raises(GroundingError):
+                        ground(formula, things, worlds)
+                    continue
+                assert ground(formula, things, worlds) == expected, \
+                    (formula, n_things, n_worlds)
+                cases += 1
+    assert cases > 500
+
+
+def test_ground_matches_the_tree_walking_grounder_on_a_support():
+    # Predicates outside the support are frozen false on both sides.
+    support = ("inItself", "perSeConceived")
+    for axiom_id in ("A12", "A22", "A25", "PropV_allshared"):
+        for formula in (axiom(axiom_id).formula, Not(axiom(axiom_id).formula)):
+            things = ("t0", "t1", "t2")
+            assert ground(formula, things, (), support) == \
+                reference_ground(formula, things, (), support), axiom_id

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ethica.grounding import _CnfBuilder, atom_space, definition_clauses, nnf
+from ethica.grounding import (Grounder, atom_space, compile_formula,
+                              definition_clauses, nnf)
 from ethica import search
 from ethica.logic import FiniteModel, Not, Sort, evaluate
 from ethica.registry import axiom, axiom_set
@@ -16,7 +17,7 @@ from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
                            find_countermodel)
 
 from oracles import (countermodel_exists, dpll_least_solution, random_model,
-                     refutes)
+                     reference_solver_inputs, refutes)
 
 A22_SUPPORT = ("inItself", "perSeConceived", "intellectPerceivesAsEssence")
 
@@ -362,24 +363,20 @@ def _branch_inputs(premises, target, n_things, n_worlds):
     things = tuple(f"t{i}" for i in range(n_things))
     worlds = tuple(f"w{i}" for i in range(n_worlds))
     atoms = atom_space(premise_formulas + [target_formula], things, worlds)
-    atom_index = {atom: i for i, atom in enumerate(atoms)}
-    builder = _CnfBuilder(things, worlds, atom_index)
-    # The builder's caches are keyed on node ids: keep the trees alive.
-    premise_nnfs = [nnf(formula) for formula in premise_formulas]
-    sigma = [tuple(sorted(clause)) for formula in premise_nnfs
-             for clause in builder.build(formula, {})]
+    grounder = Grounder(things, worlds, atoms)
+    sigma = [tuple(sorted(clause)) for formula in premise_formulas
+             for clause in grounder.instantiate(compile_formula(nnf(formula)))()]
     prefix, matrix = _existential_prefix(nnf(Not(target_formula)))
+    matrix = grounder.instantiate(compile_formula(matrix, prefix))
     sorts = [sort for _, sort in prefix]
-    universes = [things if sort is Sort.THING else worlds for sort in sorts]
-    for combo in itertools.product(*(range(len(u)) for u in universes)):
+    universes = [n_things if sort is Sort.THING else n_worlds for sort in sorts]
+    for combo in itertools.product(*map(range, universes)):
         if not _is_orbit_representative(combo, sorts):
             continue
-        env = {var: universe[value] for (var, _), universe, value
-               in zip(prefix, universes, combo)}
-        branch = builder.build(matrix, env)
+        branch = matrix(combo)
         clauses = sigma + [tuple(sorted(c)) for c in
-                           branch + definition_clauses(builder.definitions)]
-        yield len(atoms) + len(builder.definitions), clauses
+                           branch + definition_clauses(grounder.definitions)]
+        yield len(atoms) + len(grounder.definitions), clauses
 
 
 def test_generator_pruning_matches_full_group_and_no_pruning():
@@ -398,6 +395,62 @@ def test_generator_pruning_matches_full_group_and_no_pruning():
                     solved += solution is not None
                     unsat += solution is None
     assert solved > 0 and unsat > 0
+
+
+def _solver_inputs(monkeypatch, premises, target, config):
+    """The verdict, and (nvars, clauses, premises) of every solver the search
+    builds, in order."""
+    calls = []
+
+    class Recording(_Solver):
+        def __init__(self, nvars, clauses, budget, premises=()):
+            calls.append((nvars, list(clauses), premises))
+            super().__init__(nvars, clauses, budget, premises)
+
+    monkeypatch.setattr(search, "_Solver", Recording)
+    return entails_bounded(premises, target, config), calls
+
+
+def _assert_solver_inputs_match_the_reference(monkeypatch, premises, target,
+                                              config):
+    verdict, calls = _solver_inputs(monkeypatch, premises, target, config)
+    sizes = verdict.stats.sizes_exhausted
+    if verdict.is_refuted:
+        sizes += ((verdict.thing_size, verdict.world_size),)
+    premise_formulas = [entry.formula for entry in axiom_set(premises)]
+    target_formula = axiom_set([target])[0].formula
+    expected = []
+    for n_things, n_worlds in sizes:
+        expected += reference_solver_inputs(
+            premise_formulas, target_formula, verdict.stats.support,
+            tuple(f"t{i}" for i in range(n_things)),
+            tuple(f"w{i}" for i in range(n_worlds)), config.pruning)
+    assert len(calls) == len(expected), (premises, target)
+    for k, (got, want) in enumerate(zip(calls, expected)):
+        assert got[0] == want[0], (premises, target, k, "nvars")
+        assert got[1] == want[1], (premises, target, k, "clauses")
+        assert got[2] == want[2], (premises, target, k, "premises")
+    return len(calls)
+
+
+@pytest.mark.parametrize("pruning", ["canonical", "none"])
+def test_solver_inputs_match_the_tree_walking_grounder(monkeypatch, pruning):
+    # The compiled grounder must hand every solver exactly the clauses the
+    # tree-walking one did, in the same order and with the same aux
+    # numbering, so the least solution and every counter stay the same.
+    solvers = 0
+    for premises, target, worlds in BUNDLED_DIRECTIONS:
+        solvers += _assert_solver_inputs_match_the_reference(
+            monkeypatch, premises, target,
+            SearchConfig(max_thing_size=3, max_world_size=worlds,
+                         pruning=pruning))
+    assert solvers > 0
+
+
+def test_solver_inputs_match_the_tree_walking_grounder_at_six_things(monkeypatch):
+    assert _assert_solver_inputs_match_the_reference(
+        monkeypatch, "PSRSubstance", "PropV_allshared",
+        SearchConfig(max_thing_size=6)) > 0
 
 
 # ---------------------------------------------------------------------------
