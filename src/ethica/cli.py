@@ -2,8 +2,9 @@
 and axiom export.
 
 Exit codes: 0 all attached expectations held; 1 an expectation or
-verification failed, or a returned model failed the evaluator re-check
-(an internal error); 2 usage or input error; 3 resource limit exceeded:
+verification failed, or an internal error: a returned model failed the
+evaluator re-check, or an experiment's verdicts left its outcome
+undetermined; 2 usage or input error; 3 resource limit exceeded:
 the node budget ran out, or the process ran out of memory.
 Output is deterministic: identical invocations produce byte-identical
 reports (elapsed times never appear in them).
@@ -19,9 +20,10 @@ from collections.abc import Sequence
 
 from .corpus import VerificationReport, corpus_model, verify
 from .dsl import parse_model, serialize_model
-from .experiments import (PROBE_PREMISES, Direction, bundled_experiments,
-                          conjecture_probe_full_register, describe_experiment,
-                          direction_json, reducibility_table, run_experiment)
+from .experiments import (PROBE_PREMISES, Direction, InsufficientEvidenceError,
+                          bundled_experiments, conjecture_probe_full_register,
+                          describe_experiment, direction_json,
+                          reducibility_table, run_experiment)
 from .logic import LogicError
 from .registry import BUNDLES, RegistryError, axiom, axiom_ids
 from .search import (DEFAULT_NODE_BUDGET, NoCounterexampleUpTo, RecheckError,
@@ -318,6 +320,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RESOURCE_LIMIT
     except RecheckError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_EXPECTATION_FAILED
+    except InsufficientEvidenceError as err:
+        # The bundled experiments always carry enough evidence; a verdict
+        # bundle that does not is a defect of ethica, like a failed re-check.
+        print(f"error: internal error: {err}", file=sys.stderr)
         return EXIT_EXPECTATION_FAILED
     except (LogicError, RegistryError, LookupError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -17,8 +17,8 @@ from .corpus import VerificationReport, corpus_model, verify
 from .logic import FiniteModel, FrozenDict, Value
 from .registry import Selector, resolve_selector
 from .search import (DEFAULT_NODE_BUDGET, STATS_COUNTERS, EntailmentVerdict,
-                     NoCounterexampleUpTo, RecheckError, Refuted,
-                     ResourceLimitExceeded, SearchConfig, entails_bounded)
+                     NoCounterexampleUpTo, Refuted, SearchConfig,
+                     entails_bounded)
 
 
 class InsufficientEvidenceError(Exception):
@@ -446,23 +446,12 @@ class ReducibilityTable(Value):
 def reducibility_table(node_budget: int = DEFAULT_NODE_BUDGET) -> ReducibilityTable:
     """Run the four bundled demote experiments and assemble the table.
 
-    Any experiment error aborts the assembly; the raised error names the
-    rows already completed.  Running out of node budget or memory and a
-    failed evaluator re-check are not errors of the table and propagate
-    unwrapped.
+    An error of any experiment aborts the assembly and propagates as it is,
+    so the table fails exactly as ``run_experiment`` does.
     """
     specs = bundled_experiments(node_budget)
-    results = []
-    for axiom_id, spec_name, _ in _TABLE_ROWS:
-        try:
-            results.append(run_experiment(specs[spec_name]))
-        except (ResourceLimitExceeded, RecheckError, MemoryError):
-            raise
-        except Exception as err:
-            done = ", ".join(r.name for r in results) or "none"
-            raise RuntimeError(
-                f"table aborted at {spec_name} (completed: {done}): {err}") from err
-    return ReducibilityTable(tuple(results))
+    return ReducibilityTable(tuple(run_experiment(specs[spec_name])
+                                   for _, spec_name, _ in _TABLE_ROWS))
 
 
 # ---------------------------------------------------------------------------

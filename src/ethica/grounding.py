@@ -15,26 +15,29 @@ inside the part.  Formulas are put in negation normal form first, so the
 polarity rules live only in ``nnf``.  Auxiliary variables are numbered after
 all table atoms.
 
-A formula is compiled once (``compile_formula``) and then ground at any
-pair of universes (``Grounder``), so a search compiles its formulas once and
-grounds them at every size.  Compiling resolves each variable to a slot of
-an integer environment, one slot per quantifier depth, that holds an
-element's index in its universe.  Grounding turns each node into a closure
-over that environment: an atom's index is its predicate's offset in the
-atom space plus the mixed-radix number of its element indices, and each
-connective or quantifier is memoized on the indices of its free variables,
-so every instance of a shared subformula shares one auxiliary variable.
+The atoms come from predicate profiles: ``predicate_profiles`` walks the
+formulas once for each predicate's argument sorts, and ``atom_space`` lays
+out the atoms of any pair of universes from them, so a search profiles its
+formulas once.  A formula is compiled once (``compile_formula``) and then
+ground at any pair of universes (``Grounder``), so a search compiles its
+formulas once and grounds them at every size.  Compiling resolves each
+variable to a slot of an integer environment, one slot per quantifier
+depth, that holds an element's index in its universe.  Grounding turns each
+node into a closure over that environment: an atom's index is its
+predicate's offset in the atom space plus the mixed-radix number of its
+element indices, and each connective or quantifier is memoized on the
+indices of its free variables, so every instance of a shared subformula
+shares one auxiliary variable.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .logic import (FALSE, TRUE, And, Eq, EvaluationError, Exists,
                     FiniteModel, ForAll, Formula, Iff, Implies, LogicError,
-                    Not, Or, Pred, Sort, TrueF, FalseF, Value, Var,
-                    mentions_world)
+                    Not, Or, Pred, Sort, TrueF, FalseF, Value, Var)
 
 Atom = tuple[str, tuple[str, ...]]
 Clause = frozenset[int]
@@ -133,48 +136,49 @@ def nnf(formula: Formula, positive: bool = True) -> Formula:
 # Atom space
 # ---------------------------------------------------------------------------
 
-def _predicate_profiles(formula: Formula, env: dict[str, Sort],
-                        out: dict[str, tuple[Sort, ...]]) -> None:
-    """Infer each predicate's argument sorts from a well-sorted formula."""
-    if isinstance(formula, Pred):
-        sorts = tuple(env[t.name] if isinstance(t, Var) else t.sort for t in formula.args)
-        out.setdefault(formula.name, sorts)
-    elif isinstance(formula, Not):
-        _predicate_profiles(formula.body, env, out)
-    elif isinstance(formula, (And, Or)):
-        for item in formula.items:
-            _predicate_profiles(item, env, out)
-    elif isinstance(formula, (Implies, Iff)):
-        _predicate_profiles(formula.left, env, out)
-        _predicate_profiles(formula.right, env, out)
-    elif isinstance(formula, (ForAll, Exists)):
-        env[formula.var] = formula.sort
-        _predicate_profiles(formula.body, env, out)
-        del env[formula.var]
-
-
-def atom_space(formulas: Sequence[Formula], things: Sequence[str],
-               worlds: Sequence[str],
-               support: Iterable[str] | None = None) -> tuple[Atom, ...]:
-    """All ground atoms for the predicates occurring in the formulas.
-
-    Atoms are ordered by predicate name, then by argument tuple in universe
-    order; this ordering is the canonical table-bit encoding used throughout
-    the search engine.  An explicit ``support`` restricts the atom space to
-    those predicates (the rest are frozen everywhere-false at grounding time).
-    """
+def predicate_profiles(formulas: Iterable[Formula],
+                       support: Iterable[str] | None = None
+                       ) -> dict[str, tuple[Sort, ...]]:
+    """Each predicate occurring in the well-sorted formulas, mapped to its
+    argument sorts, in name order.  An explicit ``support`` keeps only those
+    predicates; grounding freezes the rest everywhere-false."""
     profiles: dict[str, tuple[Sort, ...]] = {}
+
+    def walk(f: Formula, env: dict[str, Sort]) -> None:
+        if isinstance(f, Pred):
+            profiles.setdefault(f.name, tuple(
+                env[t.name] if isinstance(t, Var) else t.sort for t in f.args))
+        elif isinstance(f, Not):
+            walk(f.body, env)
+        elif isinstance(f, (And, Or)):
+            for item in f.items:
+                walk(item, env)
+        elif isinstance(f, (Implies, Iff)):
+            walk(f.left, env)
+            walk(f.right, env)
+        elif isinstance(f, (ForAll, Exists)):
+            walk(f.body, {**env, f.var: f.sort})
+
     for formula in formulas:
-        _predicate_profiles(formula, {}, profiles)
-    if support is not None:
-        allowed = set(support)
-        profiles = {name: sorts for name, sorts in profiles.items() if name in allowed}
+        walk(formula, {})
+    allowed = profiles if support is None else set(support)
+    return {name: profiles[name] for name in sorted(profiles) if name in allowed}
+
+
+def atom_space(profiles: Mapping[str, Sequence[Sort]], things: Sequence[str],
+               worlds: Sequence[str]) -> tuple[Atom, ...]:
+    """All ground atoms of the profiled predicates.
+
+    Atoms are ordered by predicate in the order of ``profiles`` (name order,
+    as ``predicate_profiles`` gives them), then by argument tuple in universe
+    order; this ordering is the canonical table-bit encoding used throughout
+    the search engine.
+    """
     atoms: list[Atom] = []
-    for name in sorted(profiles):
+    for name, sorts in profiles.items():
         universes = [tuple(things) if s is Sort.THING else tuple(worlds)
-                     for s in profiles[name]]
-        for combo in itertools.product(*universes):
-            atoms.append((name, combo))
+                     for s in sorts]
+        atoms.extend((name, combo) for combo in itertools.product(*universes))
     return tuple(atoms)
 
 
@@ -221,6 +225,10 @@ def _compile(f: Formula, scope: dict, depth: int):
     if isinstance(f, Not) and isinstance(f.body, (Pred, Eq)):
         return _compile_literal(f.body, False, scope) + (depth,)
     if isinstance(f, (And, Or)):
+        if not f.items:
+            # An empty conjunction is true, an empty disjunction false.
+            clauses = _TRIVIALLY_TRUE if isinstance(f, And) else _TRIVIALLY_FALSE
+            return _constant(clauses), frozenset(), depth
         compiled = [_compile(item, scope, depth) for item in f.items]
         makes = [make for make, _, _ in compiled]
         free = frozenset().union(*[free for _, free, _ in compiled])
@@ -545,7 +553,7 @@ def definition_clauses(definitions: Iterable[Definition]) -> list[Clause]:
 def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),
            support: Iterable[str] | None = None) -> GroundConstraintSet:
     """Ground a closed well-sorted formula over fixed universes."""
-    atoms = atom_space([formula], things, worlds, support)
+    atoms = atom_space(predicate_profiles([formula], support), things, worlds)
     grounder = Grounder(things, worlds, atoms)
     clauses = grounder.instantiate(compile_formula(nnf(formula)))()
     clauses = clauses + definition_clauses(grounder.definitions)
@@ -556,11 +564,14 @@ def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),
 def evaluate_via_grounding(formula: Formula, model: FiniteModel) -> bool:
     """Ground on the model's universes, substitute its tables, read off truth.
 
-    Agrees with ``logic.evaluate`` on every input, including the error cases:
-    formulas mentioning World are rejected on models without worlds.
+    Agrees with ``logic.evaluate`` whenever the evaluator reaches every
+    quantifier.  A quantifier over World on a model with no worlds is always
+    an ``EvaluationError`` here, where ``evaluate`` may short-circuit past
+    it: ``Or((TRUE, ForAll("w", WORLD, ...)))`` is True there.
     """
-    if mentions_world(formula) and not model.worlds:
+    try:
+        constraints = ground(formula, model.things, model.worlds)
+    except GroundingError:
         raise EvaluationError(
-            "quantification over World on a model with no world universe")
-    constraints = ground(formula, model.things, model.worlds)
+            "quantification over World on a model with no world universe") from None
     return constraints.satisfied_by(model)

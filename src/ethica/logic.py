@@ -235,35 +235,6 @@ def forall(names: Sequence[str], sort: Sort, body: Formula) -> Formula:
     return body
 
 
-def exists(names: Sequence[str], sort: Sort, body: Formula) -> Formula:
-    for name in reversed(names):
-        body = Exists(name, sort, body)
-    return body
-
-
-def free_vars(formula: Formula) -> frozenset[str]:
-    def walk(f, bound):
-        if isinstance(f, Pred):
-            return frozenset(t.name for t in f.args if isinstance(t, Var) and t.name not in bound)
-        if isinstance(f, Eq):
-            return frozenset(t.name for t in (f.left, f.right)
-                             if isinstance(t, Var) and t.name not in bound)
-        if isinstance(f, Not):
-            return walk(f.body, bound)
-        if isinstance(f, (And, Or)):
-            out = frozenset()
-            for item in f.items:
-                out |= walk(item, bound)
-            return out
-        if isinstance(f, (Implies, Iff)):
-            return walk(f.left, bound) | walk(f.right, bound)
-        if isinstance(f, _QUANTIFIERS):
-            return walk(f.body, bound | {f.var})
-        return frozenset()
-
-    return walk(formula, frozenset())
-
-
 def mentions_world(formula: Formula) -> bool:
     """True when the formula quantifies over World or names a world element."""
     if isinstance(formula, _QUANTIFIERS):
@@ -280,60 +251,6 @@ def mentions_world(formula: Formula) -> bool:
         return any(isinstance(t, Elem) and t.sort is Sort.WORLD
                    for t in (formula.left, formula.right))
     return False
-
-
-def collect_predicates(formula: Formula) -> frozenset[str]:
-    """Predicate names occurring in the formula."""
-    if isinstance(formula, Pred):
-        return frozenset((formula.name,))
-    if isinstance(formula, Not):
-        return collect_predicates(formula.body)
-    if isinstance(formula, (And, Or)):
-        out = frozenset()
-        for item in formula.items:
-            out |= collect_predicates(item)
-        return out
-    if isinstance(formula, (Implies, Iff)):
-        return collect_predicates(formula.left) | collect_predicates(formula.right)
-    if isinstance(formula, _QUANTIFIERS):
-        return collect_predicates(formula.body)
-    return frozenset()
-
-
-def pretty(formula: Formula) -> str:
-    if isinstance(formula, TrueF):
-        return "true"
-    if isinstance(formula, FalseF):
-        return "false"
-    if isinstance(formula, Pred):
-        return f"{formula.name}({', '.join(str(t) for t in formula.args)})"
-    if isinstance(formula, Eq):
-        return f"{formula.left} = {formula.right}"
-    if isinstance(formula, Not):
-        if isinstance(formula.body, Eq):
-            return f"{formula.body.left} ≠ {formula.body.right}"
-        return f"¬{_wrap(formula.body)}"
-    if isinstance(formula, And):
-        return " ∧ ".join(_wrap(item) for item in formula.items)
-    if isinstance(formula, Or):
-        return " ∨ ".join(_wrap(item) for item in formula.items)
-    if isinstance(formula, Implies):
-        return f"{_wrap(formula.left)} → {_wrap(formula.right)}"
-    if isinstance(formula, Iff):
-        return f"{_wrap(formula.left)} ↔ {_wrap(formula.right)}"
-    if isinstance(formula, ForAll):
-        return f"∀{formula.var}:{formula.sort}. {pretty(formula.body)}"
-    if isinstance(formula, Exists):
-        return f"∃{formula.var}:{formula.sort}. {pretty(formula.body)}"
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def _wrap(formula: Formula) -> str:
-    if isinstance(formula, (Pred, TrueF, FalseF)):
-        return pretty(formula)
-    if isinstance(formula, Not) and isinstance(formula.body, Pred):
-        return f"¬{pretty(formula.body)}"
-    return f"({pretty(formula)})"
 
 
 # ---------------------------------------------------------------------------

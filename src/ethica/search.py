@@ -1,17 +1,20 @@
 """Bounded counter-model search and bounded semantic entailment.
 
 The engine looks for a finite model satisfying the premises while falsifying
-the target, ascending through thing-universe sizes.  The premises and the
-matrix of the negated target are compiled once per search
-(``grounding.compile_formula``); each size grounds the premises once,
-definitionally: auxiliary variables stand for shared ground subformulas and
-are numbered after the table atoms.  The premise clauses and their
-definitions are converted to literal codes in one pass per size and shared
-read-only by the size's branches.  The negated target's existential prefix
-is split into instantiation branches (orbit representatives under canonical
-pruning); each branch grounds the matrix with the prefix bound to the
-branch's element indices, adds the definitions made after the premises,
-and is decided by conflict-driven clause learning: watched literals over
+the target, ascending through thing-universe sizes.  The formulas'
+predicates are profiled once per search (``grounding.predicate_profiles``),
+and the premises and the matrix of the negated target are compiled once
+(``grounding.compile_formula``).  Each size lays out its atoms from the
+profiles and grounds the premises once, definitionally: auxiliary variables
+stand for shared ground subformulas and are numbered after the table atoms.
+The premise clauses and their definitions are converted to literal codes in
+one pass per size and shared read-only by the size's branches.  The negated
+target's existential prefix is split into instantiation branches (orbit
+representatives under canonical pruning); each branch grounds the matrix
+with the prefix bound to the branch's element indices and converts it, with
+the definitions made after the premises, to literal codes.  The solver
+takes one list of literal-coded clauses, the shared premises first, and
+decides it by conflict-driven clause learning: watched literals over
 literal-indexed arrays, first-UIP learned clauses and backjumping (Een &
 Sorensson, "An extensible SAT-solver", 2003).
 
@@ -45,9 +48,9 @@ import itertools
 from collections.abc import Sequence
 
 from .grounding import (Definition, Grounder, atom_space, compile_formula,
-                        definition_clauses, nnf)
+                        nnf, predicate_profiles)
 from .logic import (Exists, FiniteModel, Formula, LogicError, Not, Sort,
-                    Value, collect_predicates, evaluate, mentions_world)
+                    Value, evaluate, mentions_world)
 from .registry import Selector, axiom_set
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -84,12 +87,10 @@ class SearchConfig(Value):
     is the assignments allowed per (things, worlds) size, decisions
     included, over all branches."""
 
-    __slots__ = ("max_thing_size", "max_world_size", "support_predicates",
-                 "pruning", "node_budget")
+    __slots__ = ("max_thing_size", "max_world_size", "pruning", "node_budget")
 
     def __init__(self, max_thing_size: int = 4,
                  max_world_size: int | None = None,
-                 support_predicates: tuple[str, ...] | None = None,
                  pruning: str = "canonical",
                  node_budget: int = DEFAULT_NODE_BUDGET):
         if max_thing_size < 1:
@@ -102,7 +103,6 @@ class SearchConfig(Value):
             raise SearchError("node_budget must be >= 1")
         object.__setattr__(self, "max_thing_size", max_thing_size)
         object.__setattr__(self, "max_world_size", max_world_size)
-        object.__setattr__(self, "support_predicates", support_predicates)
         object.__setattr__(self, "pruning", pruning)
         object.__setattr__(self, "node_budget", node_budget)
 
@@ -217,21 +217,21 @@ class _Solver:
     lexicographically least satisfying assignment (ascending variable index,
     false before true) as a list of 0/1 values.
 
-    ``premises`` are clauses already in literal codes (``_encode``), shared
-    read-only by the solvers of a size: watch positions live in the
-    solver's own ``w1``/``w2``, so no clause is reordered or copied.
-    Learned clauses end with the solver.  ``steps`` counts assignments,
-    decisions included, against ``budget``."""
+    ``clauses`` are in literal codes (``_encode``).  The clause tuples may
+    be shared read-only with other solvers: watch positions live in the
+    solver's own ``w1``/``w2``, so no clause is reordered or copied.  The
+    solver keeps its own list of them, to which it appends the clauses it
+    learns.  ``steps`` counts assignments, decisions included, against
+    ``budget``."""
 
     def __init__(self, nvars: int, clauses: Sequence[Sequence[int]],
-                 budget: int, premises: Sequence[tuple[int, ...]] = ()):
+                 budget: int):
         self.nvars = nvars
         self.budget = budget
         self.steps = 0
         self.decisions = 0
         self.conflicts = 0
-        self.clauses = list(premises)
-        self.clauses.extend(_encode(clauses, nvars))
+        self.clauses = list(clauses)
         # Values and watch lists are indexed by literal code; levels and
         # reasons (clause indices, -1 for decisions) by variable.
         self.vals = [-1] * (2 * nvars)
@@ -523,11 +523,9 @@ def canonical_form(model: FiniteModel) -> FiniteModel:
     """Relabel to the lexicographically least model among all sort-respecting
     permutations of each universe; idempotent, and equal on isomorphic models
     presented over the same universe lists."""
-    atoms = []
-    for pred in sorted(model.tables):
-        sorts = _column_sorts(model, pred, model.tables[pred])
-        atoms.extend((pred, labels) for labels in
-                     itertools.product(*(model.universe(s) for s in sorts)))
+    atoms = atom_space({pred: _column_sorts(model, pred, table)
+                        for pred, table in sorted(model.tables.items())},
+                       model.things, model.worlds)
     bits = [int(labels in model.tables[pred]) for pred, labels in atoms]
     if sum(bits) != sum(map(len, model.tables.values())):
         raise LogicError("a table row has an element outside its column's universe")
@@ -555,15 +553,8 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
             raise SearchError("the axioms mention World; max_world_size must be >= 1")
     world_range = list(range(1, world_bound + 1)) or [0]
 
-    occurring = frozenset()
-    for formula in all_formulas:
-        occurring |= collect_predicates(formula)
-    if config.support_predicates is not None:
-        support = tuple(sorted(set(config.support_predicates) & occurring))
-    else:
-        support = tuple(sorted(occurring))
-
-    stats = SearchStats(support=support)
+    profiles = predicate_profiles(all_formulas)
+    stats = SearchStats(support=tuple(profiles))
     exhausted: list[tuple[int, int]] = []
     # The premises and the negated target's matrix are compiled once per
     # search; every size instantiates them.
@@ -575,7 +566,7 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
         for n_worlds in world_range:
             things = tuple(f"t{i}" for i in range(n_things))
             worlds = tuple(f"w{i}" for i in range(n_worlds))
-            atoms = atom_space(all_formulas, things, worlds, support)
+            atoms = atom_space(profiles, things, worlds)
             best = _least_branch_key(premises, prefix, matrix, things,
                                      worlds, atoms, config, stats)
             if best is not None:
@@ -626,9 +617,9 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
             continue
         # Aux variables are memoized across branches, so a branch may
         # use any definition the size's grounder has made so far.
-        clauses = clauses + definition_clauses(grounder.definitions[premise_defs:])
         nvars = len(atoms) + len(grounder.definitions)
-        solver = _Solver(nvars, clauses, remaining, shared)
+        solver = _Solver(nvars, shared + _encode(
+            clauses, nvars, grounder.definitions[premise_defs:]), remaining)
         try:
             solution = solver.solve()
         except _BudgetExceeded:

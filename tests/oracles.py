@@ -13,7 +13,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from ethica.grounding import (GroundConstraintSet, GroundingError,
-                              atom_space, nnf)
+                              atom_space, nnf, predicate_profiles)
 from ethica.logic import (And, Eq, Exists, FalseF, FiniteModel, ForAll,
                           Formula, Not, Or, Pred, Sort, TrueF, Var, evaluate)
 from ethica.registry import ETHICA_SIGNATURE, axiom_set
@@ -406,7 +406,7 @@ def _encode(clauses: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 def reference_ground(formula, things, worlds=(), support=None):
     """``grounding.ground`` through the tree-walking builder."""
-    atoms = atom_space([formula], things, worlds, support)
+    atoms = atom_space(predicate_profiles([formula], support), things, worlds)
     index = {atom: i for i, atom in enumerate(atoms)}
     builder = _CnfBuilder(things, worlds, index)
     clauses = builder.build(nnf(formula), {}) + definition_clauses(builder.definitions)
@@ -419,7 +419,8 @@ def reference_solver_inputs(premise_formulas, target_formula, support,
     """What the search hands the solver of each branch at one size, built by
     the tree-walking builder: (nvars, clauses, premises) per branch whose
     clauses do not already hold the empty clause, in branch order."""
-    atoms = atom_space(premise_formulas + [target_formula], things, worlds, support)
+    atoms = atom_space(predicate_profiles(premise_formulas + [target_formula],
+                                          support), things, worlds)
     atom_index = {atom: i for i, atom in enumerate(atoms)}
     builder = _CnfBuilder(things, worlds, atom_index)
     # The builder's caches are keyed on node ids: keep the trees alive.

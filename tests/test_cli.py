@@ -200,6 +200,30 @@ def test_out_of_memory_exits_three_without_traceback(capsys, monkeypatch):
         assert out == "", argv
 
 
+def _raising(error):
+    def run(*args, **kwargs):
+        raise error
+    return run
+
+
+def test_experiment_errors_exit_alike_from_table_and_experiment(
+        capsys, monkeypatch):
+    # The table reports an experiment's error as the experiment command
+    # does: a malformed search is an input error, an outcome the verdicts
+    # do not determine an internal one.
+    from ethica import cli, experiments
+    from ethica.experiments import InsufficientEvidenceError
+    from ethica.search import SearchError
+    for error, code, message in (
+            (SearchError("bad request"), 2, "error: bad request\n"),
+            (InsufficientEvidenceError("no evidence"), 1,
+             "error: internal error: no evidence\n")):
+        monkeypatch.setattr(cli, "run_experiment", _raising(error))
+        monkeypatch.setattr(experiments, "run_experiment", _raising(error))
+        for argv in (("table",), ("experiment", "run", "all")):
+            assert run_cli(capsys, *argv) == (code, "", message), argv
+
+
 def test_no_prune_flag(capsys):
     code, out, _ = run_cli(capsys, "entail", "--premises", "A24",
                            "--target", "A14", "--max-things", "3", "--no-prune")

@@ -7,12 +7,12 @@ import pytest
 
 from ethica.grounding import (Grounder, GroundingError, atom_space,
                               compile_formula, evaluate_via_grounding, ground,
-                              nnf)
+                              nnf, predicate_profiles)
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
-                          ForAll, Not, Or, Pred, Sort, Var, evaluate,
-                          mentions_world)
+                          FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
+                          evaluate, mentions_world)
 from ethica.registry import axiom, axiom_ids
-from ethica.search import _Solver
+from ethica.search import _encode, _Solver
 
 from oracles import all_models, atom_list, random_model, reference_ground
 
@@ -143,6 +143,38 @@ def test_agreement_on_modal_axioms_with_worlds():
                 evaluate(formula, model), axiom_id
 
 
+def test_agreement_on_empty_connectives_and_absent_world_labels():
+    # An empty disjunction is false and an empty conjunction true; a world
+    # label on a model without worlds names no element, so its atom is
+    # false and its equalities compare labels, as in the evaluator.
+    world = Sort.WORLD
+    formulas = [Or(()), And(()),
+                ForAll("x", T, Or((Pred("inItself", (Var("x"),)), Or(())))),
+                Exists("x", T, And((Pred("inItself", (Var("x"),)), And(())))),
+                Pred("existsAt", (Elem(T, "t0"), Elem(world, "w0"))),
+                Eq(Elem(world, "w0"), Elem(world, "w0")),
+                Eq(Elem(world, "w0"), Elem(world, "w1"))]
+    models = [FiniteModel("m", ("t0",), tables={"inItself": ["t0"]}),
+              FiniteModel("m", ("t0", "t1"), ("w0",),
+                          {"inItself": ["t1"], "existsAt": [("t0", "w0")]})]
+    for model in models:
+        for formula in formulas:
+            for polarity in (formula, Not(formula)):
+                assert evaluate_via_grounding(polarity, model) == \
+                    evaluate(polarity, model), (polarity, model.worlds)
+
+
+def test_world_quantifier_without_worlds_fails_even_where_evaluate_short_circuits():
+    # The grounder reaches every quantifier; the evaluator stops at the
+    # first true disjunct.
+    model = FiniteModel("m", ("t0",))
+    formula = Or((TRUE, ForAll("w", Sort.WORLD,
+                               Pred("existsAt", (Elem(T, "t0"), Var("w"))))))
+    assert evaluate(formula, model)
+    with pytest.raises(EvaluationError, match="no world universe"):
+        evaluate_via_grounding(formula, model)
+
+
 def test_solver_finds_the_least_solution_over_table_bits():
     # The auxiliary variables come after the table atoms, so the least
     # solution of the clauses projects onto the least model of the formula;
@@ -159,10 +191,9 @@ def test_solver_finds_the_least_solution_over_table_bits():
                 atoms = constraints.atoms
                 support = sorted({pred for pred, _ in atoms})
                 assert atom_list(support, things, worlds) == list(atoms)
-                solution = _Solver(
-                    len(atoms) + len(constraints.definitions),
-                    [tuple(sorted(clause)) for clause in constraints.clauses],
-                    budget=10**9).solve()
+                nvars = len(atoms) + len(constraints.definitions)
+                solution = _Solver(nvars, _encode(constraints.clauses, nvars),
+                                   budget=10**9).solve()
                 least = next((model for model in all_models(
                     support, n_things, len(worlds)) if evaluate(polarity, model)),
                     None)
@@ -202,7 +233,7 @@ def test_one_builder_grounds_temporary_trees_like_a_fresh_builder_each():
     formulas = [polarity for axiom_id in axiom_ids()
                 for polarity in (axiom(axiom_id).formula,
                                  Not(axiom(axiom_id).formula))]
-    atoms = atom_space(formulas, things, worlds)
+    atoms = atom_space(predicate_profiles(formulas), things, worlds)
     shared = Grounder(things, worlds, atoms)
     for formula in formulas:
         offset = len(shared.definitions)

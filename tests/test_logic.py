@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Iff, Implies, ModelError, Not,
                           Or, Pred, Sort, SortError, Var, check_sorted,
-                          evaluate, free_vars, mentions_world, pretty)
+                          evaluate, mentions_world)
 from ethica.registry import ETHICA_SIGNATURE, axiom, substance, attribute
 
 T = Sort.THING
@@ -256,10 +256,3 @@ def test_material_implication_and_iff(model, f, g):
     vf, vg = evaluate(f, model), evaluate(g, model)
     assert evaluate(Implies(f, g), model) == ((not vf) or vg)
     assert evaluate(Iff(f, g), model) == (vf == vg)
-
-
-def test_free_vars_and_pretty():
-    formula = ForAll("x", T, Implies(Pred("inItself", (Var("x"),)),
-                                     Pred("limitedBy", (Var("x"), Var("y")))))
-    assert free_vars(formula) == {"y"}
-    assert "∀x:Thing" in pretty(formula)

@@ -6,8 +6,7 @@ import random
 import pytest
 
 from ethica.logic import (And, Elem, Eq, Exists, ForAll, Iff, Implies, Not,
-                          Or, Pred, Sort, Var, check_sorted, evaluate,
-                          free_vars)
+                          Or, Pred, Sort, Var, check_sorted, evaluate)
 from ethica.registry import (BUNDLES, ETHICA_SIGNATURE, RegistryError, Section,
                              attribute, axiom, axiom_ids, axiom_set,
                              definition, is_god, substance)
@@ -135,7 +134,7 @@ def test_unknown_axiom_id_is_an_error():
 def test_every_catalogued_formula_is_closed_and_well_sorted():
     for axiom_id in axiom_ids():
         entry = axiom(axiom_id)
-        assert free_vars(entry.formula) == frozenset(), axiom_id
+        # check_sorted rejects unbound variables, so it checks closedness.
         check_sorted(entry.formula, ETHICA_SIGNATURE)
 
 

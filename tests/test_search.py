@@ -6,18 +6,20 @@ import random
 import pytest
 
 from ethica.grounding import (Grounder, atom_space, compile_formula,
-                              definition_clauses, nnf)
+                              definition_clauses, nnf, predicate_profiles)
 from ethica import search
 from ethica.logic import FiniteModel, Not, Sort, evaluate
 from ethica.registry import axiom, axiom_set
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
-                           SearchConfig, SearchError, _existential_prefix,
-                           _is_orbit_representative, _Solver,
-                           canonical_form, check_naive_psr, entails_bounded,
-                           find_countermodel)
+                           SearchConfig, SearchError, _encode,
+                           _existential_prefix, _is_orbit_representative,
+                           _Solver, canonical_form, check_naive_psr,
+                           entails_bounded, find_countermodel)
 
 from oracles import (countermodel_exists, dpll_least_solution, random_model,
                      reference_solver_inputs, refutes)
+from oracles import _encode as reference_encode
+from sweep import sweep
 
 A22_SUPPORT = ("inItself", "perSeConceived", "intellectPerceivesAsEssence")
 
@@ -78,17 +80,6 @@ def test_refuted_models_omit_non_support_predicates():
     found = find_countermodel("PSRSubstance", "A12", SearchConfig(max_thing_size=2))
     model, _ = found
     assert set(model.tables) <= set(A22_SUPPORT)
-
-
-def test_explicit_support_freezes_other_predicates_false():
-    # With the perception predicate frozen everywhere-false there are no
-    # attributes, so the negated identity axiom cannot be satisfied; the
-    # verdict is exhaustion within the restricted support.
-    config = SearchConfig(max_thing_size=3,
-                          support_predicates=("inItself", "perSeConceived"))
-    verdict = entails_bounded("PSRSubstance", "A12", config)
-    assert isinstance(verdict, NoCounterexampleUpTo)
-    assert verdict.stats.support == ("inItself", "perSeConceived")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +247,7 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
 
         solutions = [bits for bits in itertools.product((0, 1), repeat=nvars)
                      if satisfied(bits)]
-        solver = _Solver(nvars, clauses, budget=10**6)
+        solver = _Solver(nvars, _encode(clauses, nvars), budget=10**6)
         answer = solver.solve()
         if not solutions:
             assert answer is None
@@ -275,7 +266,7 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
         clauses = [tuple(sorted(var if rng.random() < 0.5 else -var
                                 for var in rng.sample(range(1, nvars + 1), 3)))
                    for _ in range(round(4.26 * nvars))]
-        solver = _RecordingSolver(nvars, clauses, budget=10**7)
+        solver = _RecordingSolver(nvars, _encode(clauses, nvars), budget=10**7)
         answer = solver.solve()
         assert answer == dpll_least_solution(nvars, clauses)
         outcomes.add(answer is None)
@@ -362,7 +353,8 @@ def _branch_inputs(premises, target, n_things, n_worlds):
     target_formula = axiom_set([target])[0].formula
     things = tuple(f"t{i}" for i in range(n_things))
     worlds = tuple(f"w{i}" for i in range(n_worlds))
-    atoms = atom_space(premise_formulas + [target_formula], things, worlds)
+    atoms = atom_space(predicate_profiles(premise_formulas + [target_formula]),
+                       things, worlds)
     grounder = Grounder(things, worlds, atoms)
     sigma = [tuple(sorted(clause)) for formula in premise_formulas
              for clause in grounder.instantiate(compile_formula(nnf(formula)))()]
@@ -389,7 +381,8 @@ def test_generator_pruning_matches_full_group_and_no_pruning():
             for n_worlds in range(1, worlds + 1) if worlds else (0,):
                 for nvars, clauses in _branch_inputs(
                         premises, target, n_things, n_worlds):
-                    solution = _Solver(nvars, clauses, 10**8).solve()
+                    solution = _Solver(nvars, _encode(clauses, nvars),
+                                       10**8).solve()
                     assert solution == dpll_least_solution(nvars, clauses), \
                         (premises, target, n_things, n_worlds)
                     solved += solution is not None
@@ -398,14 +391,14 @@ def test_generator_pruning_matches_full_group_and_no_pruning():
 
 
 def _solver_inputs(monkeypatch, premises, target, config):
-    """The verdict, and (nvars, clauses, premises) of every solver the search
-    builds, in order."""
+    """The verdict, and (nvars, clauses) of every solver the search builds,
+    in order."""
     calls = []
 
     class Recording(_Solver):
-        def __init__(self, nvars, clauses, budget, premises=()):
-            calls.append((nvars, list(clauses), premises))
-            super().__init__(nvars, clauses, budget, premises)
+        def __init__(self, nvars, clauses, budget):
+            calls.append((nvars, list(clauses)))
+            super().__init__(nvars, clauses, budget)
 
     monkeypatch.setattr(search, "_Solver", Recording)
     return entails_bounded(premises, target, config), calls
@@ -426,10 +419,10 @@ def _assert_solver_inputs_match_the_reference(monkeypatch, premises, target,
             tuple(f"t{i}" for i in range(n_things)),
             tuple(f"w{i}" for i in range(n_worlds)), config.pruning)
     assert len(calls) == len(expected), (premises, target)
-    for k, (got, want) in enumerate(zip(calls, expected)):
-        assert got[0] == want[0], (premises, target, k, "nvars")
-        assert got[1] == want[1], (premises, target, k, "clauses")
-        assert got[2] == want[2], (premises, target, k, "premises")
+    for k, (got, (nvars, clauses, shared)) in enumerate(zip(calls, expected)):
+        assert got[0] == nvars, (premises, target, k, "nvars")
+        assert got[1] == shared + reference_encode(clauses), \
+            (premises, target, k, "clauses")
     return len(calls)
 
 
@@ -451,6 +444,16 @@ def test_solver_inputs_match_the_tree_walking_grounder_at_six_things(monkeypatch
     assert _assert_solver_inputs_match_the_reference(
         monkeypatch, "PSRSubstance", "PropV_allshared",
         SearchConfig(max_thing_size=6)) > 0
+
+
+def test_the_sweep_keeps_its_verdicts_and_counter_models():
+    # Every axiom and bundle against every axiom, up to 3 things and 2
+    # worlds, with and without pruning (tests/sweep.py).  The digest covers
+    # each verdict and its serialised counter-model.  A change to the
+    # search engine must leave it as it is.
+    searches, refuted, verdicts, _ = sweep()
+    assert (searches, refuted) == (1134, 1050)
+    assert verdicts == "6e7d2bc820584b54b09c1846dbe91c41"
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,7 @@ def test_repr_lists_the_fields_in_order():
         "'Thing'>, label='t0'),)))"
     assert repr(SearchConfig()) == (
         "SearchConfig(max_thing_size=4, max_world_size=None, "
-        "support_predicates=None, pruning='canonical', "
-        "node_budget=100000000)")
+        "pruning='canonical', node_budget=100000000)")
     assert repr(SearchStats(support=("inItself",), conflicts=3)) == (
         "SearchStats(support=('inItself',), candidates_visited=0, "
         "propagations=0, conflicts=3, pruned_subtrees=0, "
