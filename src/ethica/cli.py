@@ -39,8 +39,11 @@ NODE_BUDGET_ENV = "ETHICA_NODE_BUDGET"
 
 
 def _parse_selector(text: str):
-    """A bundle name, or a comma-separated list of axiom ids."""
+    """``--premises``: a bundle name, or a comma-separated list of axiom
+    ids.  A value naming no axiom is an error, never "no premises"."""
     tokens = [token.strip() for token in text.split(",") if token.strip()]
+    if not tokens:
+        raise ValueError("--premises names no axiom")
     if len(tokens) == 1 and tokens[0] in BUNDLES:
         return tokens[0]
     return tokens

@@ -40,6 +40,17 @@ index, false before true) followed by the auxiliary variables, so the table
 bits of its solution are the branch's least table solution; the reported
 model is the least canonical relabeling among branch solutions.  The result
 is identical across runs.
+
+Canonical relabeling is a filter, not a search over all n!·w! relabelings.
+The atoms are laid out predicate by predicate, so a relabeled bit vector is
+a sequence of fixed-length blocks, one per predicate, and its lexicographic
+minimum is found block by block: each block keeps only the relabelings
+under which it is least so far, ties included, and hands them to the next.
+A block's image indices are the grounder's mixed-radix arithmetic over the
+permuted element indices.  The first block that tells relabelings apart
+enumerates the permutations lazily, and a block whose bits are all equal is
+the same under every relabeling and is skipped.  The result is the brute
+force's least key exactly; the brute force is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -493,22 +504,62 @@ def _column_sorts(model: FiniteModel, pred: str, table) -> tuple[Sort, ...]:
     return tuple(sorts)
 
 
-def _least_relabeling(atoms, bits, things, worlds) -> tuple[int, ...]:
-    """The least bit vector over all sort-respecting relabelings of the
-    universes: entry i is the bit of the image of ``atoms[i]``.  The atom
-    list must be closed under relabeling."""
-    index = {atom: i for i, atom in enumerate(atoms)}
-    world_perms = list(itertools.permutations(worlds))
-    best = None
-    for tp in itertools.permutations(things):
-        for wp in world_perms:
-            image = dict(zip(things, tp))
-            image.update(zip(worlds, wp))
-            key = tuple(bits[index[pred, tuple(map(image.__getitem__, labels))]]
-                        for pred, labels in atoms)
-            if best is None or key < best:
-                best = key
-    return best
+def _relabelings(survivors, slots, n_things: int, n_worlds: int):
+    """Each survivor with its unfixed permutations among ``slots`` (0 for
+    things, 1 for worlds) replaced by every permutation, generated lazily."""
+    for thing_perm, world_perm in survivors:
+        for tp in (itertools.permutations(range(n_things))
+                   if thing_perm is None and 0 in slots else (thing_perm,)):
+            for wp in (itertools.permutations(range(n_worlds))
+                       if world_perm is None and 1 in slots else (world_perm,)):
+                yield tp, wp
+
+
+def _least_relabeling(profiles, bits: bytes, n_things: int,
+                      n_worlds: int) -> bytes:
+    """The least key over all sort-respecting relabelings of the universes:
+    byte i of a relabeling's key is the bit of the image of atom i of
+    ``atom_space(profiles, ...)``, whose bits ``bits`` holds.
+
+    The atoms are laid out predicate by predicate, so a key is a
+    concatenation of fixed-length blocks and the least key is found block
+    by block: each block keeps only the relabelings whose block is least so
+    far, ties included, and the next block filters those.  A relabeling is
+    a pair of permutations (things, worlds), element e going to perm[e]; a
+    permutation no block has needed yet is None, and is enumerated lazily
+    when a block first needs it.  A block whose bits are all equal is the
+    same under every relabeling and filters nothing."""
+    sizes = {Sort.THING: n_things, Sort.WORLD: n_worlds}
+    slot = {Sort.THING: 0, Sort.WORLD: 1}
+    survivors = [(None, None)]
+    key = []
+    offset = 0
+    for sorts in profiles.values():
+        # Image index: the offset plus the mixed-radix number of the
+        # permuted element indices, the first argument most significant.
+        args = []
+        length = 1
+        for s in reversed(sorts):
+            args.insert(0, (slot[s], length))
+            length *= sizes[s]
+        block = bits[offset:offset + length]
+        if 0 in block and 1 in block:
+            least = None
+            for relabeling in _relabelings(survivors, {a for a, _ in args},
+                                           n_things, n_worlds):
+                indices = [offset]
+                for a, weight in args:
+                    perm = relabeling[a]
+                    indices = [i + x * weight for i in indices for x in perm]
+                image = bytes([bits[i] for i in indices])
+                if least is None or image < least:
+                    least, kept = image, [relabeling]
+                elif image == least:
+                    kept.append(relabeling)
+            block, survivors = least, kept
+        key.append(block)
+        offset += length
+    return b"".join(key)
 
 
 def _tables(atoms, bits) -> dict[str, set]:
@@ -522,14 +573,22 @@ def _tables(atoms, bits) -> dict[str, set]:
 def canonical_form(model: FiniteModel) -> FiniteModel:
     """Relabel to the lexicographically least model among all sort-respecting
     permutations of each universe; idempotent, and equal on isomorphic models
-    presented over the same universe lists."""
-    atoms = atom_space({pred: _column_sorts(model, pred, table)
-                        for pred, table in sorted(model.tables.items())},
-                       model.things, model.worlds)
-    bits = [int(labels in model.tables[pred]) for pred, labels in atoms]
+    presented over the same universe lists.
+
+    Models are compared by their table bits in ``atom_space`` order, table
+    by table in name order.  The least relabeling is found table by table:
+    each table keeps only the relabelings under which its bits are least so
+    far, ties included, and the first table that tells relabelings apart
+    enumerates them lazily.  The answer is the one trying every relabeling
+    gives."""
+    profiles = {pred: _column_sorts(model, pred, table)
+                for pred, table in sorted(model.tables.items())}
+    atoms = atom_space(profiles, model.things, model.worlds)
+    bits = bytes([labels in model.tables[pred] for pred, labels in atoms])
     if sum(bits) != sum(map(len, model.tables.values())):
         raise LogicError("a table row has an element outside its column's universe")
-    best = _least_relabeling(atoms, bits, model.things, model.worlds)
+    best = _least_relabeling(profiles, bits, len(model.things),
+                             len(model.worlds))
     return FiniteModel(model.name, model.things, model.worlds,
                        _tables(atoms, best))
 
@@ -568,7 +627,7 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
             worlds = tuple(f"w{i}" for i in range(n_worlds))
             atoms = atom_space(profiles, things, worlds)
             best = _least_branch_key(premises, prefix, matrix, things,
-                                     worlds, atoms, config, stats)
+                                     worlds, profiles, atoms, config, stats)
             if best is not None:
                 model = FiniteModel("countermodel", things, worlds,
                                     _tables(atoms, best))
@@ -581,8 +640,8 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
     return NoCounterexampleUpTo(config.max_thing_size, world_bound, stats)
 
 
-def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
-                      config: SearchConfig, stats: SearchStats):
+def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
+                      atoms, config: SearchConfig, stats: SearchStats):
     """Ground one size and solve its branches: the least canonical key of
     a branch solution, or None when the size is exhausted.  What the size
     built is freed on return, before the next size is grounded."""
@@ -634,8 +693,8 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
         if solution is not None:
             # Equal keys denote the same model, so the first branch
             # reaching the least key decides it.
-            key = _least_relabeling(atoms, solution[:len(atoms)],
-                                    things, worlds)
+            key = _least_relabeling(profiles, bytes(solution[:len(atoms)]),
+                                    n_things, n_worlds)
             if best is None or key < best:
                 best = key
     return best

@@ -5,7 +5,9 @@ formulas with the plain evaluator, bypassing the grounding and search
 machinery entirely; search results are checked against them.  The search's
 DPLL solver without learning is kept here too, as an oracle for the
 clause-learning solver that replaced it, and so is the grounder that walked
-the formula tree at every size, as the reference for the compiled one.
+the formula tree at every size, as the reference for the compiled one, and
+the canonicaliser that tried every relabeling, as the reference for the
+block-wise filter.
 """
 
 import itertools
@@ -58,6 +60,25 @@ def refutes(model, premises, target):
 def countermodel_exists(premises, target, support, n_things, n_worlds=0):
     return any(refutes(model, premises, target)
                for model in all_models(support, n_things, n_worlds))
+
+
+def least_relabeling(atoms, bits, things, worlds) -> tuple[int, ...]:
+    """The least bit vector over all sort-respecting relabelings of the
+    universes: entry i is the bit of the image of ``atoms[i]``.  The atom
+    list must be closed under relabeling.  This is the brute force the
+    search used before its block-wise filter, kept as that filter's oracle."""
+    index = {atom: i for i, atom in enumerate(atoms)}
+    world_perms = list(itertools.permutations(worlds))
+    best = None
+    for tp in itertools.permutations(things):
+        for wp in world_perms:
+            image = dict(zip(things, tp))
+            image.update(zip(worlds, wp))
+            key = tuple(bits[index[pred, tuple(map(image.__getitem__, labels))]]
+                        for pred, labels in atoms)
+            if best is None or key < best:
+                best = key
+    return best
 
 
 def random_model(rng, n_things, support, n_worlds=0, density=0.5):

@@ -131,6 +131,12 @@ OUT_OF_RANGE_ARGVS = [
     ["entail", "--premises", "A24", "--target", "A14", "--max-worlds", "-1"],
 ]
 
+# An empty selector is a usage error, never "no premises".
+EMPTY_PREMISES_ARGVS = [
+    ["verify", "corpus:A12CounterModel", "--premises", "", "--target", "A12"],
+    ["search", "--premises", ",,", "--target", "A12"],
+]
+
 
 def test_usage_error_exits_two(capsys, monkeypatch):
     assert main(["search", "--premises", "A22"]) == 2  # missing --target
@@ -140,6 +146,10 @@ def test_usage_error_exits_two(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "must be >= " in err, argv
+    for argv in EMPTY_PREMISES_ARGVS:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error: --premises names no axiom" in err, argv
     for budget, message in (("0", "node_budget must be >= 1"),
                             ("-1", "node_budget must be >= 1"),
                             ("abc", "ETHICA_NODE_BUDGET")):

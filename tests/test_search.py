@@ -9,19 +9,21 @@ from ethica.grounding import (Grounder, atom_space, compile_formula,
                               definition_clauses, nnf, predicate_profiles)
 from ethica import search
 from ethica.logic import FiniteModel, Not, Sort, evaluate
-from ethica.registry import axiom, axiom_set
+from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_set
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
                            SearchConfig, SearchError, _encode,
                            _existential_prefix, _is_orbit_representative,
-                           _Solver, canonical_form, check_naive_psr,
-                           entails_bounded, find_countermodel)
+                           _least_relabeling, _Solver, canonical_form,
+                           check_naive_psr, entails_bounded, find_countermodel)
 
-from oracles import (countermodel_exists, dpll_least_solution, random_model,
-                     reference_solver_inputs, refutes)
+from oracles import (countermodel_exists, dpll_least_solution,
+                     least_relabeling, random_model, reference_solver_inputs,
+                     refutes)
 from oracles import _encode as reference_encode
 from sweep import sweep
 
 A22_SUPPORT = ("inItself", "perSeConceived", "intellectPerceivesAsEssence")
+SIGNATURE = tuple(sorted(decl.name for decl in ETHICA_SIGNATURE))
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +534,45 @@ def test_canonical_form_idempotent_on_random_models():
 
 
 def test_canonical_form_invariant_under_random_relabelings():
+    # The full signature with worlds has every sort pattern, ternary
+    # causeAt included, and relabels the worlds as well as the things.
     rng = random.Random(5)
-    support = ("inItself", "intellectPerceivesAsEssence")
-    for _ in range(200):
-        model = random_model(rng, 3, support)
-        perm = list(model.things)
-        rng.shuffle(perm)
-        mapping = dict(zip(model.things, perm))
-        permuted = FiniteModel(
-            model.name, model.things, model.worlds,
-            {pred: {tuple(mapping[x] for x in row) for row in table}
-             for pred, table in model.tables.items()})
-        assert canonical_form(permuted) == canonical_form(model)
+    for support, n_things, n_worlds, count in (
+            (("inItself", "intellectPerceivesAsEssence"), 3, 0, 200),
+            (SIGNATURE, 3, 2, 50), (SIGNATURE, 4, 3, 20)):
+        for _ in range(count):
+            model = random_model(rng, n_things, support, n_worlds)
+            mapping = {}
+            for universe in (model.things, model.worlds):
+                image = list(universe)
+                rng.shuffle(image)
+                mapping.update(zip(universe, image))
+            permuted = FiniteModel(
+                model.name, model.things, model.worlds,
+                {pred: {tuple(mapping[x] for x in row) for row in table}
+                 for pred, table in model.tables.items()})
+            assert canonical_form(permuted) == canonical_form(model)
+
+
+def test_least_relabeling_matches_the_brute_force_oracle():
+    # Sparse, even and dense tables, plus all-empty and all-full ones,
+    # under which every relabeling ties on every block.
+    rng = random.Random(20261018)
+    profiles = {name: ETHICA_SIGNATURE.declaration(name).argument_sorts
+                for name in SIGNATURE}
+    for n_things in range(1, 6):
+        for n_worlds in range(3):
+            things = tuple(f"t{i}" for i in range(n_things))
+            worlds = tuple(f"w{i}" for i in range(n_worlds))
+            atoms = atom_space(profiles, things, worlds)
+            cases = [bytes(len(atoms)), bytes([1] * len(atoms))]
+            for density in (0.1, 0.5, 0.9):
+                cases += [bytes([rng.random() < density for _ in atoms])
+                          for _ in range(2)]
+            for bits in cases:
+                assert _least_relabeling(profiles, bits, n_things, n_worlds) \
+                    == bytes(least_relabeling(atoms, bits, things, worlds)), \
+                    (n_things, n_worlds, bits)
 
 
 # ---------------------------------------------------------------------------
