@@ -5,7 +5,8 @@ Exit codes: 0 all attached expectations held; 1 an expectation or
 verification failed, or an internal error: a returned model failed the
 evaluator re-check, or an experiment's verdicts left its outcome
 undetermined; 2 usage or input error; 3 resource limit exceeded:
-the node budget ran out, or the process ran out of memory.
+the node budget ran out, or the process ran out of memory; 130
+interrupted (Ctrl-C).
 Output is deterministic: identical invocations produce byte-identical
 reports (elapsed times never appear in them).
 """
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERRUPTED = 130
 
 NODE_BUDGET_ENV = "ETHICA_NODE_BUDGET"
 
@@ -61,8 +63,7 @@ def _node_budget() -> int:
 
 
 def _worker_count(text: str) -> int:
-    """``--workers``: validated, then unused, since the search runs its
-    branches one after another."""
+    """``--workers``: the processes a search may solve its sizes in."""
     try:
         count = int(text)
     except ValueError:
@@ -143,7 +144,7 @@ def _render_verification(report: VerificationReport) -> str:
 def _cmd_search(args, verdict_only: bool = False) -> int:
     premises = _parse_selector(args.premises)
     config = _search_config(args)
-    verdict = entails_bounded(premises, args.target, config)
+    verdict = entails_bounded(premises, args.target, config, args.workers)
     if args.json:
         _emit_json(_direction_doc(premises, args.target, verdict, config))
         return EXIT_OK
@@ -174,7 +175,7 @@ def _cmd_experiment(args) -> int:
     ok = True
     docs = []
     for spec in chosen:
-        result = run_experiment(spec)
+        result = run_experiment(spec, args.workers)
         ok = ok and result.expectation_ok
         if args.json:
             docs.append(result.to_json_dict())
@@ -186,7 +187,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = reducibility_table(_node_budget())
+    table = reducibility_table(_node_budget(), args.workers)
     if args.json:
         _emit_json(table.to_json_dict())
     else:
@@ -196,7 +197,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_probe(args) -> int:
     config = _search_config(args, default_things=3)
-    verdict = conjecture_probe_full_register(config)
+    verdict = conjecture_probe_full_register(config, args.workers)
     if args.json:
         _emit_json(_direction_doc(list(PROBE_PREMISES), "A12", verdict, config))
         return EXIT_OK
@@ -246,9 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_workers_flag(p):
-        p.add_argument("--workers", type=_worker_count, metavar="N",
-                       help="accepted for compatibility; must be >= 1 and "
-                            "changes neither results nor speed")
+        p.add_argument("--workers", type=_worker_count, default=1, metavar="N",
+                       help="solve a search's sizes in up to N processes "
+                            "(default 1); results do not depend on N")
 
     def add_search_flags(p, with_target=True):
         if with_target:
@@ -332,6 +333,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (LogicError, RegistryError, LookupError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        # The search has killed and reaped its workers on the way out.
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

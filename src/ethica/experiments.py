@@ -313,12 +313,13 @@ def bundled_experiments(node_budget: int = DEFAULT_NODE_BUDGET
 # Running experiments
 # ---------------------------------------------------------------------------
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Execute every direction of the experiment, classify, and flag any
-    regression-expectation mismatch (flagged, never hidden)."""
+    regression-expectation mismatch (flagged, never hidden).  ``workers`` is
+    ``entails_bounded``'s."""
     directions = spec.directions()
     verdicts = {key: entails_bounded(direction.premises, direction.target,
-                                     spec.config)
+                                     spec.config, workers)
                 for key, direction in directions}
 
     corpus_report = None
@@ -443,14 +444,15 @@ class ReducibilityTable(Value):
         }
 
 
-def reducibility_table(node_budget: int = DEFAULT_NODE_BUDGET) -> ReducibilityTable:
+def reducibility_table(node_budget: int = DEFAULT_NODE_BUDGET,
+                       workers: int = 1) -> ReducibilityTable:
     """Run the four bundled demote experiments and assemble the table.
 
     An error of any experiment aborts the assembly and propagates as it is,
     so the table fails exactly as ``run_experiment`` does.
     """
     specs = bundled_experiments(node_budget)
-    return ReducibilityTable(tuple(run_experiment(specs[spec_name])
+    return ReducibilityTable(tuple(run_experiment(specs[spec_name], workers)
                                    for _, spec_name, _ in _TABLE_ROWS))
 
 
@@ -461,14 +463,14 @@ def reducibility_table(node_budget: int = DEFAULT_NODE_BUDGET) -> ReducibilityTa
 PROBE_PREMISES = ("A1", "A1e", "A8", "A9", "A10", "A11", "A22")
 
 
-def conjecture_probe_full_register(config: SearchConfig | None = None
-                                   ) -> EntailmentVerdict:
+def conjecture_probe_full_register(config: SearchConfig | None = None,
+                                   workers: int = 1) -> EntailmentVerdict:
     """Search for a counter-model to A12 under the full Section I bridge set
     plus substance distinguishability.  No expected verdict is attached:
     the question is open, and the report states whatever the search finds.
     """
     return entails_bounded(list(PROBE_PREMISES), "A12",
-                           config or SearchConfig(max_thing_size=3))
+                           config or SearchConfig(max_thing_size=3), workers)
 
 
 # ---------------------------------------------------------------------------

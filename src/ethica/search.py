@@ -39,7 +39,21 @@ in lexicographic order of the canonical table-bit encoding (ascending atom
 index, false before true) followed by the auxiliary variables, so the table
 bits of its solution are the branch's least table solution; the reported
 model is the least canonical relabeling among branch solutions.  The result
-is identical across runs.
+is identical across runs and worker counts.
+
+Each (things, worlds) size is an independent job with its own grounder,
+node budget and least key.  With ``workers`` above 1 the search forks up to
+that many processes (``workers.py``; never more than the sizes or the CPUs
+it may run on),
+and each solves a fixed share of the sizes and reports every size's key
+and counters; the reports are the ones the calling process would compute
+itself.  The calling process then walks the sizes in ascending order as
+the sequential search does: it sums the counters, fails at the first size
+out of budget, and builds and re-checks the model of the first size with a
+key.  So verdicts, models, counters and errors do not depend on the worker
+count.  Workers are forked, not spawned, so they start from the compiled
+formulas; a caller that runs threads of its own should keep ``workers`` at
+1, the default, which forks nothing.
 
 Canonical relabeling is a filter, not a search over all n!·w! relabelings.
 The atoms are laid out predicate by predicate, so a relabeled bit vector is
@@ -597,7 +611,10 @@ def canonical_form(model: FiniteModel) -> FiniteModel:
 # The bounded search
 # ---------------------------------------------------------------------------
 
-def _search(premises: Selector, target: str, config: SearchConfig) -> EntailmentVerdict:
+def _search(premises: Selector, target: str, config: SearchConfig,
+            workers: int = 1) -> EntailmentVerdict:
+    if workers < 1:
+        raise SearchError("workers must be >= 1")
     premise_entries = axiom_set(premises)
     target_entry = axiom_set([target])[0]
     premise_formulas = [entry.formula for entry in premise_entries]
@@ -611,41 +628,88 @@ def _search(premises: Selector, target: str, config: SearchConfig) -> Entailment
         if world_bound < 1:
             raise SearchError("the axioms mention World; max_world_size must be >= 1")
     world_range = list(range(1, world_bound + 1)) or [0]
+    sizes = [(n_things, n_worlds)
+             for n_things in range(1, config.max_thing_size + 1)
+             for n_worlds in world_range]
 
     profiles = predicate_profiles(all_formulas)
-    stats = SearchStats(support=tuple(profiles))
-    exhausted: list[tuple[int, int]] = []
     # The premises and the negated target's matrix are compiled once per
     # search; every size instantiates them.
     premises = [compile_formula(nnf(formula)) for formula in premise_formulas]
     prefix, matrix = _existential_prefix(nnf(Not(target_entry.formula)))
     matrix = compile_formula(matrix, prefix)
 
-    for n_things in range(1, config.max_thing_size + 1):
-        for n_worlds in world_range:
-            things = tuple(f"t{i}" for i in range(n_things))
-            worlds = tuple(f"w{i}" for i in range(n_worlds))
-            atoms = atom_space(profiles, things, worlds)
-            best = _least_branch_key(premises, prefix, matrix, things,
-                                     worlds, profiles, atoms, config, stats)
-            if best is not None:
-                model = FiniteModel("countermodel", things, worlds,
-                                    _tables(atoms, best))
-                stats.sizes_exhausted = tuple(exhausted)
-                _recheck(model, premise_entries, target_entry)
-                return Refuted(model, n_things, n_worlds, stats)
-            exhausted.append((n_things, n_worlds))
+    def universes(index):
+        n_things, n_worlds = sizes[index]
+        things = tuple(f"t{i}" for i in range(n_things))
+        worlds = tuple(f"w{i}" for i in range(n_worlds))
+        return things, worlds, atom_space(profiles, things, worlds)
+
+    def solve(index):
+        return _least_branch_key(premises, prefix, matrix, *universes(index),
+                                 profiles, config)
+
+    # The walk draws the sizes' outcomes in ascending order: counters are
+    # summed in size order, and the first size out of budget or with a key
+    # ends it, before any later size is solved or any worker forked.
+    stats = SearchStats(support=tuple(profiles))
+    exhausted: list[tuple[int, int]] = []
+    outcomes = _outcomes(solve, [n_things for n_things, _ in sizes], workers)
+    for index, (size, outcome) in enumerate(zip(sizes, outcomes)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        key, counters = outcome
+        if counters is None:
+            # An unexhausted size cannot show that a model found in a
+            # branch is the least one.
+            raise ResourceLimitExceeded(*size, config.node_budget)
+        for name, value in zip(STATS_COUNTERS, counters):
+            setattr(stats, name, getattr(stats, name) + value)
+        if key is not None:
+            things, worlds, atoms = universes(index)
+            model = FiniteModel("countermodel", things, worlds,
+                                _tables(atoms, key))
+            stats.sizes_exhausted = tuple(exhausted)
+            _recheck(model, premise_entries, target_entry)
+            return Refuted(model, *size, stats)
+        exhausted.append(size)
 
     stats.sizes_exhausted = tuple(exhausted)
     return NoCounterexampleUpTo(config.max_thing_size, world_bound, stats)
 
 
-def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
-                      atoms, config: SearchConfig, stats: SearchStats):
+#: Sizes of at most this many things are solved in the calling process
+#: before any worker is forked: each takes about a millisecond, and every
+#: counter-model found so far has at most 2 things, so forking for them
+#: would only delay the common answer.
+SEQUENTIAL_THINGS = 2
+
+
+def _outcomes(solve, thing_sizes: Sequence[int], workers: int):
+    """``solve(index)`` for each size in ascending order, lazily.  With
+    more than one worker, the sizes above ``SEQUENTIAL_THINGS`` things are
+    solved in worker processes (``workers.solve_sizes``) once the walk
+    reaches them; the outcome of such a size whose solve raised is the
+    exception, which the walk raises."""
+    head = len(thing_sizes) if workers == 1 else \
+        sum(n <= SEQUENTIAL_THINGS for n in thing_sizes)
+    yield from map(solve, range(head))
+    if head < len(thing_sizes):
+        # Imported here, so that a search in one process does not compile
+        # the module.
+        from .workers import solve_sizes
+        yield from solve_sizes(solve, head, len(thing_sizes), workers)
+
+
+def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
+                      profiles, config: SearchConfig):
     """Ground one size and solve its branches: the least canonical key of
-    a branch solution, or None when the size is exhausted.  What the size
-    built is freed on return, before the next size is grounded."""
+    a branch solution (None when the size is exhausted) and the size's
+    counters in ``STATS_COUNTERS`` order, or (None, None) when the size
+    ran out of node budget.  What the size built is freed on return,
+    before the next size is grounded."""
     n_things, n_worlds = len(things), len(worlds)
+    stats = SearchStats()
     prefix_sorts = [sort for _, sort in prefix]
     grounder = Grounder(things, worlds, atoms)
     # The premise clauses and their definitions go to literal codes in one
@@ -682,10 +746,7 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
         try:
             solution = solver.solve()
         except _BudgetExceeded:
-            # An unexhausted size cannot show that a model found in
-            # an earlier branch is the least one.
-            raise ResourceLimitExceeded(
-                n_things, n_worlds, config.node_budget) from None
+            return None, None
         remaining -= solver.steps
         stats.candidates_visited += solver.decisions
         stats.propagations += solver.steps
@@ -697,7 +758,8 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
                                     n_things, n_worlds)
             if best is None or key < best:
                 best = key
-    return best
+    return best, tuple(
+        getattr(stats, name) for name in STATS_COUNTERS)
 
 
 def _recheck(model: FiniteModel, premise_entries, target_entry) -> None:
@@ -724,10 +786,13 @@ def find_countermodel(premises: Selector, target: str,
 
 
 def entails_bounded(premises: Selector, target: str,
-                    config: SearchConfig | None = None) -> EntailmentVerdict:
+                    config: SearchConfig | None = None,
+                    workers: int = 1) -> EntailmentVerdict:
     """Refuted(model) when a counter-model exists up to the bound, otherwise
-    NoCounterexampleUpTo(bound); never a claim of unbounded validity."""
-    return _search(premises, target, config or SearchConfig())
+    NoCounterexampleUpTo(bound); never a claim of unbounded validity.
+    ``workers`` above 1 solves the sizes in that many processes at most,
+    forked for the search; the result does not depend on it."""
+    return _search(premises, target, config or SearchConfig(), workers)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,32 @@ def test_out_of_memory_exits_three_without_traceback(capsys, monkeypatch):
         assert out == "", argv
 
 
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    from ethica import cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt()
+    monkeypatch.setattr(cli, "entails_bounded", interrupted)
+    code, out, err = run_cli(capsys, "entail", "--premises", "PSRSubstance",
+                             "--target", "A12", "--workers", "2")
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert "Traceback" not in err
+
+
+def test_search_output_is_identical_across_worker_counts(capsys):
+    for argv in (("search", "--premises", "PSRPlenitude", "--target", "A15",
+                  "--max-things", "5"),
+                 ("search", "--premises", "PSRSubstance", "--target", "A12",
+                  "--max-things", "6", "--json"),
+                 ("entail", "--premises", "A23,A18,A3m", "--target", "A13",
+                  "--max-things", "4", "--max-worlds", "3"),
+                 ("probe", "full-register", "--json")):
+        first = run_cli(capsys, *argv, "--workers", "1")
+        assert first[0] == 0
+        for workers in ("2", "3"):
+            assert run_cli(capsys, *argv, "--workers", workers) == first, argv
+
+
 def _raising(error):
     def run(*args, **kwargs):
         raise error
@@ -289,7 +315,7 @@ def test_table_byte_identical_across_invocations(capsys):
 
 
 def test_table_is_identical_across_worker_counts(capsys):
-    # --workers is validated and otherwise selects nothing.
+    # --workers sets only how many processes solve a search's sizes.
     assert run_cli(capsys, "table", "--workers", "1") == \
         run_cli(capsys, "table", "--workers", "3")
 

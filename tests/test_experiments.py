@@ -250,7 +250,7 @@ def test_probe_statistics_show_pruning_at_work():
 def test_table_reraises_memory_error_unwrapped(monkeypatch):
     from ethica import experiments
 
-    def out_of_memory(spec):
+    def out_of_memory(spec, workers):
         raise MemoryError()
     monkeypatch.setattr(experiments, "run_experiment", out_of_memory)
     with pytest.raises(MemoryError):
