@@ -8,12 +8,11 @@ assignment makes the source formula true on the fixed universes iff some
 assignment of the auxiliary variables extends it to satisfy the clauses.
 
 The encoding is definitional (Tseitin 1968; Plaisted and Greenbaum 1986):
-inside a disjunction, every multi-clause part but the widest is replaced by
-one auxiliary literal ``v``, defined in one direction only by the clauses
-``not v or c`` for each clause ``c`` of the part, after unit propagation
-inside the part.  Formulas are put in negation normal form first, so the
-polarity rules live only in ``nnf``.  Auxiliary variables are numbered after
-all table atoms.
+inside a disjunction, every multi-clause part is replaced by one auxiliary
+literal ``v``, defined in one direction only by the clauses ``not v or c``
+for each clause ``c`` of the part, so a disjunction grounds to one clause.
+Formulas are put in negation normal form first, so the polarity rules live
+only in ``nnf``.  Auxiliary variables are numbered after all table atoms.
 
 The atoms come from predicate profiles: ``predicate_profiles`` walks the
 formulas once for each predicate's argument sorts, and ``atom_space`` lays
@@ -441,9 +440,9 @@ class Grounder:
         self.positive = [[frozenset((v,))] for v in range(1, self.natoms + 1)]
         self.negative = [[frozenset((-v,))] for v in range(1, self.natoms + 1)]
         self.definitions: list[Definition] = []
-        # Part list id -> [the list, its unit reduction, its aux or 0]; the
-        # entry holds the list, so its id cannot be reused.
-        self._parts: dict[int, list] = {}
+        # Part list id -> (the list, its aux); the entry holds the list, so
+        # its id cannot be reused.
+        self._parts: dict[int, tuple[list[Clause], int]] = {}
 
     def instantiate(self, compiled: CompiledFormula):
         """The function from the element indices of a compiled formula's
@@ -461,88 +460,28 @@ class Grounder:
         return clauses
 
     def disjoin(self, parts: list[list[Clause]]) -> list[Clause]:
-        # An empty part ([] = true) makes the whole disjunction true.  The
-        # first widest part is kept; every other multi-clause part is
-        # replaced by its aux literal, so each clause of the widest part
-        # gains the other parts' literals and the product never multiplies
-        # two sides.
+        # An empty part ([] = true) makes the whole disjunction true.  Every
+        # multi-clause part is replaced by its aux literal, so the
+        # disjunction is one clause, or true when its literals clash.
         if not all(parts):
             return _TRIVIALLY_TRUE
-        widest = max(parts, key=len)
-        extra: set[int] = set()
+        literals: set[int] = set()
         for clauses in parts:
-            if clauses is not widest:
-                if len(clauses) == 1:
-                    extra |= clauses[0]
-                else:
-                    extra.add(self._aux(clauses))
-        reduced = widest if len(widest) == 1 else self._part(widest)[1]
-        if not extra:
-            return list(dict.fromkeys(reduced))
-        # No clause the grounder makes is a tautology (literals, subsets of
-        # its clauses, and merges filtered here), so a merged clause is one
-        # exactly when ``negated`` meets its clause or ``extra`` itself.
-        negated = {-lit for lit in extra}
-        if not negated.isdisjoint(extra):
-            return []
-        return list(dict.fromkeys([clause | extra for clause in reduced
-                                   if negated.isdisjoint(clause)]))
-
-    def _part(self, clauses: list[Clause]) -> list:
-        entry = self._parts.get(id(clauses))
-        if entry is None:
-            entry = self._parts[id(clauses)] = [clauses, _unit_reduced(clauses), 0]
-        return entry
+            if len(clauses) == 1:
+                literals |= clauses[0]
+            else:
+                literals.add(self._aux(clauses))
+        if not literals.isdisjoint([-lit for lit in literals]):
+            return _TRIVIALLY_TRUE
+        return [frozenset(literals)]
 
     def _aux(self, clauses: list[Clause]) -> int:
-        entry = self._part(clauses)
-        if not entry[2]:
-            entry[2] = self.natoms + len(self.definitions) + 1
-            self.definitions.append((entry[2], tuple(entry[1])))
-        return entry[2]
-
-
-def _unit_reduced(clauses: list[Clause]) -> list[Clause]:
-    """Unit propagation inside one conjunction: clauses containing a unit
-    are dropped, negated units are struck from the rest.
-
-    Under a disjunction the units stop being units, so the solver's own
-    propagation would miss these consequences.  They matter because
-    Attribute(a, s) repeats Substance(s): without them the search for
-    PSRPlenitude |= A15 up to 3 things makes 3,150 decisions instead of 2,202.
-    """
-    while True:
-        units: set[int] = set()
-        for clause in clauses:
-            if len(clause) == 1:
-                units |= clause
-        if not units:
-            return clauses
-        negated = {-lit for lit in units}
-        if not negated.isdisjoint(units):
-            return _TRIVIALLY_FALSE
-        for clause in clauses:
-            if len(clause) > 1 and not (units.isdisjoint(clause)
-                                        and negated.isdisjoint(clause)):
-                break
-        else:
-            return clauses
-        reduced: list[Clause] = []
-        # Only a clause struck down to one literal can make a new unit.
-        again = False
-        for clause in clauses:
-            if len(clause) > 1:
-                if not units.isdisjoint(clause):
-                    continue
-                clause = clause - negated
-                if len(clause) < 2:
-                    if not clause:
-                        return _TRIVIALLY_FALSE
-                    again = True
-            reduced.append(clause)
-        if not again:
-            return reduced
-        clauses = reduced
+        entry = self._parts.get(id(clauses))
+        if entry is None:
+            var = self.natoms + len(self.definitions) + 1
+            self.definitions.append((var, tuple(clauses)))
+            entry = self._parts[id(clauses)] = (clauses, var)
+        return entry[1]
 
 
 def definition_clauses(definitions: Iterable[Definition]) -> list[Clause]:

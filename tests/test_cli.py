@@ -100,7 +100,7 @@ def test_search_stats_line_pins_the_counters(capsys):
     assert code == 0
     assert out.splitlines()[:2] == [
         "NoCounterexampleUpTo(4)",
-        "stats: candidates=324 propagations=2482 pruned=85 branches=15"]
+        "stats: candidates=308 propagations=2559 pruned=85 branches=15"]
 
 
 def test_search_json_validates_direction_schema(capsys):

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from ethica.grounding import (Grounder, GroundingError, atom_space,
-                              compile_formula, evaluate_via_grounding, ground,
-                              nnf, predicate_profiles)
+                              compile_formula, definition_clauses,
+                              evaluate_via_grounding, ground, nnf,
+                              predicate_profiles)
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
                           evaluate, mentions_world)
@@ -70,17 +71,24 @@ def test_plenitude_axioms_ground_at_five_things_in_under_a_thousand_clauses():
         assert len(constraints.clauses) < 1000, axiom_id
 
 
-def test_definitions_are_unit_reduced():
-    # Attribute(a, s) repeats Substance(s), so IsGod's parts carry their
-    # units again inside longer clauses; under an aux literal the solver
-    # could no longer propagate them away.
-    constraints = ground(axiom("A25").formula, ("e0", "e1", "e2"))
-    assert constraints.definitions
-    for _, clauses in constraints.definitions:
-        units = {lit for clause in clauses if len(clause) == 1 for lit in clause}
-        for clause in clauses:
-            if len(clause) > 1:
-                assert not any(lit in units or -lit in units for lit in clause)
+def test_a_disjunction_of_conjunctions_grounds_to_one_clause_of_aux_literals():
+    # Each multi-clause part becomes one aux literal, defined by the part's
+    # own clauses, and the disjunction one clause of those literals.
+    def both(a, b, e):
+        return And((Pred(a, (Elem(T, e),)), Pred(b, (Elem(T, e),))))
+    formula = Or((both("inItself", "perSeConceived", "e0"),
+                  both("inAnother", "conceivedThroughAnother", "e0")))
+    constraints = ground(formula, ("e0",))
+    index = {pred: constraints.atom_index((pred, ("e0",))) + 1
+             for pred, _ in constraints.atoms}
+    first, second = len(index) + 1, len(index) + 2
+    assert constraints.definitions == (
+        (first, (frozenset((index["inItself"],)),
+                 frozenset((index["perSeConceived"],)))),
+        (second, (frozenset((index["inAnother"],)),
+                  frozenset((index["conceivedThroughAnother"],)))))
+    assert constraints.clauses == (frozenset((first, second)),) + tuple(
+        definition_clauses(constraints.definitions))
 
 
 def test_agreement_with_evaluator_on_trivial_formula(a12):

@@ -11,7 +11,7 @@ from ethica import search
 from ethica.logic import FiniteModel, Not, Sort, evaluate
 from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_set
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
-                           SearchConfig, SearchError, _encode,
+                           SearchConfig, SearchError, SearchStats, _encode,
                            _existential_prefix, _is_orbit_representative,
                            _least_relabeling, _Solver, canonical_form,
                            check_naive_psr, entails_bounded, find_countermodel)
@@ -346,6 +346,20 @@ def test_a25_self_entailment_needs_fewer_decisions_than_the_distributed_cnf():
                               SearchConfig(max_thing_size=3, max_world_size=2))
     assert isinstance(verdict, NoCounterexampleUpTo)
     assert verdict.stats.candidates_visited < 7_502
+
+
+def test_propv_allshared_at_sixteen_things_pins_the_counters():
+    # A disjunction grounds to one clause of aux literals.  Keeping its
+    # widest part inline, with the other parts' literals merged into each of
+    # its clauses, made 2,040 decisions and 389,524 propagations here.
+    verdict = entails_bounded("PSRSubstance", "PropV_allshared",
+                              SearchConfig(max_thing_size=16))
+    assert isinstance(verdict, NoCounterexampleUpTo)
+    assert verdict.stats == SearchStats(
+        support=("inItself", "intellectPerceivesAsEssence", "perSeConceived"),
+        candidates_visited=240, propagations=51_775, conflicts=150,
+        pruned_subtrees=1_465, branches_total=31,
+        sizes_exhausted=tuple((n, 0) for n in range(1, 17)))
 
 
 def _branch_inputs(premises, target, n_things, n_worlds):

@@ -89,9 +89,9 @@ def test_bundled_directions_agree_across_worker_counts(any_cpus):
 
 
 def test_node_budget_fails_at_the_same_size_across_worker_counts(any_cpus):
-    # At 200 steps size 4 fails, which a worker solves; at 1000 size 6,
+    # At 200 steps size 4 fails, which a worker solves; at 600 size 6,
     # which the calling process solves when there are two.
-    for budget, size in ((200, 4), (1000, 6)):
+    for budget, size in ((200, 4), (600, 6)):
         config = SearchConfig(max_thing_size=8, node_budget=budget)
         assert search_all("PSRSubstance", "PropV_allshared", config) == \
             [(size, 0, budget)] * len(WORKER_COUNTS)
