@@ -6,6 +6,10 @@ distinct individuals.  The clause set is a conjunction of disjunctions of
 signed literals over the table atoms and over auxiliary variables.  A table
 assignment makes the source formula true on the fixed universes iff some
 assignment of the auxiliary variables extends it to satisfy the clauses.
+A clause is a tuple of signed literals (``-v`` for not v) in ascending
+order, the DIMACS convention; ``()`` is false.  The search's solver reads
+it unchanged and watches a clause's first two literals, so the order fixes
+the search's counters.
 
 The encoding is definitional (Tseitin 1968; Plaisted and Greenbaum 1986):
 inside a disjunction, every multi-clause part is replaced by one auxiliary
@@ -39,7 +43,7 @@ from .logic import (FALSE, TRUE, And, Eq, EvaluationError, Exists,
                     Not, Or, Pred, Sort, TrueF, FalseF, Value, Var)
 
 Atom = tuple[str, tuple[str, ...]]
-Clause = frozenset[int]
+Clause = tuple[int, ...]
 #: An auxiliary variable and the clauses it implies.
 Definition = tuple[int, tuple[Clause, ...]]
 
@@ -51,9 +55,9 @@ class GroundingError(LogicError):
 class GroundConstraintSet(Value):
     """Propositional clauses over ground atoms for a fixed pair of universes.
 
-    Literals are 1-based signed variable indices: the table atoms come
-    first, then the auxiliary variables of ``definitions`` (inner
-    definitions first), whose defining clauses are part of ``clauses``.  An
+    Clauses are ascending tuples of 1-based signed variable indices: the
+    table atoms come first, then the auxiliary variables of ``definitions``
+    (inner definitions first), whose defining clauses end ``clauses``.  An
     empty clause marks an unsatisfiable set.
     """
 
@@ -186,7 +190,7 @@ def atom_space(profiles: Mapping[str, Sequence[Sort]], things: Sequence[str],
 # ---------------------------------------------------------------------------
 
 _TRIVIALLY_TRUE: list[Clause] = []
-_TRIVIALLY_FALSE: list[Clause] = [frozenset()]
+_TRIVIALLY_FALSE: list[Clause] = [()]
 
 
 class CompiledFormula:
@@ -437,8 +441,8 @@ class Grounder:
         self.natoms = len(atoms)
         # One shared clause list per literal: single-clause parts are never
         # replaced by an auxiliary variable, so their identity is free.
-        self.positive = [[frozenset((v,))] for v in range(1, self.natoms + 1)]
-        self.negative = [[frozenset((-v,))] for v in range(1, self.natoms + 1)]
+        self.positive = [[(v,)] for v in range(1, self.natoms + 1)]
+        self.negative = [[(-v,)] for v in range(1, self.natoms + 1)]
         self.definitions: list[Definition] = []
         # Part list id -> (the list, its aux); the entry holds the list, so
         # its id cannot be reused.
@@ -468,12 +472,12 @@ class Grounder:
         literals: set[int] = set()
         for clauses in parts:
             if len(clauses) == 1:
-                literals |= clauses[0]
+                literals.update(clauses[0])
             else:
                 literals.add(self._aux(clauses))
         if not literals.isdisjoint([-lit for lit in literals]):
             return _TRIVIALLY_TRUE
-        return [frozenset(literals)]
+        return [tuple(sorted(literals))]
 
     def _aux(self, clauses: list[Clause]) -> int:
         entry = self._parts.get(id(clauses))
@@ -485,8 +489,9 @@ class Grounder:
 
 
 def definition_clauses(definitions: Iterable[Definition]) -> list[Clause]:
-    """The clauses ``not v or c`` for each clause ``c`` defining ``v``."""
-    return [clause | {-var} for var, clauses in definitions for clause in clauses]
+    """The clauses ``not v or c`` for each clause ``c`` defining ``v``; v is
+    numbered after every variable of c, so ``-v`` leads and they stay sorted."""
+    return [(-var,) + clause for var, clauses in definitions for clause in clauses]
 
 
 def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),

@@ -7,16 +7,16 @@ and the premises and the matrix of the negated target are compiled once
 (``grounding.compile_formula``).  Each size lays out its atoms from the
 profiles and grounds the premises once, definitionally: auxiliary variables
 stand for shared ground subformulas and are numbered after the table atoms.
-The premise clauses and their definitions are converted to literal codes in
-one pass per size and shared read-only by the size's branches.  The negated
-target's existential prefix is split into instantiation branches (orbit
-representatives under canonical pruning); each branch grounds the matrix
-with the prefix bound to the branch's element indices and converts it, with
-the definitions made after the premises, to literal codes.  The solver
-takes one list of literal-coded clauses, the shared premises first, and
-decides it by conflict-driven clause learning: watched literals over
-literal-indexed arrays, first-UIP learned clauses and backjumping (Een &
-Sorensson, "An extensible SAT-solver", 2003).
+The negated target's existential prefix is split into instantiation
+branches (orbit representatives under canonical pruning); each grounds the
+matrix with the prefix bound to the branch's element indices.  The solver
+takes the grounder's clauses as they are, tuples of signed literals in
+ascending order (the DIMACS convention): the size's premise clauses and
+definitions, shared read-only, then the branch's.  It decides them by
+conflict-driven clause learning: watched literals over arrays indexed by
+signed literal, first-UIP learned clauses and backjumping (Een & Sorensson,
+"An extensible SAT-solver", 2003).  A clause's first two literals are its
+first watches, so the literal order fixes every reported counter.
 
 The solver always decides the lowest unassigned variable, false first, and
 neither restarts, reorders variables nor deletes clauses, so its first
@@ -72,8 +72,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from .grounding import (Definition, Grounder, atom_space, compile_formula,
-                        nnf, predicate_profiles)
+from .grounding import (Grounder, atom_space, compile_formula,
+                        definition_clauses, nnf, predicate_profiles)
 from .logic import (Exists, FiniteModel, Formula, LogicError, Not, Sort,
                     Value, evaluate, mentions_world)
 from .registry import Selector, axiom_set
@@ -219,35 +219,18 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _encode(clauses: Sequence[Sequence[int]], nvars: int,
-            definitions: Sequence[Definition] = ()) -> list[tuple[int, ...]]:
-    """Clauses over variables 1..nvars (``-v`` for not v), then the clauses
-    ``not v or c`` for each clause ``c`` defining ``v``, as tuples of
-    literal codes: variable v - 1 becomes 2(v - 1), its negation
-    2(v - 1) + 1.  Codes follow the literals in ascending order; ``not v``
-    is the least literal of the clauses defining v, so its code leads."""
-    # code[lit] is the code of a literal, negative ones indexed from the end.
-    code = [0] * (2 * nvars + 1)
-    code[1:nvars + 1] = range(0, 2 * nvars, 2)
-    code[nvars + 1:] = range(2 * nvars - 1, 0, -2)
-    get = code.__getitem__
-    out = [tuple(map(get, sorted(clause))) for clause in clauses]
-    out += [(var + var - 1,) + tuple(map(get, sorted(clause)))
-            for var, defining in definitions for clause in defining]
-    return out
-
-
 class _Solver:
     """Conflict-driven clause learning over a fixed clause list; returns the
     lexicographically least satisfying assignment (ascending variable index,
     false before true) as a list of 0/1 values.
 
-    ``clauses`` are in literal codes (``_encode``).  The clause tuples may
-    be shared read-only with other solvers: watch positions live in the
-    solver's own ``w1``/``w2``, so no clause is reordered or copied.  The
-    solver keeps its own list of them, to which it appends the clauses it
-    learns.  ``steps`` counts assignments, decisions included, against
-    ``budget``."""
+    ``clauses`` are the grounder's: tuples of signed literals over variables
+    1..nvars (``-v`` for not v) in ascending order, whose first two
+    literals are the first watches, so the order fixes every counter.  The
+    tuples may be shared read-only with other solvers: watch positions live
+    in the solver's own ``w1``/``w2``.  The solver keeps its own list of
+    them, to which it appends the clauses it learns.  ``steps`` counts
+    assignments, decisions included, against ``budget``."""
 
     def __init__(self, nvars: int, clauses: Sequence[Sequence[int]],
                  budget: int):
@@ -257,17 +240,19 @@ class _Solver:
         self.decisions = 0
         self.conflicts = 0
         self.clauses = list(clauses)
-        # Values and watch lists are indexed by literal code; levels and
-        # reasons (clause indices, -1 for decisions) by variable.
-        self.vals = [-1] * (2 * nvars)
-        self.watches: list[list[int]] = [[] for _ in range(2 * nvars)]
-        self.level = [0] * nvars
-        self.reason = [-1] * nvars
-        self.seen = bytearray(nvars)
+        # Indexed by signed literal, negative ones from the end: values and
+        # watch lists at every literal; levels, reasons (clause indices, -1
+        # for decisions) and analysis marks at the literal that is true.
+        size = 2 * nvars + 1
+        self.vals = [-1] * size
+        self.watches: list[list[int]] = [[] for _ in range(size)]
+        self.level = [0] * size
+        self.reason = [-1] * size
+        self.seen = bytearray(size)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.next_var = 0
+        self.next_var = 1
         self.w1: list[int] = []
         self.w2: list[int] = []
         self.units: list[tuple[int, int]] = []
@@ -279,8 +264,8 @@ class _Solver:
                 self.watches[clause[0]].append(ci)
                 self.watches[clause[1]].append(ci)
             else:
-                self.w1.append(-1)
-                self.w2.append(-1)
+                self.w1.append(0)
+                self.w2.append(0)
                 if clause:
                     self.units.append((clause[0], ci))
                 else:
@@ -288,33 +273,54 @@ class _Solver:
 
     def _enqueue(self, lit: int, reason: int) -> None:
         self.vals[lit] = 1
-        self.vals[lit ^ 1] = 0
-        var = lit >> 1
-        self.level[var] = len(self.trail_lim)
-        self.reason[var] = reason
+        self.vals[-lit] = 0
+        self.level[lit] = len(self.trail_lim)
+        self.reason[lit] = reason
         self.trail.append(lit)
         self.steps += 1
         if self.steps > self.budget:
             raise _BudgetExceeded()
 
     def _propagate(self) -> int:
-        """Unit propagation from ``qhead``; the index of a clause whose
-        literals are all false, or -1."""
+        """Unit propagation from ``qhead``, deciding the lowest unassigned
+        variable, false first, whenever nothing is left to propagate (here,
+        to save a call per decision): the index of a clause whose literals
+        are all false, or -1 once every variable is assigned."""
         vals = self.vals
         watches = self.watches
         clauses = self.clauses
         w1 = self.w1
         w2 = self.w2
         trail = self.trail
+        trail_lim = self.trail_lim
         level = self.level
         reason = self.reason
-        lvl = len(self.trail_lim)
+        nvars = self.nvars
+        lvl = len(trail_lim)
         steps = self.steps
         budget = self.budget
         qhead = self.qhead
+        var = self.next_var
         conflict = -1
-        while qhead < len(trail):
-            false_lit = trail[qhead] ^ 1
+        while True:
+            if qhead == len(trail):
+                while var <= nvars and vals[var] != -1:
+                    var += 1
+                if var > nvars:
+                    break
+                self.decisions += 1
+                trail_lim.append(qhead)
+                lvl += 1
+                vals[-var] = 1
+                vals[var] = 0
+                level[-var] = lvl
+                reason[-var] = -1
+                trail.append(-var)
+                steps += 1
+                if steps > budget:
+                    self.steps = steps
+                    raise _BudgetExceeded()
+            false_lit = -trail[qhead]
             qhead += 1
             watchers = watches[false_lit]
             if not watchers:
@@ -330,8 +336,8 @@ class _Solver:
                     continue
                 for cand in clauses[ci]:
                     # false_lit itself is false, so only the other watch
-                    # needs excluding.
-                    if vals[cand] != 0 and cand != other:
+                    # needs excluding; comparing first spares its lookup.
+                    if cand != other and vals[cand] != 0:
                         w1[ci] = other
                         w2[ci] = cand
                         watches[cand].append(ci)
@@ -345,10 +351,9 @@ class _Solver:
                         conflict = ci
                         break
                     vals[other] = 1
-                    vals[other ^ 1] = 0
-                    var = other >> 1
-                    level[var] = lvl
-                    reason[var] = ci
+                    vals[-other] = 0
+                    level[other] = lvl
+                    reason[other] = ci
                     trail.append(other)
                     steps += 1
                     if steps > budget:
@@ -359,6 +364,7 @@ class _Solver:
                 break
         self.steps = steps
         self.qhead = qhead
+        self.next_var = var
         return conflict
 
     def _backtrack(self, lvl: int) -> None:
@@ -368,10 +374,10 @@ class _Solver:
         trail = self.trail
         vals = self.vals
         stop = trail_lim[lvl]
-        # Every variable below the first undone decision is still assigned.
-        self.next_var = trail[stop] >> 1
+        # Variables below the first undone decision, -var, stay assigned.
+        self.next_var = -trail[stop]
         for lit in trail[stop:]:
-            vals[lit] = vals[lit ^ 1] = -1
+            vals[lit] = vals[-lit] = -1
         del trail[stop:]
         del trail_lim[lvl:]
         self.qhead = stop
@@ -386,34 +392,33 @@ class _Solver:
         trail = self.trail
         seen = self.seen
         current = len(self.trail_lim)
-        learnt = [-1]
+        learnt = [0]
         pending = 0
-        p = -1
+        p = 0
         index = len(trail)
         while True:
             for q in lits:
-                var = q >> 1
-                if q == p or seen[var] or level[var] == 0:
+                if q == p or seen[-q] or level[-q] == 0:
                     continue
-                seen[var] = 1
-                if level[var] == current:
+                seen[-q] = 1
+                if level[-q] == current:
                     pending += 1
                 else:
                     learnt.append(q)
             index -= 1
-            while not seen[trail[index] >> 1]:
+            while not seen[trail[index]]:
                 index -= 1
             p = trail[index]
-            seen[p >> 1] = 0
+            seen[p] = 0
             pending -= 1
             if pending == 0:
                 break
-            lits = clauses[reason[p >> 1]]
-        learnt[0] = p ^ 1
+            lits = clauses[reason[p]]
+        learnt[0] = -p
         best = 1
         for k in range(1, len(learnt)):
-            seen[learnt[k] >> 1] = 0
-            if level[learnt[k] >> 1] > level[learnt[best] >> 1]:
+            seen[-learnt[k]] = 0
+            if level[-learnt[k]] > level[-learnt[best]]:
                 best = k
         if len(learnt) > 2:
             learnt[1], learnt[best] = learnt[best], learnt[1]
@@ -423,7 +428,7 @@ class _Solver:
         """Learn from a clause whose literals are all false, backjump and
         assert; False when the clause is false at level 0."""
         level = self.level
-        top = max(level[lit >> 1] for lit in lits)
+        top = max(level[-lit] for lit in lits)
         if top == 0:
             return False
         self._backtrack(top)
@@ -432,7 +437,7 @@ class _Solver:
             self._backtrack(0)
             self._enqueue(learnt[0], -1)
             return True
-        self._backtrack(level[learnt[1] >> 1])
+        self._backtrack(level[-learnt[1]])
         ci = len(self.clauses)
         self.clauses.append(learnt)
         self.w1.append(learnt[0])
@@ -452,24 +457,13 @@ class _Solver:
                 return None
             if vals[lit] == -1:
                 self._enqueue(lit, ci)
-        nvars = self.nvars
         while True:
             conflict = self._propagate()
-            if conflict >= 0:
-                self.conflicts += 1
-                if not self._learn(self.clauses[conflict]):
-                    return None
-                continue
-            # Decide the lowest unassigned variable, false first.
-            var = self.next_var
-            while var < nvars and vals[var + var] != -1:
-                var += 1
-            self.next_var = var
-            if var == nvars:
-                return vals[0::2]
-            self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(var + var + 1, -1)
+            if conflict < 0:
+                return vals[1:self.nvars + 1]
+            self.conflicts += 1
+            if not self._learn(self.clauses[conflict]):
+                return None
 
 
 # ---------------------------------------------------------------------------
@@ -712,13 +706,13 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
     stats = SearchStats()
     prefix_sorts = [sort for _, sort in prefix]
     grounder = Grounder(things, worlds, atoms)
-    # The premise clauses and their definitions go to literal codes in one
-    # pass per size; every branch's solver reads them and adds its own.
-    sigma = []
+    # The premise clauses and their definitions are ground once per size;
+    # every branch's solver reads them and adds its own.
+    shared = []
     for premise in premises:
-        sigma += grounder.instantiate(premise)()
+        shared += grounder.instantiate(premise)()
     premise_defs = len(grounder.definitions)
-    shared = _encode(sigma, len(atoms) + premise_defs, grounder.definitions)
+    shared += definition_clauses(grounder.definitions)
 
     branch_clauses = grounder.instantiate(matrix)
 
@@ -741,8 +735,8 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
         # Aux variables are memoized across branches, so a branch may
         # use any definition the size's grounder has made so far.
         nvars = len(atoms) + len(grounder.definitions)
-        solver = _Solver(nvars, shared + _encode(
-            clauses, nvars, grounder.definitions[premise_defs:]), remaining)
+        solver = _Solver(nvars, shared + clauses + definition_clauses(
+            grounder.definitions[premise_defs:]), remaining)
         try:
             solution = solver.solve()
         except _BudgetExceeded:

@@ -8,11 +8,16 @@ clause-learning solver that replaced it, and so is the grounder that walked
 the formula tree at every size, as the reference for the compiled one, and
 the canonicaliser that tried every relabeling, as the reference for the
 block-wise filter.
+
+A clause has one format throughout, the grounder's: a tuple of signed
+literals over variables 1..n (``-v`` for not v) in ascending order.  The
+reference grounder emits it and the DPLL oracle reads it, as the search's
+solver does, so one clause list passes between all three unchanged.
 """
 
 import itertools
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from ethica.grounding import (GroundConstraintSet, GroundingError,
                               atom_space, nnf, predicate_profiles)
@@ -21,7 +26,7 @@ from ethica.logic import (And, Eq, Exists, FalseF, FiniteModel, ForAll,
 from ethica.registry import ETHICA_SIGNATURE, axiom_set
 from ethica.search import _existential_prefix, _is_orbit_representative
 
-Clause = frozenset[int]
+Clause = tuple[int, ...]
 Definition = tuple[int, tuple[Clause, ...]]
 
 
@@ -60,6 +65,26 @@ def refutes(model, premises, target):
 def countermodel_exists(premises, target, support, n_things, n_worlds=0):
     return any(refutes(model, premises, target)
                for model in all_models(support, n_things, n_worlds))
+
+
+def assert_clause_format(clauses, natoms) -> int:
+    """Assert the grounder's clause format on ``clauses`` over ``natoms``
+    table atoms, and return how many are definitions.  A clause is a tuple
+    of nonzero ints, strictly ascending, with no literal beside its
+    negation.  An aux variable occurs negatively only in the clauses that
+    define it, so a clause with a negative aux literal is a definition: it
+    starts with ``-v``, ``v`` is above every other variable in it, and no
+    other literal in it is a negative aux literal."""
+    definitions = 0
+    for clause in clauses:
+        assert type(clause) is tuple, clause
+        assert all(type(lit) is int and lit for lit in clause), clause
+        assert all(a < b for a, b in zip(clause, clause[1:])), clause
+        assert set(clause).isdisjoint([-lit for lit in clause]), clause
+        if clause and clause[0] < -natoms:
+            definitions += 1
+            assert all(-natoms <= lit < -clause[0] for lit in clause[1:]), clause
+    return definitions
 
 
 def least_relabeling(atoms, bits, things, worlds) -> tuple[int, ...]:
@@ -220,7 +245,7 @@ def dpll_least_solution(nvars, clauses):
     variables 1..nvars (ascending variable index, false before true) as a
     list of 0/1 values, or None: the search's solver before clause
     learning, kept as an oracle for it."""
-    return _Dpll(nvars, [tuple(clause) for clause in clauses]).solve()
+    return _Dpll(nvars, clauses).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +253,7 @@ def dpll_least_solution(nvars, clauses):
 # ---------------------------------------------------------------------------
 
 _TRIVIALLY_TRUE: list[Clause] = []
-_TRIVIALLY_FALSE: list[Clause] = [frozenset()]
+_TRIVIALLY_FALSE: list[Clause] = [()]
 
 
 class _CnfBuilder:
@@ -334,7 +359,7 @@ class _CnfBuilder:
             if index is None:
                 # Predicate outside the atom space: frozen everywhere-false.
                 return _TRIVIALLY_FALSE if positive else _TRIVIALLY_TRUE
-            return [frozenset((index + 1 if positive else -(index + 1),))]
+            return [(index + 1,) if positive else (-(index + 1),)]
         left = env[f.left.name] if isinstance(f.left, Var) else f.left.label
         right = env[f.right.name] if isinstance(f.right, Var) else f.right.label
         return _TRIVIALLY_TRUE if (left == right) == positive else _TRIVIALLY_FALSE
@@ -354,12 +379,12 @@ class _CnfBuilder:
         clause: set[int] = set()
         for clauses in parts:
             if len(clauses) == 1:
-                clause |= clauses[0]
+                clause.update(clauses[0])
             else:
                 clause.add(self._aux(clauses))
         if any(-lit in clause for lit in clause):
             return _TRIVIALLY_TRUE
-        return [frozenset(clause)]
+        return [tuple(sorted(clause))]
 
     def _aux(self, clauses: list[Clause]) -> int:
         # The entry retains the keyed list so its id cannot be reused.
@@ -373,14 +398,7 @@ class _CnfBuilder:
 
 def definition_clauses(definitions: Iterable[Definition]) -> list[Clause]:
     """The clauses ``not v or c`` for each clause ``c`` defining ``v``."""
-    return [clause | {-var} for var, clauses in definitions for clause in clauses]
-
-
-def _encode(clauses: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Clauses over variables 1..n (``-v`` for not v) as tuples of literal
-    codes: variable v - 1 becomes 2(v - 1), its negation 2(v - 1) + 1."""
-    return [tuple([lit + lit - 2 if lit > 0 else -lit - lit - 1
-                   for lit in sorted(clause)]) for clause in clauses]
+    return [(-var,) + clause for var, clauses in definitions for clause in clauses]
 
 
 def reference_ground(formula, things, worlds=(), support=None):
@@ -407,7 +425,7 @@ def reference_solver_inputs(premise_formulas, target_formula, support,
     sigma = [clause for formula in premise_nnfs
              for clause in builder.build(formula, {})]
     premise_defs = len(builder.definitions)
-    premises = _encode(sigma + definition_clauses(builder.definitions))
+    premises = sigma + definition_clauses(builder.definitions)
     prefix, matrix = _existential_prefix(nnf(Not(target_formula)))
     sorts = [sort for _, sort in prefix]
     universes = [things if sort is Sort.THING else worlds for sort in sorts]

@@ -13,9 +13,10 @@ from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
                           evaluate, mentions_world)
 from ethica.registry import axiom, axiom_ids
-from ethica.search import _encode, _Solver
+from ethica.search import _Solver
 
-from oracles import all_models, atom_list, random_model, reference_ground
+from oracles import (all_models, assert_clause_format, atom_list, random_model,
+                     reference_ground)
 
 T = Sort.THING
 
@@ -25,9 +26,9 @@ def test_a1_grounds_to_one_clause_per_element():
     assert len(constraints.clauses) == 2
     in_itself = [constraints.atom_index(("inItself", (e,))) + 1 for e in ("e0", "e1")]
     in_another = [constraints.atom_index(("inAnother", (e,))) + 1 for e in ("e0", "e1")]
-    assert set(constraints.clauses) == {
-        frozenset((in_itself[0], in_another[0])),
-        frozenset((in_itself[1], in_another[1]))}
+    # Literals ascend: inAnother's atoms come before inItself's.
+    assert constraints.clauses == ((in_another[0], in_itself[0]),
+                                   (in_another[1], in_itself[1]))
 
 
 def test_distinct_constant_equality_grounds_unsatisfiable():
@@ -83,12 +84,14 @@ def test_a_disjunction_of_conjunctions_grounds_to_one_clause_of_aux_literals():
              for pred, _ in constraints.atoms}
     first, second = len(index) + 1, len(index) + 2
     assert constraints.definitions == (
-        (first, (frozenset((index["inItself"],)),
-                 frozenset((index["perSeConceived"],)))),
-        (second, (frozenset((index["inAnother"],)),
-                  frozenset((index["conceivedThroughAnother"],)))))
-    assert constraints.clauses == (frozenset((first, second)),) + tuple(
+        (first, ((index["inItself"],), (index["perSeConceived"],))),
+        (second, ((index["inAnother"],), (index["conceivedThroughAnother"],))))
+    assert constraints.clauses == ((first, second),) + tuple(
         definition_clauses(constraints.definitions))
+    assert constraints.clauses[1:] == (
+        (-first, index["inItself"]), (-first, index["perSeConceived"]),
+        (-second, index["inAnother"]),
+        (-second, index["conceivedThroughAnother"]))
 
 
 def test_agreement_with_evaluator_on_trivial_formula(a12):
@@ -200,7 +203,7 @@ def test_solver_finds_the_least_solution_over_table_bits():
                 support = sorted({pred for pred, _ in atoms})
                 assert atom_list(support, things, worlds) == list(atoms)
                 nvars = len(atoms) + len(constraints.definitions)
-                solution = _Solver(nvars, _encode(constraints.clauses, nvars),
+                solution = _Solver(nvars, constraints.clauses,
                                    budget=10**9).solve()
                 least = next((model for model in all_models(
                     support, n_things, len(worlds)) if evaluate(polarity, model)),
@@ -247,9 +250,9 @@ def test_one_builder_grounds_temporary_trees_like_a_fresh_builder_each():
         offset = len(shared.definitions)
 
         def shifted(clause):
-            return frozenset(lit - offset if lit > len(atoms) else
-                             lit + offset if lit < -len(atoms) else lit
-                             for lit in clause)
+            return tuple(lit - offset if lit > len(atoms) else
+                         lit + offset if lit < -len(atoms) else lit
+                         for lit in clause)
 
         got = shared.instantiate(compile_formula(nnf(formula)))()
         fresh = Grounder(things, worlds, atoms)
@@ -307,8 +310,12 @@ def test_ground_matches_the_tree_walking_grounder():
                     with pytest.raises(GroundingError):
                         ground(formula, things, worlds)
                     continue
-                assert ground(formula, things, worlds) == expected, \
-                    (formula, n_things, n_worlds)
+                got = ground(formula, things, worlds)
+                assert got == expected, (formula, n_things, n_worlds)
+                # The clauses are in the solver's format, and the
+                # definition clauses are the ones with a negative aux.
+                assert assert_clause_format(got.clauses, len(got.atoms)) == \
+                    sum(len(clauses) for _, clauses in got.definitions)
                 cases += 1
     assert cases > 500
 

@@ -11,15 +11,14 @@ from ethica import search
 from ethica.logic import FiniteModel, Not, Sort, evaluate
 from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_set
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
-                           SearchConfig, SearchError, SearchStats, _encode,
+                           SearchConfig, SearchError, SearchStats,
                            _existential_prefix, _is_orbit_representative,
                            _least_relabeling, _Solver, canonical_form,
                            check_naive_psr, entails_bounded, find_countermodel)
 
-from oracles import (countermodel_exists, dpll_least_solution,
-                     least_relabeling, random_model, reference_solver_inputs,
-                     refutes)
-from oracles import _encode as reference_encode
+from oracles import (assert_clause_format, countermodel_exists,
+                     dpll_least_solution, least_relabeling, random_model,
+                     reference_solver_inputs, refutes)
 from sweep import sweep
 
 A22_SUPPORT = ("inItself", "perSeConceived", "intellectPerceivesAsEssence")
@@ -234,6 +233,7 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
     # answers, which the evaluator re-check cannot see; compare against
     # direct enumeration, including the least-solution contract.
     rng = random.Random(31337)
+    cases = []
     for _ in range(300):
         nvars = rng.randint(1, 10)
         clauses = []
@@ -242,14 +242,27 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
             chosen = rng.sample(range(1, nvars + 1), width)
             clauses.append(tuple(sorted(
                 var if rng.random() < 0.5 else -var for var in chosen)))
-
+        cases.append((nvars, clauses))
+    # Edge inputs: no variables, the empty clause, and units on the last
+    # variable, whose negative literal indexes the solver's lists from the
+    # end, next to the positive one.
+    cases += [(0, []), (0, [()]), (3, [(1, 2), ()]), (1, [(-1,)]), (1, [(1,)]),
+              (4, [(4,)]), (4, [(-4,)]), (4, [(-4,), (4,)]),
+              (4, [(-4, 1), (4,)]), (4, [(-4,), (-3, 4), (3, 4)]),
+              (4, [(-1, 4), (1, 4), (-4, -2), (-4, 2)])]
+    assert _Solver(0, [], budget=1).solve() == []
+    # Every assignment counts against the budget, decisions included.
+    assert _Solver(3, [], budget=3).solve() == [0, 0, 0]
+    with pytest.raises(search._BudgetExceeded):
+        _Solver(3, [], budget=2).solve()
+    for nvars, clauses in cases:
         def satisfied(bits):
             return all(any((lit > 0) == bits[abs(lit) - 1] for lit in clause)
                        for clause in clauses)
 
         solutions = [bits for bits in itertools.product((0, 1), repeat=nvars)
                      if satisfied(bits)]
-        solver = _Solver(nvars, _encode(clauses, nvars), budget=10**6)
+        solver = _Solver(nvars, clauses, budget=10**6)
         answer = solver.solve()
         if not solutions:
             assert answer is None
@@ -268,7 +281,7 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
         clauses = [tuple(sorted(var if rng.random() < 0.5 else -var
                                 for var in rng.sample(range(1, nvars + 1), 3)))
                    for _ in range(round(4.26 * nvars))]
-        solver = _RecordingSolver(nvars, _encode(clauses, nvars), budget=10**7)
+        solver = _RecordingSolver(nvars, clauses, budget=10**7)
         answer = solver.solve()
         assert answer == dpll_least_solution(nvars, clauses)
         outcomes.add(answer is None)
@@ -372,7 +385,7 @@ def _branch_inputs(premises, target, n_things, n_worlds):
     atoms = atom_space(predicate_profiles(premise_formulas + [target_formula]),
                        things, worlds)
     grounder = Grounder(things, worlds, atoms)
-    sigma = [tuple(sorted(clause)) for formula in premise_formulas
+    sigma = [clause for formula in premise_formulas
              for clause in grounder.instantiate(compile_formula(nnf(formula)))()]
     prefix, matrix = _existential_prefix(nnf(Not(target_formula)))
     matrix = grounder.instantiate(compile_formula(matrix, prefix))
@@ -382,8 +395,7 @@ def _branch_inputs(premises, target, n_things, n_worlds):
         if not _is_orbit_representative(combo, sorts):
             continue
         branch = matrix(combo)
-        clauses = sigma + [tuple(sorted(c)) for c in
-                           branch + definition_clauses(grounder.definitions)]
+        clauses = sigma + branch + definition_clauses(grounder.definitions)
         yield len(atoms) + len(grounder.definitions), clauses
 
 
@@ -397,8 +409,7 @@ def test_generator_pruning_matches_full_group_and_no_pruning():
             for n_worlds in range(1, worlds + 1) if worlds else (0,):
                 for nvars, clauses in _branch_inputs(
                         premises, target, n_things, n_worlds):
-                    solution = _Solver(nvars, _encode(clauses, nvars),
-                                       10**8).solve()
+                    solution = _Solver(nvars, clauses, 10**8).solve()
                     assert solution == dpll_least_solution(nvars, clauses), \
                         (premises, target, n_things, n_worlds)
                     solved += solution is not None
@@ -422,24 +433,33 @@ def _solver_inputs(monkeypatch, premises, target, config):
 
 def _assert_solver_inputs_match_the_reference(monkeypatch, premises, target,
                                               config):
+    """The number of solvers the search built and of the definition clauses
+    handed to them, after checking each input against the reference and
+    against the grounder's clause format."""
     verdict, calls = _solver_inputs(monkeypatch, premises, target, config)
     sizes = verdict.stats.sizes_exhausted
     if verdict.is_refuted:
         sizes += ((verdict.thing_size, verdict.world_size),)
     premise_formulas = [entry.formula for entry in axiom_set(premises)]
     target_formula = axiom_set([target])[0].formula
+    profiles = predicate_profiles(premise_formulas + [target_formula],
+                                  verdict.stats.support)
     expected = []
     for n_things, n_worlds in sizes:
-        expected += reference_solver_inputs(
+        things = tuple(f"t{i}" for i in range(n_things))
+        worlds = tuple(f"w{i}" for i in range(n_worlds))
+        natoms = len(atom_space(profiles, things, worlds))
+        expected += [(natoms,) + entry for entry in reference_solver_inputs(
             premise_formulas, target_formula, verdict.stats.support,
-            tuple(f"t{i}" for i in range(n_things)),
-            tuple(f"w{i}" for i in range(n_worlds)), config.pruning)
+            things, worlds, config.pruning)]
     assert len(calls) == len(expected), (premises, target)
-    for k, (got, (nvars, clauses, shared)) in enumerate(zip(calls, expected)):
+    definitions = 0
+    for k, (got, (natoms, nvars, clauses, shared)) in enumerate(
+            zip(calls, expected)):
         assert got[0] == nvars, (premises, target, k, "nvars")
-        assert got[1] == shared + reference_encode(clauses), \
-            (premises, target, k, "clauses")
-    return len(calls)
+        assert got[1] == shared + clauses, (premises, target, k, "clauses")
+        definitions += assert_clause_format(got[1], natoms)
+    return len(calls), definitions
 
 
 @pytest.mark.parametrize("pruning", ["canonical", "none"])
@@ -447,19 +467,22 @@ def test_solver_inputs_match_the_tree_walking_grounder(monkeypatch, pruning):
     # The compiled grounder must hand every solver exactly the clauses the
     # tree-walking one did, in the same order and with the same aux
     # numbering, so the least solution and every counter stay the same.
-    solvers = 0
+    # Both give them in the solver's one format: sorted signed literals.
+    solvers = definitions = 0
     for premises, target, worlds in BUNDLED_DIRECTIONS:
-        solvers += _assert_solver_inputs_match_the_reference(
+        built, defined = _assert_solver_inputs_match_the_reference(
             monkeypatch, premises, target,
             SearchConfig(max_thing_size=3, max_world_size=worlds,
                          pruning=pruning))
-    assert solvers > 0
+        solvers += built
+        definitions += defined
+    assert solvers > 0 and definitions > 0
 
 
 def test_solver_inputs_match_the_tree_walking_grounder_at_six_things(monkeypatch):
     assert _assert_solver_inputs_match_the_reference(
         monkeypatch, "PSRSubstance", "PropV_allshared",
-        SearchConfig(max_thing_size=6)) > 0
+        SearchConfig(max_thing_size=6))[0] > 0
 
 
 def test_the_sweep_keeps_its_verdicts_and_counter_models():
