@@ -14,7 +14,6 @@ reports (elapsed times never appear in them).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -96,6 +95,8 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(doc) -> None:
+    # Imported here, so that a command without --json does not load it.
+    import json
     _emit(json.dumps(doc, indent=2, sort_keys=True))
 
 

@@ -28,9 +28,10 @@ variable to a slot of an integer environment, one slot per quantifier
 depth, that holds an element's index in its universe.  Grounding turns each
 node into a closure over that environment: an atom's index is its
 predicate's offset in the atom space plus the mixed-radix number of its
-element indices, and each connective or quantifier is memoized on the
-indices of its free variables, so every instance of a shared subformula
-shares one auxiliary variable.
+element indices.  Each connective or quantifier whose instances can recur
+is memoized on the indices of its free variables, so every instance of a
+shared subformula shares one auxiliary variable.  The others are not: a
+memo that never hits never returns a list twice, so it shares nothing.
 """
 
 from __future__ import annotations
@@ -80,17 +81,22 @@ class GroundConstraintSet(Value):
         return self.atoms.index(atom)
 
     def satisfied_by(self, model: FiniteModel) -> bool:
-        values = [model.truth(pred, args) for pred, args in self.atoms]
-
-        def holds(clause: Clause) -> bool:
-            return any(values[abs(lit) - 1] == (lit > 0) for lit in clause)
-
+        # truth[lit] is the truth of the signed literal lit; negative
+        # literals index from the end, as in the search's solver.
+        truth = [False] * (2 * (len(self.atoms) + len(self.definitions)) + 1)
+        for var, (pred, args) in enumerate(self.atoms, 1):
+            value = model.truth(pred, args)
+            truth[var] = value
+            truth[-var] = not value
+        get = truth.__getitem__
         # An aux variable occurs negatively only in its own definition, so
         # setting it to "all of its clauses hold" satisfies the clauses
         # whenever any aux assignment does.
-        for _, clauses in self.definitions:
-            values.append(all(map(holds, clauses)))
-        return all(map(holds, self.clauses))
+        for var, clauses in self.definitions:
+            value = all(any(map(get, clause)) for clause in clauses)
+            truth[var] = value
+            truth[-var] = not value
+        return all(any(map(get, clause)) for clause in self.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +243,13 @@ def _compile(f: Formula, scope: dict, depth: int):
         free = frozenset().union(*[free for _, free, _ in compiled])
         size = max([depth] + [size for _, _, size in compiled])
         conjunctive = isinstance(f, And)
+        # An instance can recur unless every slot below depth is free.
+        recurs = len(free) < depth
 
         def make(g):
             fns = [make(g) for make in makes]
             raw = _conjunction(fns) if conjunctive else _disjunction(fns, g.disjoin)
-            return _memoized(raw, free, g)
+            return _memoized(raw, free, g) if recurs else raw
         return make, free, size
     if isinstance(f, (ForAll, Exists)):
         slot, sort = depth, f.sort
@@ -249,6 +257,7 @@ def _compile(f: Formula, scope: dict, depth: int):
             f.body, {**scope, f.var: (slot, sort)}, depth + 1)
         free = body_free - {(slot, sort)}
         universal = isinstance(f, ForAll)
+        recurs = len(free) < depth
 
         def make(g):
             n = g.size[sort]
@@ -258,7 +267,7 @@ def _compile(f: Formula, scope: dict, depth: int):
             body = body_make(g)
             raw = _universal(body, slot, n) if universal else \
                 _existential(body, slot, n, g.disjoin)
-            return _memoized(raw, free, g)
+            return _memoized(raw, free, g) if recurs else raw
         return make, free, size
     raise TypeError(f"not a formula in negation normal form: {f!r}")
 
@@ -331,7 +340,11 @@ def _compile_equality(terms, true, false):
 def _memoized(raw, free, g):
     """``raw`` memoized on the element indices of the node's free slots,
     read as one mixed-radix number, so each instance of a subformula is
-    ground once per grounder.  The memo keeps every list it returns, so
+    ground once per grounder.  Only nodes whose instances can recur are
+    memoized: the slots below a node's depth (bound or enclosing
+    quantifiers') vary between its calls, so one free in all of them never
+    sees a key twice, and a memo that never hits never returns a list twice,
+    so it shares no aux variable.  The memo keeps every list it returns, so
     ``Grounder`` may key on list ids."""
     memo: dict = {}
     get = memo.get
@@ -452,8 +465,10 @@ class Grounder:
         """The function from the element indices of a compiled formula's
         bound variables to its clauses at these universes.  It holds the
         formula's memo tables, so each formula is instantiated once per
-        grounder.  The grounder does not hold it: no reference cycle keeps a
-        size's clauses alive once the caller lets go of them."""
+        grounder.  Call it at most once per environment: a node free in
+        every slot is not memoized, so a repeated environment would get new
+        aux variables.  The grounder does not hold it: no reference cycle
+        keeps a size's clauses alive once the caller lets go of them."""
         fn = compiled.make(self)
         depth = compiled.depth
 
@@ -475,8 +490,9 @@ class Grounder:
                 literals.update(clauses[0])
             else:
                 literals.add(self._aux(clauses))
-        if not literals.isdisjoint([-lit for lit in literals]):
-            return _TRIVIALLY_TRUE
+        for lit in literals:
+            if -lit in literals:
+                return _TRIVIALLY_TRUE
         return [tuple(sorted(literals))]
 
     def _aux(self, clauses: list[Clause]) -> int:

@@ -732,8 +732,9 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
             # The branch's own clauses hold the empty clause: no solver,
             # and 0 steps, as a solver would report.
             continue
-        # Aux variables are memoized across branches, so a branch may
-        # use any definition the size's grounder has made so far.
+        # A matrix node whose free variables leave out a prefix variable
+        # is memoized across branches, and so is its aux variable: a
+        # branch may use any definition the size's grounder has made so far.
         nvars = len(atoms) + len(grounder.definitions)
         solver = _Solver(nvars, shared + clauses + definition_clauses(
             grounder.definitions[premise_defs:]), remaining)

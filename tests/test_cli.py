@@ -359,6 +359,17 @@ def test_cli_import_loads_no_dataclasses_typing_or_inspect():
     assert child.stdout == "[]\n"
 
 
+def test_cli_import_does_not_load_json():
+    # Only --json output needs json; the other commands skip loading it.
+    source_root = os.path.dirname(os.path.dirname(ethica.__file__))
+    probe = "import sys, ethica.cli; print('json' in sys.modules)"
+    child = subprocess.run([sys.executable, "-S", "-c", probe],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": source_root})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"
+
+
 def test_cli_byte_identity_across_processes():
     # A fresh process per invocation: no shared caches, and the search path
     # (model rendering included) must still come out byte-identical.

@@ -12,11 +12,11 @@ from ethica.grounding import (Grounder, GroundingError, atom_space,
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
                           evaluate, mentions_world)
-from ethica.registry import axiom, axiom_ids
+from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_ids
 from ethica.search import _Solver
 
-from oracles import (all_models, assert_clause_format, atom_list, random_model,
-                     reference_ground)
+from oracles import (all_models, assert_clause_format, atom_list,
+                     dpll_least_solution, random_model, reference_ground)
 
 T = Sort.THING
 
@@ -94,6 +94,18 @@ def test_a_disjunction_of_conjunctions_grounds_to_one_clause_of_aux_literals():
         (-second, index["conceivedThroughAnother"]))
 
 
+def test_a_disjunction_with_a_true_part_makes_no_aux_variable():
+    # The true part is found before any multi-clause part is replaced, even
+    # when it comes last.
+    x = Var("x")
+    formula = ForAll("x", T, Or((And((Pred("inItself", (x,)),
+                                      Pred("perSeConceived", (x,)))),
+                                 Eq(x, x))))
+    constraints = ground(formula, ("e0", "e1"))
+    assert constraints.clauses == ()
+    assert constraints.definitions == ()
+
+
 def test_agreement_with_evaluator_on_trivial_formula(a12):
     assert evaluate_via_grounding(TRUE, a12.model) is True
 
@@ -137,6 +149,33 @@ def test_agreement_on_random_models_at_small_sizes():
             formula = axiom(axiom_id).formula
             assert evaluate_via_grounding(formula, model) == \
                 evaluate(formula, model), axiom_id
+
+
+def test_satisfied_by_holds_iff_some_aux_assignment_satisfies_the_clauses():
+    # Independent of the evaluator: with the model's table bits as unit
+    # clauses, the DPLL oracle decides whether some assignment of the aux
+    # variables satisfies every clause.  Every axiom and its negation, at
+    # 1-3 things and 0-2 worlds, on seeded random models.
+    rng = random.Random(20261019)
+    support = [decl.name for decl in ETHICA_SIGNATURE]
+    outcomes = set()
+    for n_things, n_worlds, _ in itertools.product((1, 2, 3), (0, 1, 2), range(2)):
+        model = random_model(rng, n_things, support, n_worlds)
+        for axiom_id in axiom_ids():
+            formula = axiom(axiom_id).formula
+            if n_worlds == 0 and mentions_world(formula):
+                continue
+            for polarity in (formula, Not(formula)):
+                constraints = ground(polarity, model.things, model.worlds)
+                units = [(var if model.truth(pred, args) else -var,)
+                         for var, (pred, args) in enumerate(constraints.atoms, 1)]
+                nvars = len(constraints.atoms) + len(constraints.definitions)
+                expected = dpll_least_solution(
+                    nvars, units + list(constraints.clauses)) is not None
+                assert constraints.satisfied_by(model) == expected, \
+                    (axiom_id, n_things, n_worlds, polarity is formula)
+                outcomes.add(expected)
+    assert outcomes == {False, True}
 
 
 def test_agreement_on_modal_axioms_with_worlds():
