@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import os
 from .dsl import parse_model
-from .logic import (EvaluationError, FiniteModel, ForAll, Formula, Sort, Value,
-                    evaluate)
+from .logic import (EvaluationError, FiniteModel, ForAll, Formula, Value,
+                    evaluate, quantifier_prefix)
 from .registry import Selector, axiom_set
 
 FIDELITY_UNIFORM_ETERNAL_ESSENCE = "F1-uniform-eternal-essence"
@@ -134,19 +134,10 @@ class VerificationReport(Value):
         }
 
 
-def outer_universal_block(formula: Formula) -> tuple[list[tuple[str, Sort]], Formula]:
-    """Split off the outermost block of universal quantifiers."""
-    block: list[tuple[str, Sort]] = []
-    while isinstance(formula, ForAll):
-        block.append((formula.var, formula.sort))
-        formula = formula.body
-    return block, formula
-
-
 def falsifying_witnesses(formula: Formula, model: FiniteModel) -> tuple[tuple[str, ...], ...]:
     """All tuples for the outermost universal block whose matrix evaluates
     false, in universe order."""
-    block, matrix = outer_universal_block(formula)
+    block, matrix = quantifier_prefix(formula, ForAll)
     universes = []
     for _, sort in block:
         universe = model.universe(sort)

@@ -142,27 +142,24 @@ class ExperimentSpec(Value):
 
 
 class ExperimentResult(Value):
-    """One experiment's verdicts and classification; mutable, so not
-    hashable."""
+    """One experiment's verdicts and classification; ``verdicts`` is kept
+    as a read-only ``FrozenDict``."""
 
     __slots__ = ("spec", "verdicts", "outcome", "caveats", "fidelity_flags",
                  "corpus_report", "expectation_failures")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, spec: ExperimentSpec, verdicts: dict,
                  outcome: OutcomeClass, caveats: tuple[str, ...],
                  fidelity_flags: tuple[str, ...],
                  corpus_report: VerificationReport | None,
                  expectation_failures: tuple[str, ...]):
-        self.spec = spec
-        self.verdicts = verdicts
-        self.outcome = outcome
-        self.caveats = caveats
-        self.fidelity_flags = fidelity_flags
-        self.corpus_report = corpus_report
-        self.expectation_failures = expectation_failures
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "verdicts", FrozenDict(verdicts))
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "caveats", caveats)
+        object.__setattr__(self, "fidelity_flags", fidelity_flags)
+        object.__setattr__(self, "corpus_report", corpus_report)
+        object.__setattr__(self, "expectation_failures", expectation_failures)
 
     @property
     def name(self) -> str:

@@ -44,10 +44,9 @@ class Value:
     ``object.__setattr__``, since values are immutable).  Two values are
     equal when they are of the same class and their field tuples are equal;
     the hash is the hash of the field tuple, and the repr is
-    ``Name(field=value, ...)``.  A mutable subclass restores
-    ``object.__setattr__`` and ``object.__delattr__`` and sets ``__hash__``
-    to None.  These few methods replace ``dataclasses``, whose generated
-    methods, built by ``exec`` at import, were most of ``import ethica``.
+    ``Name(field=value, ...)``.  These few methods replace ``dataclasses``,
+    whose generated methods, built by ``exec`` at import, were most of
+    ``import ethica``.
     """
 
     __slots__ = ()
@@ -233,6 +232,18 @@ def forall(names: Sequence[str], sort: Sort, body: Formula) -> Formula:
     for name in reversed(names):
         body = ForAll(name, sort, body)
     return body
+
+
+def quantifier_prefix(formula: Formula, quantifier: type
+                      ) -> tuple[list[tuple[str, Sort]], Formula]:
+    """Split off the outermost block of ``quantifier`` (``ForAll`` or
+    ``Exists``): its (variable, sort) pairs, outermost first, and the body
+    under it."""
+    prefix: list[tuple[str, Sort]] = []
+    while isinstance(formula, quantifier):
+        prefix.append((formula.var, formula.sort))
+        formula = formula.body
+    return prefix, formula
 
 
 def mentions_world(formula: Formula) -> bool:

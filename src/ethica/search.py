@@ -1,7 +1,9 @@
 """Bounded counter-model search and bounded semantic entailment.
 
 The engine looks for a finite model satisfying the premises while falsifying
-the target, ascending through thing-universe sizes.  The formulas'
+the target, ascending through thing-universe sizes.  Its core, ``_search``,
+takes (name, formula) pairs and never reads the register; the public
+functions resolve axiom ids through ``registry.axiom_set``.  The formulas'
 predicates are profiled once per search (``grounding.predicate_profiles``),
 and the premises and the matrix of the negated target are compiled once
 (``grounding.compile_formula``).  Each size lays out its atoms from the
@@ -75,7 +77,7 @@ from collections.abc import Sequence
 from .grounding import (Grounder, atom_space, compile_formula,
                         definition_clauses, nnf, predicate_profiles)
 from .logic import (Exists, FiniteModel, Formula, LogicError, Not, Sort,
-                    Value, evaluate, mentions_world)
+                    Value, evaluate, mentions_world, quantifier_prefix)
 from .registry import Selector, axiom_set
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -138,29 +140,24 @@ STATS_COUNTERS = ("candidates_visited", "propagations", "conflicts",
 
 
 class SearchStats(Value):
-    """The search's counters; mutable, so not hashable.
-
-    ``pruned_subtrees`` counts instantiation branches skipped as
-    non-representatives of their orbit."""
+    """The search's counters.  ``pruned_subtrees`` counts instantiation
+    branches skipped as non-representatives of their orbit."""
 
     __slots__ = ("support", "candidates_visited", "propagations", "conflicts",
                  "pruned_subtrees", "branches_total", "sizes_exhausted")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, support: tuple[str, ...] = (),
                  candidates_visited: int = 0, propagations: int = 0,
                  conflicts: int = 0, pruned_subtrees: int = 0,
                  branches_total: int = 0,
                  sizes_exhausted: tuple[tuple[int, int], ...] = ()):
-        self.support = support
-        self.candidates_visited = candidates_visited
-        self.propagations = propagations
-        self.conflicts = conflicts
-        self.pruned_subtrees = pruned_subtrees
-        self.branches_total = branches_total
-        self.sizes_exhausted = sizes_exhausted
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "candidates_visited", candidates_visited)
+        object.__setattr__(self, "propagations", propagations)
+        object.__setattr__(self, "conflicts", conflicts)
+        object.__setattr__(self, "pruned_subtrees", pruned_subtrees)
+        object.__setattr__(self, "branches_total", branches_total)
+        object.__setattr__(self, "sizes_exhausted", sizes_exhausted)
 
     def to_json_dict(self) -> dict:
         doc = {"support": list(self.support)}
@@ -470,14 +467,6 @@ class _Solver:
 # Branch generation
 # ---------------------------------------------------------------------------
 
-def _existential_prefix(formula: Formula) -> tuple[list[tuple[str, Sort]], Formula]:
-    prefix: list[tuple[str, Sort]] = []
-    while isinstance(formula, Exists):
-        prefix.append((formula.var, formula.sort))
-        formula = formula.body
-    return prefix, formula
-
-
 def _is_orbit_representative(combo: Sequence[int], sorts: Sequence[Sort]) -> bool:
     # A tuple represents its orbit under universe relabeling when, per sort,
     # elements appear in first-use order 0, 1, 2, ...
@@ -605,14 +594,15 @@ def canonical_form(model: FiniteModel) -> FiniteModel:
 # The bounded search
 # ---------------------------------------------------------------------------
 
-def _search(premises: Selector, target: str, config: SearchConfig,
+def _search(premises: Sequence[tuple[str, Formula]],
+            target: tuple[str, Formula], config: SearchConfig,
             workers: int = 1) -> EntailmentVerdict:
+    """The bounded search over named formulas: ``premises`` and ``target``
+    are (name, formula) pairs, and a failed re-check names the formula."""
     if workers < 1:
         raise SearchError("workers must be >= 1")
-    premise_entries = axiom_set(premises)
-    target_entry = axiom_set([target])[0]
-    premise_formulas = [entry.formula for entry in premise_entries]
-    all_formulas = premise_formulas + [target_entry.formula]
+    premise_formulas = [formula for _, formula in premises]
+    all_formulas = premise_formulas + [target[1]]
 
     # Without World in any formula no world universe is searched, so the
     # reported world bound is 0 whatever the configuration allows.
@@ -621,55 +611,57 @@ def _search(premises: Selector, target: str, config: SearchConfig,
         world_bound = 2 if config.max_world_size is None else config.max_world_size
         if world_bound < 1:
             raise SearchError("the axioms mention World; max_world_size must be >= 1")
-    world_range = list(range(1, world_bound + 1)) or [0]
-    sizes = [(n_things, n_worlds)
-             for n_things in range(1, config.max_thing_size + 1)
-             for n_worlds in world_range]
+    # A (things, worlds) size is computed from its index in ascending
+    # order, so a size costs nothing until the walk reaches it.
+    world_range = range(1, world_bound + 1) or range(1)
+
+    def size(index):
+        n_things, world_index = divmod(index, len(world_range))
+        return n_things + 1, world_range[world_index]
 
     profiles = predicate_profiles(all_formulas)
     # The premises and the negated target's matrix are compiled once per
     # search; every size instantiates them.
-    premises = [compile_formula(nnf(formula)) for formula in premise_formulas]
-    prefix, matrix = _existential_prefix(nnf(Not(target_entry.formula)))
+    compiled = [compile_formula(nnf(formula)) for formula in premise_formulas]
+    prefix, matrix = quantifier_prefix(nnf(Not(target[1])), Exists)
     matrix = compile_formula(matrix, prefix)
 
     def universes(index):
-        n_things, n_worlds = sizes[index]
+        n_things, n_worlds = size(index)
         things = tuple(f"t{i}" for i in range(n_things))
         worlds = tuple(f"w{i}" for i in range(n_worlds))
         return things, worlds, atom_space(profiles, things, worlds)
 
     def solve(index):
-        return _least_branch_key(premises, prefix, matrix, *universes(index),
+        return _least_branch_key(compiled, prefix, matrix, *universes(index),
                                  profiles, config)
 
     # The walk draws the sizes' outcomes in ascending order: counters are
     # summed in size order, and the first size out of budget or with a key
     # ends it, before any later size is solved or any worker forked.
-    stats = SearchStats(support=tuple(profiles))
+    totals = [0] * len(STATS_COUNTERS)
     exhausted: list[tuple[int, int]] = []
-    outcomes = _outcomes(solve, [n_things for n_things, _ in sizes], workers)
-    for index, (size, outcome) in enumerate(zip(sizes, outcomes)):
+    outcomes = _outcomes(solve, config.max_thing_size, len(world_range), workers)
+    for index, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
             raise outcome
         key, counters = outcome
         if counters is None:
             # An unexhausted size cannot show that a model found in a
             # branch is the least one.
-            raise ResourceLimitExceeded(*size, config.node_budget)
-        for name, value in zip(STATS_COUNTERS, counters):
-            setattr(stats, name, getattr(stats, name) + value)
+            raise ResourceLimitExceeded(*size(index), config.node_budget)
+        totals = [total + count for total, count in zip(totals, counters)]
         if key is not None:
             things, worlds, atoms = universes(index)
             model = FiniteModel("countermodel", things, worlds,
                                 _tables(atoms, key))
-            stats.sizes_exhausted = tuple(exhausted)
-            _recheck(model, premise_entries, target_entry)
-            return Refuted(model, *size, stats)
-        exhausted.append(size)
+            _recheck(model, premises, target)
+            return Refuted(model, *size(index), SearchStats(
+                tuple(profiles), *totals, tuple(exhausted)))
+        exhausted.append(size(index))
 
-    stats.sizes_exhausted = tuple(exhausted)
-    return NoCounterexampleUpTo(config.max_thing_size, world_bound, stats)
+    return NoCounterexampleUpTo(config.max_thing_size, world_bound, SearchStats(
+        tuple(profiles), *totals, tuple(exhausted)))
 
 
 #: Sizes of at most this many things are solved in the calling process
@@ -679,20 +671,22 @@ def _search(premises: Selector, target: str, config: SearchConfig,
 SEQUENTIAL_THINGS = 2
 
 
-def _outcomes(solve, thing_sizes: Sequence[int], workers: int):
-    """``solve(index)`` for each size in ascending order, lazily.  With
-    more than one worker, the sizes above ``SEQUENTIAL_THINGS`` things are
+def _outcomes(solve, max_things: int, per_thing: int, workers: int):
+    """``solve(index)`` for each size in ascending order, lazily: up to
+    ``max_things`` things, with ``per_thing`` world sizes each.  With more
+    than one worker, the sizes above ``SEQUENTIAL_THINGS`` things are
     solved in worker processes (``workers.solve_sizes``) once the walk
     reaches them; the outcome of such a size whose solve raised is the
     exception, which the walk raises."""
-    head = len(thing_sizes) if workers == 1 else \
-        sum(n <= SEQUENTIAL_THINGS for n in thing_sizes)
+    n_sizes = max_things * per_thing
+    head = n_sizes if workers == 1 else \
+        min(max_things, SEQUENTIAL_THINGS) * per_thing
     yield from map(solve, range(head))
-    if head < len(thing_sizes):
+    if head < n_sizes:
         # Imported here, so that a search in one process does not compile
         # the module.
         from .workers import solve_sizes
-        yield from solve_sizes(solve, head, len(thing_sizes), workers)
+        yield from solve_sizes(solve, head, n_sizes, workers)
 
 
 def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
@@ -703,7 +697,7 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
     ran out of node budget.  What the size built is freed on return,
     before the next size is grounded."""
     n_things, n_worlds = len(things), len(worlds)
-    stats = SearchStats()
+    decisions = steps = conflicts = pruned = branches = 0
     prefix_sorts = [sort for _, sort in prefix]
     grounder = Grounder(things, worlds, atoms)
     # The premise clauses and their definitions are ground once per size;
@@ -724,10 +718,10 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
     for combo in itertools.product(*(range(n) for n in universe_sizes)):
         if config.pruning == "canonical" and \
                 not _is_orbit_representative(combo, prefix_sorts):
-            stats.pruned_subtrees += 1
+            pruned += 1
             continue
         clauses = branch_clauses(combo)
-        stats.branches_total += 1
+        branches += 1
         if not all(clauses):
             # The branch's own clauses hold the empty clause: no solver,
             # and 0 steps, as a solver would report.
@@ -743,9 +737,9 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
         except _BudgetExceeded:
             return None, None
         remaining -= solver.steps
-        stats.candidates_visited += solver.decisions
-        stats.propagations += solver.steps
-        stats.conflicts += solver.conflicts
+        decisions += solver.decisions
+        steps += solver.steps
+        conflicts += solver.conflicts
         if solution is not None:
             # Equal keys denote the same model, so the first branch
             # reaching the least key decides it.
@@ -753,20 +747,25 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
                                     n_things, n_worlds)
             if best is None or key < best:
                 best = key
-    return best, tuple(
-        getattr(stats, name) for name in STATS_COUNTERS)
+    return best, (decisions, steps, conflicts, pruned, branches)
 
 
-def _recheck(model: FiniteModel, premise_entries, target_entry) -> None:
+def _recheck(model: FiniteModel, premises: Sequence[tuple[str, Formula]],
+             target: tuple[str, Formula]) -> None:
     # Soundness gate: every returned refutation is re-checked by the
     # evaluator, independently of the clause machinery.
-    for entry in premise_entries:
-        if not evaluate(entry.formula, model):
+    for name, formula in premises:
+        if not evaluate(formula, model):
             raise RecheckError(
-                f"internal error: returned model fails premise {entry.id}")
-    if evaluate(target_entry.formula, model):
+                f"internal error: returned model fails premise {name}")
+    if evaluate(target[1], model):
         raise RecheckError(
-            f"internal error: returned model satisfies target {target_entry.id}")
+            f"internal error: returned model satisfies target {target[0]}")
+
+
+def _named(selector: Selector) -> list[tuple[str, Formula]]:
+    """The (id, formula) pairs of the register entries a selector names."""
+    return [(entry.id, entry.formula) for entry in axiom_set(selector)]
 
 
 def find_countermodel(premises: Selector, target: str,
@@ -774,7 +773,7 @@ def find_countermodel(premises: Selector, target: str,
                       ) -> tuple[FiniteModel, int] | None:
     """First counter-model in canonical enumeration order, with its thing
     size, or None when every size up to the bound exhausts."""
-    verdict = _search(premises, target, config or SearchConfig())
+    verdict = entails_bounded(premises, target, config)
     if isinstance(verdict, Refuted):
         return verdict.model, verdict.thing_size
     return None
@@ -787,7 +786,8 @@ def entails_bounded(premises: Selector, target: str,
     NoCounterexampleUpTo(bound); never a claim of unbounded validity.
     ``workers`` above 1 solves the sizes in that many processes at most,
     forked for the search; the result does not depend on it."""
-    return _search(premises, target, config or SearchConfig(), workers)
+    return _search(_named(premises), _named([target])[0],
+                   config or SearchConfig(), workers)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ from collections.abc import Iterable
 from ethica.grounding import (GroundConstraintSet, GroundingError,
                               atom_space, nnf, predicate_profiles)
 from ethica.logic import (And, Eq, Exists, FalseF, FiniteModel, ForAll,
-                          Formula, Not, Or, Pred, Sort, TrueF, Var, evaluate)
+                          Formula, Iff, Implies, Not, Or, Pred, Sort, TrueF,
+                          Var, evaluate, quantifier_prefix)
 from ethica.registry import ETHICA_SIGNATURE, axiom_set
-from ethica.search import _existential_prefix, _is_orbit_representative
+from ethica.search import _is_orbit_representative
 
 Clause = tuple[int, ...]
 Definition = tuple[int, tuple[Clause, ...]]
@@ -60,6 +61,19 @@ def refutes(model, premises, target):
     target_entry = axiom_set([target])[0]
     return (all(evaluate(entry.formula, model) for entry in entries)
             and not evaluate(target_entry.formula, model))
+
+
+def predicates(formula) -> set[str]:
+    """The predicate names a formula mentions, by a walk of its tree."""
+    if isinstance(formula, Pred):
+        return {formula.name}
+    if isinstance(formula, (Not, ForAll, Exists)):
+        return predicates(formula.body)
+    if isinstance(formula, (And, Or)):
+        return set().union(*map(predicates, formula.items))
+    if isinstance(formula, (Implies, Iff)):
+        return predicates(formula.left) | predicates(formula.right)
+    return set()
 
 
 def countermodel_exists(premises, target, support, n_things, n_worlds=0):
@@ -426,7 +440,7 @@ def reference_solver_inputs(premise_formulas, target_formula, support,
              for clause in builder.build(formula, {})]
     premise_defs = len(builder.definitions)
     premises = sigma + definition_clauses(builder.definitions)
-    prefix, matrix = _existential_prefix(nnf(Not(target_formula)))
+    prefix, matrix = quantifier_prefix(nnf(Not(target_formula)), Exists)
     sorts = [sort for _, sort in prefix]
     universes = [things if sort is Sort.THING else worlds for sort in sorts]
     inputs = []

@@ -170,11 +170,11 @@ def test_verify_target_not_falsified(a12):
 def test_witness_soundness(a12, a15):
     # Substituting any reported witness into the target's matrix must yield
     # false under the plain evaluator.
-    from ethica.corpus import outer_universal_block
+    from ethica.logic import ForAll, quantifier_prefix
     for member, premises, target in ((a12, ["A22"], "A12"),
                                      (a15, ["A25"], "A15")):
         report = verify(member, premises, target)
-        block, matrix = outer_universal_block(axiom(target).formula)
+        block, matrix = quantifier_prefix(axiom(target).formula, ForAll)
         for witness in report.witnesses:
             env = {var: (sort, label)
                    for (var, sort), label in zip(block, witness)}

@@ -2,23 +2,25 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from ethica.grounding import (Grounder, atom_space, compile_formula,
                               definition_clauses, nnf, predicate_profiles)
 from ethica import search
-from ethica.logic import FiniteModel, Not, Sort, evaluate
+from ethica.logic import (FALSE, And, Eq, Exists, FiniteModel, ForAll, Not,
+                          Pred, Sort, Var, evaluate, quantifier_prefix)
 from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_set
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
                            SearchConfig, SearchError, SearchStats,
-                           _existential_prefix, _is_orbit_representative,
+                           _is_orbit_representative,
                            _least_relabeling, _Solver, canonical_form,
                            check_naive_psr, entails_bounded, find_countermodel)
 
 from oracles import (assert_clause_format, countermodel_exists,
-                     dpll_least_solution, least_relabeling, random_model,
-                     reference_solver_inputs, refutes)
+                     dpll_least_solution, least_relabeling, predicates,
+                     random_model, reference_solver_inputs, refutes)
 from sweep import sweep
 
 A22_SUPPORT = ("inItself", "perSeConceived", "intellectPerceivesAsEssence")
@@ -135,6 +137,80 @@ def test_a13_converse_is_refuted_at_these_bridges():
                               SearchConfig(max_thing_size=3, max_world_size=2))
     assert isinstance(verdict, Refuted)
     assert refutes(verdict.model, ["A13", "A18", "A3m"], "A23")
+
+
+# ---------------------------------------------------------------------------
+# formulas that are not in the register
+# ---------------------------------------------------------------------------
+
+def _distinct_things(n):
+    """There are n pairwise-distinct things: it holds exactly on the models
+    of at least n things."""
+    names = [f"x{i}" for i in range(n)]
+    formula = And([Not(Eq(Var(a), Var(b)))
+                   for a, b in itertools.combinations(names, 2)])
+    for name in reversed(names):
+        formula = Exists(name, Sort.THING, formula)
+    return formula
+
+
+SYNTHETIC_TARGETS = [
+    ("false", FALSE),
+    ("all_in_itself", ForAll("x", Sort.THING, Pred("inItself", (Var("x"),)))),
+]
+
+
+def _no_register(*args, **kwargs):
+    raise AssertionError("the search core read the register")
+
+
+@pytest.mark.parametrize("target", SYNTHETIC_TARGETS, ids=lambda t: t[0])
+def test_search_core_takes_formulas_that_are_not_in_the_register(
+        monkeypatch, target):
+    # The least model of n distinct things has n things, and each target
+    # fails on every model of the premise, so the least counter-model has
+    # exactly n things.
+    monkeypatch.setattr(search, "axiom_set", _no_register)
+    n = 4
+    premises = [("distinct4", _distinct_things(n))]
+    for bound in range(1, n + 3):
+        verdict = search._search(premises, target,
+                                 SearchConfig(max_thing_size=bound))
+        if bound < n:
+            assert verdict.describe() == f"NoCounterexampleUpTo({bound})"
+            continue
+        assert verdict.describe() == f"Refuted(size={n})", bound
+        assert len(verdict.model.things) == n
+        assert evaluate(premises[0][1], verdict.model)
+        assert not evaluate(target[1], verdict.model)
+
+
+def test_failed_recheck_names_the_formula_not_in_the_register(monkeypatch):
+    premises = [("distinct2", _distinct_things(2))]
+    target = SYNTHETIC_TARGETS[1]
+    config = SearchConfig(max_thing_size=2)
+    for value, message in ((False, "fails premise distinct2"),
+                           (True, "satisfies target all_in_itself")):
+        monkeypatch.setattr(search, "evaluate",
+                            lambda formula, model, value=value: value)
+        with pytest.raises(search.RecheckError, match=message):
+            search._search(premises, target, config)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_sizes_beyond_the_refutation_cost_no_memory(workers):
+    # PSRSubstance |= A12 is refuted at 2 things, so a bound of a million
+    # things must cost what a bound of four does: no size is listed
+    # before the walk reaches it.
+    tracemalloc.start()
+    try:
+        verdict = entails_bounded("PSRSubstance", "A12",
+                                  SearchConfig(max_thing_size=10**6), workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.describe() == "Refuted(size=2)"
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +463,7 @@ def _branch_inputs(premises, target, n_things, n_worlds):
     grounder = Grounder(things, worlds, atoms)
     sigma = [clause for formula in premise_formulas
              for clause in grounder.instantiate(compile_formula(nnf(formula)))()]
-    prefix, matrix = _existential_prefix(nnf(Not(target_formula)))
+    prefix, matrix = quantifier_prefix(nnf(Not(target_formula)), Exists)
     matrix = grounder.instantiate(compile_formula(matrix, prefix))
     sorts = [sort for _, sort in prefix]
     universes = [n_things if sort is Sort.THING else n_worlds for sort in sorts]
@@ -507,12 +583,17 @@ def test_random_tables_satisfy_constraints_iff_evaluator_agrees():
     # some table assignment of the support predicates at 2 things satisfies
     # the premises and not the target under the evaluator (by exhaustive
     # enumeration) iff the search finds a counter-model up to 2 things.
+    # These directions mention only A22's predicates, and the evaluator
+    # reads no other table, so enumerating more predicates would only
+    # repeat each assignment's verdict.
     for premises, target, worlds in BUNDLED_DIRECTIONS[:6]:
         if worlds:
             continue
-        support = A22_SUPPORT + ("absolutelyInfinite", "expressesEternalEssence",
-                                 "involvesExistence")
-        oracle = countermodel_exists(premises, target, support, 2)
+        formulas = [entry.formula for entry in axiom_set(premises)]
+        mentioned = set().union(*map(predicates,
+                                     formulas + [axiom(target).formula]))
+        assert mentioned <= set(A22_SUPPORT), (premises, target)
+        oracle = countermodel_exists(premises, target, A22_SUPPORT, 2)
         engine = find_countermodel(premises, target, SearchConfig(max_thing_size=2))
         assert oracle == (engine is not None), (premises, target)
 

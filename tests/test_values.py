@@ -16,7 +16,7 @@ from ethica.experiments import (CorpusCheck, Direction, ExperimentResult,
 from ethica.grounding import GroundConstraintSet, ground
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, Exists, FalseF,
                           FiniteModel, ForAll, Iff, Implies, Not, Or, Pred,
-                          PredicateDecl, Sort, TrueF, Var)
+                          PredicateDecl, Sort, TrueF, Value, Var)
 from ethica.registry import AxiomEntry, axiom
 from ethica.search import (NoCounterexampleUpTo, Refuted, SearchConfig,
                            SearchStats)
@@ -68,24 +68,18 @@ FROZEN = {
     CorpusCheck: lambda: CorpusCheck("A15CounterModel", ("A25",), "A15"),
     ExperimentSpec: _spec,
     ReducibilityTable: lambda: ReducibilityTable((_result(),)),
-}
-MUTABLE = {
     SearchStats: lambda: SearchStats(support=("inItself",), conflicts=3),
     ExperimentResult: _result,
 }
-#: The frozen classes with a field of a mutable class above.
-HOLDS_MUTABLE = {Refuted, NoCounterexampleUpTo, ReducibilityTable}
 
 
 def _fields(value):
     return tuple(getattr(value, name) for name in type(value).__slots__)
 
 
-@pytest.mark.parametrize("cls", list(FROZEN) + list(MUTABLE),
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(FROZEN), ids=lambda cls: cls.__name__)
 def test_equality_compares_fields_of_the_same_class_only(cls):
-    make = {**FROZEN, **MUTABLE}[cls]
-    first, second = make(), make()
+    first, second = FROZEN[cls](), FROZEN[cls]()
     assert type(first) is cls
     assert first == second and not first != second
     assert first.__eq__(object()) is NotImplemented
@@ -105,11 +99,7 @@ def test_equal_fields_in_another_class_are_not_equal():
 def test_frozen_values_hash_their_fields_and_refuse_assignment(cls):
     value = FROZEN[cls]()
     assert cls.__hash__ is not None
-    if cls in HOLDS_MUTABLE:
-        with pytest.raises(TypeError):
-            hash(value)
-    else:
-        assert hash(value) == hash(_fields(value)) == hash(FROZEN[cls]())
+    assert hash(value) == hash(_fields(value)) == hash(FROZEN[cls]())
     name = (cls.__slots__ or ("anything",))[0]
     with pytest.raises(AttributeError):
         setattr(value, name, None)
@@ -119,7 +109,7 @@ def test_frozen_values_hash_their_fields_and_refuse_assignment(cls):
 
 
 def test_mapping_fields_refuse_mutation():
-    model, spec = _model(), _spec()
+    model, spec, result = _model(), _spec(), _result()
     mutations = [
         lambda: model.tables.__setitem__("inItself", frozenset()),
         lambda: model.tables.__delitem__("inItself"),
@@ -130,31 +120,20 @@ def test_mapping_fields_refuse_mutation():
         model.tables.clear,
         lambda: spec.expectation.__setitem__("forward", "refuted"),
         lambda: spec.expectation.__ior__({"forward": "refuted"}),
+        lambda: result.verdicts.__setitem__("forward", None),
     ]
     for mutate in mutations:
         with pytest.raises(TypeError):
             mutate()
-    assert model == _model() and spec == _spec()
+    assert model == _model() and spec == _spec() and result == _result()
     assert dict(model.tables) == {"inItself": frozenset({("t0",)})}
     assert spec.expectation == {"forward": "no_counterexample"}
     assert hash(model.tables) == hash(_model().tables)
 
 
-@pytest.mark.parametrize("cls", list(MUTABLE), ids=lambda cls: cls.__name__)
-def test_mutable_values_are_unhashable_and_assignable(cls):
-    value = MUTABLE[cls]()
-    with pytest.raises(TypeError):
-        hash(value)
-    name = cls.__slots__[-1]
-    setattr(value, name, ("changed",))
-    assert getattr(value, name) == ("changed",)
-    assert value != MUTABLE[cls]()
-
-
-@pytest.mark.parametrize("cls", list(FROZEN) + list(MUTABLE),
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(FROZEN), ids=lambda cls: cls.__name__)
 def test_values_survive_copy_and_pickle(cls):
-    value = {**FROZEN, **MUTABLE}[cls]()
+    value = FROZEN[cls]()
     for clone in (copy.copy(value), copy.deepcopy(value),
                   pickle.loads(pickle.dumps(value))):
         assert type(clone) is cls and clone == value
@@ -202,6 +181,13 @@ def _package_objects():
                         member = member.fget
                     if inspect.isfunction(member):
                         yield member
+
+
+def test_every_value_class_is_frozen_and_checked_here():
+    # No value class is exempt from the frozen checks above.
+    classes = {obj for obj in _package_objects() if inspect.isclass(obj)
+               and issubclass(obj, Value) and obj is not Value}
+    assert classes == set(FROZEN)
 
 
 def test_every_annotation_evaluates():
