@@ -46,16 +46,17 @@ is identical across runs and worker counts.
 Each (things, worlds) size is an independent job with its own grounder,
 node budget and least key.  With ``workers`` above 1 the search forks up to
 that many processes (``workers.py``; never more than the sizes or the CPUs
-it may run on),
-and each solves a fixed share of the sizes and reports every size's key
-and counters; the reports are the ones the calling process would compute
-itself.  The calling process then walks the sizes in ascending order as
-the sequential search does: it sums the counters, fails at the first size
-out of budget, and builds and re-checks the model of the first size with a
-key.  So verdicts, models, counters and errors do not depend on the worker
-count.  Workers are forked, not spawned, so they start from the compiled
-formulas; a caller that runs threads of its own should keep ``workers`` at
-1, the default, which forks nothing.
+it may run on) once it passes ``SEQUENTIAL_THINGS`` things.  Each worker
+solves the sizes it owns in ascending order and reports every size's key
+and counters, the ones the calling process would compute itself.  The
+calling process walks the sizes in ascending order as the sequential
+search does, reading each size's outcome from its worker, or solving it
+itself when its worker ended without reporting it: it sums the counters,
+fails at the first size out of budget, and builds and re-checks the model
+of the first size with a key.  So verdicts, models, counters and errors do
+not depend on the worker count.  Workers are forked, not spawned, so they
+start from the compiled formulas; a caller that runs threads of its own
+should keep ``workers`` at 1, the default, which forks nothing.
 
 Canonical relabeling is a filter, not a search over all n!·w! relabelings.
 The atoms are laid out predicate by predicate, so a relabeled bit vector is
@@ -643,8 +644,6 @@ def _search(premises: Sequence[tuple[str, Formula]],
     exhausted: list[tuple[int, int]] = []
     outcomes = _outcomes(solve, config.max_thing_size, len(world_range), workers)
     for index, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
-            raise outcome
         key, counters = outcome
         if counters is None:
             # An unexhausted size cannot show that a model found in a
@@ -676,8 +675,7 @@ def _outcomes(solve, max_things: int, per_thing: int, workers: int):
     ``max_things`` things, with ``per_thing`` world sizes each.  With more
     than one worker, the sizes above ``SEQUENTIAL_THINGS`` things are
     solved in worker processes (``workers.solve_sizes``) once the walk
-    reaches them; the outcome of such a size whose solve raised is the
-    exception, which the walk raises."""
+    reaches them, up to the first size that ends the search."""
     n_sizes = max_things * per_thing
     head = n_sizes if workers == 1 else \
         min(max_things, SEQUENTIAL_THINGS) * per_thing

@@ -6,12 +6,12 @@ search in one process never compiles it.  Each size is an
 independent job: ``solve(index)`` grounds and solves it and returns its
 outcome, ``(key, counters)``, with ``key`` None when the size is exhausted
 and ``counters`` None when it ran out of node budget.  Workers are forked
-with ``os.fork`` and report over ``os.pipe`` in ``marshal`` records, so
-they start from the search's compiled formulas, and no pool module is
-imported: ``import multiprocessing.pool`` alone took 28–39 ms on a 2-core
-host, about a quarter of a CLI run.  Workers leave through ``os._exit``, so
-nothing the calling process buffered is written twice.  ``fork`` is unsafe
-in a process that runs threads; ethica starts none.
+with ``os.fork`` and write each outcome to a pipe as one ``marshal``
+record, so they start from the search's compiled formulas, and no pool
+module is imported: ``import multiprocessing.pool`` alone took 28–39 ms on
+a 2-core host, about a quarter of a CLI run.  Workers leave through
+``os._exit``, so nothing the calling process buffered is written twice.
+``fork`` is unsafe in a process that runs threads; ethica starts none.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import signal
 
 
 def process_count(workers: int, n_sizes: int) -> int:
-    """The processes a search may use, its own included: at most
-    ``workers``, the number of sizes and the CPUs this process may run on,
-    and one where ``os.fork`` is missing."""
+    """The processes that solve a search's sizes: at most ``workers``, the
+    number of sizes and the CPUs this process may run on, and one where
+    ``os.fork`` is missing.  With one the calling process solves them;
+    with more, that many workers are forked."""
     if workers < 2 or not hasattr(os, "fork"):
         return 1
     try:
@@ -34,50 +35,31 @@ def process_count(workers: int, n_sizes: int) -> int:
     return max(1, min(workers, n_sizes, cpus))
 
 
-def shares(n_sizes: int, procs: int) -> list[list[int]]:
-    """Size indices 0 .. n_sizes - 1 per process, each share ascending;
-    share 0 is the calling process's.
+def owner(index: int, n_sizes: int, procs: int) -> int:
+    """The worker, 0 .. procs - 1, that solves size ``index`` of
+    0 .. n_sizes - 1.
 
     Search time grows with the size, so the sizes are dealt from the
     largest down in snake order (0, 1, ..., p-1, p-1, ..., 0, ...), which
-    evens the shares out.  The calling process takes the share holding the
-    least size, so a refutation there waits for no worker."""
-    dealt: list[list[int]] = [[] for _ in range(procs)]
-    for rank, index in enumerate(reversed(range(n_sizes))):
-        round_, pos = divmod(rank, procs)
-        dealt[pos if round_ % 2 == 0 else procs - 1 - pos].append(index)
-    dealt.sort(key=lambda share: 0 not in share)
-    return [share[::-1] for share in dealt]
+    evens the workers' shares out."""
+    round_, pos = divmod(n_sizes - 1 - index, procs)
+    return pos if round_ % 2 == 0 else procs - 1 - pos
 
 
 def _is_terminal(outcome) -> bool:
-    """Whether the walk stops at a size with this outcome: an exception, a
-    key, or no counters (out of node budget)."""
-    return isinstance(outcome, Exception) or outcome[0] is not None \
-        or outcome[1] is None
-
-
-def _attempt(solve, index):
-    """``solve(index)``, or the exception it raised: the walk raises it
-    only if no smaller size ends the search first, as the sequential
-    search would."""
-    try:
-        return solve(index)
-    except Exception as err:
-        return err
+    """Whether the walk stops at a size with this outcome: a key, or no
+    counters (out of node budget)."""
+    return outcome[0] is not None or outcome[1] is None
 
 
 class _Worker:
-    """A forked process solving its share of sizes, reporting each size on
-    a pipe as a length-prefixed ``marshal`` record ``(index, key,
-    counters)``.  It stops after its first terminal size; on an error it
-    exits without reporting the size, which the calling process then
-    solves itself."""
+    """A forked process solving its sizes in ascending order and writing
+    each outcome to a pipe as a ``marshal`` record.  It stops after its
+    first terminal size; on an error it exits without reporting the size,
+    which the calling process then solves itself."""
 
-    def __init__(self, solve, share: list[int]):
-        self.share = share
-        self.buffer = b""
-        self.eof = False
+    def __init__(self, solve, rank: int, first: int, n_sizes: int,
+                 procs: int):
         read_fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
@@ -88,104 +70,65 @@ class _Worker:
         if self.pid == 0:
             try:
                 os.close(read_fd)
-                self._work(solve, write_fd)
+                pipe = open(write_fd, "wb")
+                for index in range(first, n_sizes):
+                    if owner(index, n_sizes, procs) == rank:
+                        outcome = solve(index)
+                        marshal.dump(outcome, pipe)
+                        pipe.flush()
+                        if _is_terminal(outcome):
+                            break
             finally:
                 # Nothing of the parent's (buffered output, exit handlers,
                 # callers' finally blocks) may run a second time here.
                 os._exit(0)
         os.close(write_fd)
-        self.fd = read_fd
+        self.pipe = open(read_fd, "rb")
 
-    def _work(self, solve, fd: int) -> None:
-        for index in self.share:
-            outcome = solve(index)
-            data = marshal.dumps((index, *outcome))
-            data = memoryview(len(data).to_bytes(4, "little") + data)
-            while data:
-                data = data[os.write(fd, data):]
-            if _is_terminal(outcome):
-                return
-
-    def read(self, outcomes: list, block: bool) -> None:
-        """Record the sizes reported so far: without ``block`` whatever is
-        in the pipe, with it at least one more chunk, or end of file."""
-        os.set_blocking(self.fd, block)
-        while not self.eof:
-            try:
-                chunk = os.read(self.fd, 1 << 16)
-            except BlockingIOError:
-                return
-            self.eof = not chunk
-            self.buffer += chunk
-            while len(self.buffer) >= 4:
-                end = 4 + int.from_bytes(self.buffer[:4], "little")
-                if len(self.buffer) < end:
-                    break
-                index, *outcome = marshal.loads(self.buffer[4:end])
-                outcomes[index] = tuple(outcome)
-                self.buffer = self.buffer[end:]
-            if block:
-                return
+    def read(self):
+        """The worker's next outcome, or None once it has ended without
+        reporting it: end of file, or the partial record of a killed
+        worker."""
+        try:
+            return marshal.load(self.pipe)
+        except EOFError:
+            return None
 
     def stop(self) -> None:
         # The worker is not reaped before the kill, so its pid cannot
         # have been reused.
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-        os.close(self.fd)
+        self.pipe.close()
 
 
 def solve_sizes(solve, first: int, n_sizes: int, workers: int) -> list:
-    """The outcomes of sizes ``first`` .. ``n_sizes - 1`` up to the first
-    terminal one, in size order: ``solve(index)``'s result, or the
-    exception it raised.  Sizes past the first terminal one may be None.
+    """The outcomes ``solve(index)`` of sizes ``first`` .. ``n_sizes - 1``
+    in ascending order, up to the first terminal one.
 
-    With one process the sizes are solved in ascending order up to the
-    first terminal one.  With more, each worker solves its share in
-    ascending order, while this process solves its own; between its sizes
-    it reads what the workers have reported and skips every size above
-    the least terminal one known.  A size whose worker ended without
-    reporting it is solved here.  Every worker is killed and reaped on
-    return, as soon as every size below the least terminal one is known,
-    or when an error or interrupt leaves the search."""
-    outcomes: list = [None] * n_sizes
+    Up to ``workers`` processes are forked, each solving the sizes it owns
+    (``owner``).  This process walks the sizes in ascending order and reads
+    each size's outcome from its worker, waiting for it; it solves a size
+    itself only when its worker ended without reporting it or could not be
+    forked, so an error it raises is the one the sequential search would
+    raise.  Every worker is killed and reaped on return, or when an error
+    or interrupt leaves the search."""
     procs = process_count(workers, n_sizes - first)
-    dealt = [[first + i for i in share]
-             for share in shares(n_sizes - first, procs)]
-    # The worker solving each size; None for this process's sizes and for
-    # those of a worker that could not be forked.
-    owner: dict = dict.fromkeys(range(first, n_sizes))
     pool: list[_Worker] = []
-
-    def first_terminal() -> int:
-        return next((index for index, outcome in enumerate(outcomes)
-                     if outcome is not None and _is_terminal(outcome)),
-                    n_sizes)
-
+    outcomes = []
     try:
-        for share in dealt[1:]:
+        for rank in range(procs) if procs > 1 else ():
             try:
-                worker = _Worker(solve, share)
+                pool.append(_Worker(solve, rank, first, n_sizes, procs))
             except OSError:
                 break
-            pool.append(worker)
-            owner.update(dict.fromkeys(share, worker))
-        for index in dealt[0]:
-            for worker in pool:
-                worker.read(outcomes, block=False)
-            if index > first_terminal():
+        for index in range(first, n_sizes):
+            rank = owner(index, n_sizes, procs)
+            outcome = pool[rank].read() if rank < len(pool) else None
+            outcomes.append(solve(index) if outcome is None else outcome)
+            if _is_terminal(outcomes[-1]):
                 break
-            outcomes[index] = _attempt(solve, index)
-        index = first
-        while index < first_terminal():
-            worker = owner[index]
-            if outcomes[index] is not None:
-                index += 1
-            elif worker is not None and not worker.eof:
-                worker.read(outcomes, block=True)
-            else:
-                outcomes[index] = _attempt(solve, index)
     finally:
         for worker in pool:
             worker.stop()
-    return outcomes[first:]
+    return outcomes
