@@ -7,7 +7,7 @@ outcome taxonomy.
 """
 
 from .corpus import (CorpusModel, VerificationReport, a12_counter_model,
-                     a15_counter_model, corpus_model, corpus_names, verify)
+                     a15_counter_model, corpus_model, verify)
 from .dsl import ModelParseError, parse_model, serialize_model
 from .experiments import (ExperimentResult, ExperimentSpec, InsufficientEvidenceError,
                           OutcomeClass, bundled_experiments, classify_outcome,
@@ -19,7 +19,7 @@ from .logic import (Assignment, Elem, EvaluationError, FiniteModel, Formula,
                     LogicError, ModelError, PredicateDecl, Signature, Sort,
                     SortError, Var, check_sorted, evaluate)
 from .registry import (ETHICA_SIGNATURE, AxiomEntry, RegistryError, Section,
-                       axiom, axiom_ids, axiom_set, definition)
+                       axiom, axiom_ids, axiom_set)
 from .search import (EntailmentVerdict, NoCounterexampleUpTo, RecheckError,
                      Refuted, ResourceLimitExceeded, SearchConfig, SearchStats,
                      canonical_form, check_naive_psr, entails_bounded,

@@ -21,17 +21,16 @@ FIDELITY_TWO_CATEGORY_COLLAPSE = "F2-two-category-collapse"
 
 
 class CorpusModel(Value):
-    __slots__ = ("name", "model", "provenance", "fidelity_flags")
+    __slots__ = ("name", "model", "fidelity_flags")
 
-    def __init__(self, name: str, model: FiniteModel, provenance: str,
+    def __init__(self, name: str, model: FiniteModel,
                  fidelity_flags: tuple[str, ...]):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "fidelity_flags", fidelity_flags)
 
 
-def _load(name: str, provenance: str) -> CorpusModel:
+def _load(name: str) -> CorpusModel:
     """The corpus model parsed from its ``data/<name>.model`` file."""
     path = os.path.join(os.path.dirname(__file__), "data", f"{name}.model")
     with open(path, encoding="utf-8") as handle:
@@ -39,7 +38,6 @@ def _load(name: str, provenance: str) -> CorpusModel:
     return CorpusModel(
         name=name,
         model=model,
-        provenance=provenance,
         fidelity_flags=(FIDELITY_UNIFORM_ETERNAL_ESSENCE,
                         FIDELITY_TWO_CATEGORY_COLLAPSE),
     )
@@ -52,10 +50,7 @@ def a12_counter_model() -> CorpusModel:
     Satisfies substance distinguishability (A22) while falsifying the
     substance-identity-by-shared-attribute axiom (A12).
     """
-    return _load(
-        "A12CounterModel",
-        provenance="four-element counter-model: the shared attribute defeats "
-                   "A12 while a_only_s1 discriminates the substance pair for A22")
+    return _load("A12CounterModel")
 
 
 def a15_counter_model() -> CorpusModel:
@@ -64,20 +59,13 @@ def a15_counter_model() -> CorpusModel:
     Satisfies plenitude (A25) while falsifying the attribute-universality
     axiom (A15); hosting two gods, it falsifies god uniqueness (A26).
     """
-    return _load(
-        "A15CounterModel",
-        provenance="three-element counter-model: both g1 and g2 are gods and "
-                   "attr_g2 belongs to g2 only, defeating A15 under plenitude")
+    return _load("A15CounterModel")
 
 
 _CORPUS = {
     "A12CounterModel": a12_counter_model,
     "A15CounterModel": a15_counter_model,
 }
-
-
-def corpus_names() -> tuple[str, ...]:
-    return tuple(_CORPUS)
 
 
 def corpus_model(name: str) -> CorpusModel:
@@ -171,13 +159,15 @@ def verify(model: FiniteModel | CorpusModel, premises: Selector,
 
     premise_values = tuple(
         (entry.id, evaluate(entry.formula, model)) for entry in premise_entries)
-    target_value = evaluate(target_entry.formula, model)
-    witnesses = () if target_value else falsifying_witnesses(target_entry.formula, model)
+    # The target is false exactly when some tuple of its outermost
+    # universal block makes the matrix false.
+    witnesses = falsifying_witnesses(target_entry.formula, model)
+    target_value = not witnesses
 
     failing = next((axiom_id for axiom_id, value in premise_values if not value), None)
     if failing is not None:
         verdict = f"premise-failure({failing})"
-    elif target_value or not witnesses:
+    elif target_value:
         verdict = VERDICT_TARGET_NOT_FALSIFIED
     else:
         verdict = VERDICT_CONFIRMED

@@ -32,9 +32,6 @@ class OutcomeClass(Enum):
     DECOMPOSITION_ONLY = "DecompositionOnly"
     FULL_IRREDUCIBILITY = "FullIrreducibility"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 OUTCOME_LABELS = {
     OutcomeClass.FULL_REDUCTION: "Full reduction",

@@ -109,9 +109,6 @@ class Var(Value):
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class Elem(Value):
     """A universe-element constant."""
@@ -121,9 +118,6 @@ class Elem(Value):
     def __init__(self, sort: Sort, label: str):
         object.__setattr__(self, "sort", sort)
         object.__setattr__(self, "label", label)
-
-    def __str__(self) -> str:
-        return self.label
 
 
 Term = Var | Elem
@@ -136,15 +130,9 @@ Term = Var | Elem
 class TrueF(Value):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return "true"
-
 
 class FalseF(Value):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return "false"
 
 
 TRUE = TrueF()
@@ -300,23 +288,11 @@ class Signature:
         except KeyError:
             raise SortError(f"unknown predicate {name!r}") from None
 
-    def extended(self, predicates: Iterable[PredicateDecl]) -> "Signature":
-        """A new signature with extra predicates; existing ones cannot be re-typed."""
-        added = list(predicates)
-        for decl in added:
-            if decl.name in self._decls:
-                raise ValueError(f"predicate {decl.name!r} already declared")
-        return Signature(list(self._decls.values()) + added)
-
     def __contains__(self, name: str) -> bool:
         return name in self._decls
 
     def __iter__(self):
         return iter(self._decls.values())
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._decls)
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +486,17 @@ def _eval(f: Formula, m: FiniteModel, env: dict) -> bool:
         if not universe:
             raise EvaluationError(
                 "quantification over World on a model with no world universe")
-        saved = env.get(f.var)
-        had = f.var in env
+        universal = isinstance(f, ForAll)
+        outer = env.get(f.var)
         try:
-            results = []
             for label in universe:
                 env[f.var] = (f.sort, label)
-                results.append(_eval(f.body, m, env))
-                if isinstance(f, ForAll) and not results[-1]:
-                    return False
-                if isinstance(f, Exists) and results[-1]:
-                    return True
-            return isinstance(f, ForAll)
+                if _eval(f.body, m, env) is not universal:
+                    return not universal
+            return universal
         finally:
-            if had:
-                env[f.var] = saved
-            elif f.var in env:
+            if outer is None:
                 del env[f.var]
+            else:
+                env[f.var] = outer
     raise TypeError(f"not a formula: {f!r}")

@@ -11,7 +11,7 @@ and are deliberately absent; experiments cannot reference them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from enum import Enum
 
 from .logic import (And, Eq, Exists, ForAll, Formula, Iff, Implies, Not,
@@ -23,7 +23,7 @@ W = Sort.WORLD
 
 
 class RegistryError(LookupError):
-    """Unknown axiom id, bundle name, or definition name."""
+    """Unknown axiom id or bundle name."""
 
 
 ETHICA_SIGNATURE = Signature([
@@ -83,23 +83,6 @@ def is_god(g: Term) -> Formula:
     ))
 
 
-_DEFINITIONS: dict[str, Callable[..., Formula]] = {
-    "Substance": substance,
-    "Attribute": attribute,
-    "Mode": mode,
-    "sameNature": same_nature,
-    "IsGod": is_god,
-}
-
-
-def definition(name: str) -> Callable[..., Formula]:
-    """The macro for a derived definition; apply it to terms to expand."""
-    try:
-        return _DEFINITIONS[name]
-    except KeyError:
-        raise RegistryError(f"unknown definition {name!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Axiom catalogue
 # ---------------------------------------------------------------------------
@@ -110,9 +93,6 @@ class Section(Enum):
     SECTION_III = "SectionIII"
     MODAL_BRIDGE = "ModalBridge"
     PSR_CANDIDATE = "PSRCandidate"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 #: The formula is the settled statement of the register ("stated") or a

@@ -30,8 +30,7 @@ variable, which agree with the least model, so the least model would set
 it true as well.
 
 Skipping the branches that do not represent their orbit is the search's
-only symmetry mechanism; lex-leader cuts within a branch were removed
-because they did not reduce the conflicts of any measured search.
+only symmetry mechanism.
 
 The node budget counts assignments, decisions and auxiliary ones included,
 per size across all of its branches.
@@ -44,30 +43,15 @@ model is the least canonical relabeling among branch solutions.  The result
 is identical across runs and worker counts.
 
 Each (things, worlds) size is an independent job with its own grounder,
-node budget and least key.  With ``workers`` above 1 the search forks up to
-that many processes (``workers.py``; never more than the sizes or the CPUs
-it may run on) once it passes ``SEQUENTIAL_THINGS`` things.  Each worker
-solves the sizes it owns in ascending order and reports every size's key
-and counters, the ones the calling process would compute itself.  The
-calling process walks the sizes in ascending order as the sequential
-search does, reading each size's outcome from its worker, or solving it
-itself when its worker ended without reporting it: it sums the counters,
-fails at the first size out of budget, and builds and re-checks the model
-of the first size with a key.  So verdicts, models, counters and errors do
-not depend on the worker count.  Workers are forked, not spawned, so they
-start from the compiled formulas; a caller that runs threads of its own
-should keep ``workers`` at 1, the default, which forks nothing.
-
-Canonical relabeling is a filter, not a search over all n!·w! relabelings.
-The atoms are laid out predicate by predicate, so a relabeled bit vector is
-a sequence of fixed-length blocks, one per predicate, and its lexicographic
-minimum is found block by block: each block keeps only the relabelings
-under which it is least so far, ties included, and hands them to the next.
-A block's image indices are the grounder's mixed-radix arithmetic over the
-permuted element indices.  The first block that tells relabelings apart
-enumerates the permutations lazily, and a block whose bits are all equal is
-the same under every relabeling and is skipped.  The result is the brute
-force's least key exactly; the brute force is the tests' oracle.
+node budget and least key.  With ``workers`` above 1, the sizes above
+``SEQUENTIAL_THINGS`` things may be solved in forked processes
+(``workers.py``), which report each size's key and counters, the ones the
+calling process would compute itself.  The calling process still takes the
+sizes in ascending order: it sums the counters, fails at the first size out
+of budget, and builds and re-checks the model of the first size with a key.
+So verdicts, models, counters and errors do not depend on the worker count.
+A caller that runs threads of its own should keep ``workers`` at 1, the
+default, which forks nothing.
 """
 
 from __future__ import annotations

@@ -4,13 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
+import pytest
 
 import ethica
 from ethica.cli import main
 from ethica.dsl import serialize_model
 from ethica.experiments import REPORT_SCHEMA
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +163,14 @@ def test_usage_error_exits_two(capsys, monkeypatch):
                                  "--target", "A14", "--max-things", "2")
         assert (code, out) == (2, ""), budget
         assert message in err, budget
+
+
+def test_non_integer_workers_exits_two_without_traceback(capsys):
+    code, out, err = run_cli(capsys, "search", "--premises", "PSRSubstance",
+                             "--target", "A12", "--workers", "abc")
+    assert (code, out) == (2, "")
+    assert err.endswith("argument --workers: invalid int value: 'abc'\n")
+    assert "Traceback" not in err
 
 
 def test_node_budget_env_exits_three(capsys, monkeypatch):
@@ -344,6 +357,18 @@ def test_export_axioms_json(capsys):
     assert entries["A22"]["section"] == "PSRCandidate"
     assert entries["A12"]["formula"].startswith("∀s1 s2 a.")
     assert all("citation" in entry for entry in entries.values())
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("export-axioms",), "export-axioms.txt"),
+    (("experiment", "run", "all"), "experiment-run-all.txt"),
+])
+def test_text_report_is_byte_identical_to_its_golden_file(capsys, argv, golden):
+    # The golden files hold the reports as ethica prints them; change one
+    # only together with a change to the report it pins.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 def test_cli_import_loads_no_dataclasses_typing_or_inspect():

@@ -7,7 +7,7 @@ import pytest
 
 from ethica.corpus import (FIDELITY_TWO_CATEGORY_COLLAPSE,
                            FIDELITY_UNIFORM_ETERNAL_ESSENCE, corpus_model,
-                           corpus_names, falsifying_witnesses, verify)
+                           falsifying_witnesses, verify)
 from ethica.logic import Elem, EvaluationError, Sort, evaluate
 from ethica.registry import attribute, axiom, is_god
 from ethica.search import SearchConfig, find_countermodel
@@ -210,6 +210,8 @@ def test_verifier_search_agreement(a12, a15):
 
 
 def test_corpus_names():
-    assert set(corpus_names()) == {"A12CounterModel", "A15CounterModel"}
-    with pytest.raises(LookupError, match="unknown corpus model"):
+    with pytest.raises(LookupError, match="unknown corpus model") as err:
         corpus_model("A13CounterModel")
+    assert str(err.value).endswith("known: A12CounterModel, A15CounterModel")
+    for name in ("A12CounterModel", "A15CounterModel"):
+        assert corpus_model(name).name == name

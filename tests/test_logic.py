@@ -96,6 +96,20 @@ def test_unbound_variable_is_an_error_not_a_default(a12):
         evaluate(Pred("inItself", (Var("x"),)), a12.model)
 
 
+def test_a_quantifier_restores_the_outer_binding_of_its_variable():
+    # The quantifier binds x to each thing, t2 last; the conjunct after it
+    # must read the caller's x again, or find x unbound if it had none.
+    x = Var("x")
+    model = FiniteModel("m", ("t1", "t2"), (), {
+        "inItself": ["t1", "t2"], "perSeConceived": ["t1"]})
+    formula = And((ForAll("x", T, Pred("inItself", (x,))),
+                   Pred("perSeConceived", (x,))))
+    assert evaluate(formula, model, {"x": (T, "t1")}) is True
+    assert evaluate(formula, model, {"x": (T, "t2")}) is False
+    with pytest.raises(EvaluationError, match="unbound variable 'x'"):
+        evaluate(formula, model)
+
+
 def test_world_quantifier_on_worldless_model_is_an_error(a12):
     assert a12.model.worlds == ()
     with pytest.raises(EvaluationError, match="no world universe"):

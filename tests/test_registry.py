@@ -8,8 +8,8 @@ import pytest
 from ethica.logic import (And, Elem, Eq, Exists, ForAll, Iff, Implies, Not,
                           Or, Pred, Sort, Var, check_sorted, evaluate)
 from ethica.registry import (BUNDLES, ETHICA_SIGNATURE, RegistryError, Section,
-                             attribute, axiom, axiom_ids, axiom_set,
-                             definition, is_god, substance)
+                             attribute, axiom, axiom_ids, axiom_set, is_god,
+                             mode, same_nature, substance)
 
 from oracles import random_model
 
@@ -26,38 +26,33 @@ def thing(label):
 
 def test_substance_macro_expands_to_primitives():
     x = Var("x")
-    assert definition("Substance")(x) == And((
+    assert substance(x) == And((
         Pred("inItself", (x,)), Pred("perSeConceived", (x,))))
 
 
 def test_attribute_macro_carries_substance():
     a, s = Var("a"), Var("s")
-    assert definition("Attribute")(a, s) == And((
+    assert attribute(a, s) == And((
         substance(s), Pred("intellectPerceivesAsEssence", (s, a))))
 
 
 def test_mode_macro():
     x = Var("x")
-    assert definition("Mode")(x) == And((
+    assert mode(x) == And((
         Pred("inAnother", (x,)), Pred("conceivedThroughAnother", (x,))))
 
 
 def test_same_nature_macro_is_shared_attribute():
     x, y = Var("x"), Var("y")
-    expanded = definition("sameNature")(x, y)
+    expanded = same_nature(x, y)
     assert expanded == Exists("attr", T, And((attribute(Var("attr"), x),
                                               attribute(Var("attr"), y))))
 
 
 def test_is_god_has_four_conjuncts():
     g = Var("g")
-    expanded = definition("IsGod")(g)
+    expanded = is_god(g)
     assert isinstance(expanded, And) and len(expanded.items) == 4
-
-
-def test_unknown_definition_is_an_error():
-    with pytest.raises(RegistryError, match="unknown definition"):
-        definition("Essence")
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +215,3 @@ def test_citations_and_display_present():
         assert entry.citation
         assert entry.display
         assert entry.status in ("stated", "decided-here")
-
-
-def test_signature_extension_is_add_only():
-    from ethica.logic import PredicateDecl
-    extended = ETHICA_SIGNATURE.extended([PredicateDecl("sameKind", (T, T))])
-    assert "sameKind" in extended
-    assert "inItself" in extended
-    with pytest.raises(ValueError, match="already declared"):
-        ETHICA_SIGNATURE.extended([PredicateDecl("inItself", (T, T))])

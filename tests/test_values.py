@@ -62,7 +62,7 @@ FROZEN = {
     SearchConfig: lambda: SearchConfig(max_thing_size=3, max_world_size=1),
     Refuted: lambda: Refuted(_model(), 2, 1, SearchStats()),
     NoCounterexampleUpTo: lambda: NoCounterexampleUpTo(4, 0, SearchStats()),
-    CorpusModel: lambda: CorpusModel("m", _model(), "p", ("F1",)),
+    CorpusModel: lambda: CorpusModel("m", _model(), ("F1",)),
     VerificationReport: lambda: verify(a12_counter_model(), "PSRSubstance", "A12"),
     Direction: lambda: Direction(("A12", "A14"), "A22"),
     CorpusCheck: lambda: CorpusCheck("A15CounterModel", ("A25",), "A15"),

@@ -259,21 +259,21 @@ def test_an_error_in_the_caller_leaves_no_worker(any_cpus, monkeypatch, error):
 
 def test_an_error_above_a_terminal_size_of_a_worker_is_not_raised(
         any_cpus, monkeypatch):
-    # At 200 steps the search fails at 4 things, a worker's size.  The
-    # worker is held back, so the calling process first reaches its own
-    # sizes above 4 things, where it runs out of memory; one process would
-    # have stopped at 4 things and never seen that.
+    # At 200 steps the search fails at 4 things, a worker's size.  Workers
+    # end without reporting any size above 4 things, so a calling process
+    # that walked past 4 would solve 5 things itself and run out of memory
+    # there; one process would have stopped at 4 things and never seen that.
     caller = os.getpid()
     solve = search._least_branch_key
 
-    def slow_worker(premises, prefix, matrix, things, *args):
-        if os.getpid() != caller and len(things) == 4:
-            time.sleep(0.3)
-        if os.getpid() == caller and len(things) > 4:
+    def failing_above_four(premises, prefix, matrix, things, *args):
+        if len(things) > 4:
+            if os.getpid() != caller:
+                os._exit(0)
             raise MemoryError()
         return solve(premises, prefix, matrix, things, *args)
 
-    monkeypatch.setattr(search, "_least_branch_key", slow_worker)
+    monkeypatch.setattr(search, "_least_branch_key", failing_above_four)
     config = SearchConfig(max_thing_size=8, node_budget=200)
     assert search_all("PSRSubstance", "PropV_allshared", config, (2, 3)) == \
         [(4, 0, 200)] * 2
