@@ -23,24 +23,14 @@ FIDELITY_TWO_CATEGORY_COLLAPSE = "F2-two-category-collapse"
 class CorpusModel(Value):
     __slots__ = ("name", "model", "fidelity_flags")
 
-    def __init__(self, name: str, model: FiniteModel,
-                 fidelity_flags: tuple[str, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "fidelity_flags", fidelity_flags)
-
 
 def _load(name: str) -> CorpusModel:
     """The corpus model parsed from its ``data/<name>.model`` file."""
     path = os.path.join(os.path.dirname(__file__), "data", f"{name}.model")
     with open(path, encoding="utf-8") as handle:
         model = parse_model(handle.read())
-    return CorpusModel(
-        name=name,
-        model=model,
-        fidelity_flags=(FIDELITY_UNIFORM_ETERNAL_ESSENCE,
-                        FIDELITY_TWO_CATEGORY_COLLAPSE),
-    )
+    return CorpusModel(name, model, (FIDELITY_UNIFORM_ETERNAL_ESSENCE,
+                                     FIDELITY_TWO_CATEGORY_COLLAPSE))
 
 
 def a12_counter_model() -> CorpusModel:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .logic import FiniteModel, LogicError, Signature, Sort
+from .logic import FiniteModel, LogicError, Sort
 from .registry import ETHICA_SIGNATURE
 
 _LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -38,9 +38,9 @@ def _full_table(decl, things, worlds):
     return set(itertools.product(*universes))
 
 
-def parse_model(text: str, signature: Signature | None = None) -> FiniteModel:
-    """Parse model DSL text into a FiniteModel validated against the signature."""
-    sig = signature if signature is not None else ETHICA_SIGNATURE
+def parse_model(text: str) -> FiniteModel:
+    """Parse model DSL text into a FiniteModel validated against
+    ``ETHICA_SIGNATURE``."""
     name: str | None = None
     things: tuple[str, ...] | None = None
     worlds: tuple[str, ...] = ()
@@ -93,11 +93,11 @@ def parse_model(text: str, signature: Signature | None = None) -> FiniteModel:
             pred = head.strip()
             if not colon:
                 raise ModelParseError(line_number, "expected 'pred <name>: ...'")
-            if pred not in sig:
+            if pred not in ETHICA_SIGNATURE:
                 raise ModelParseError(line_number, f"unknown predicate {pred!r}")
             if pred in tables:
                 raise ModelParseError(line_number, f"duplicate table for {pred!r}")
-            decl = sig.declaration(pred)
+            decl = ETHICA_SIGNATURE.declaration(pred)
             tokens = body.split()
             if not tokens:
                 raise ModelParseError(line_number, f"empty table for {pred!r}")
@@ -156,18 +156,17 @@ def _parse_row(line_number, token, decl, things, worlds):
     return labels
 
 
-def serialize_model(model: FiniteModel, signature: Signature | None = None) -> str:
+def serialize_model(model: FiniteModel) -> str:
     """Canonical DSL text; parse_model(serialize_model(m)) == m.
 
     Predicates appear in signature declaration order, rows in universe order;
     a full table serialises as ``*`` and empty tables are omitted.
     """
-    sig = signature if signature is not None else ETHICA_SIGNATURE
-    model.check_against(sig)
+    model.check_against(ETHICA_SIGNATURE)
     lines = [f"model {model.name}", "things " + " ".join(model.things)]
     if model.worlds:
         lines.append("worlds " + " ".join(model.worlds))
-    for decl in sig:
+    for decl in ETHICA_SIGNATURE:
         table = model.tables.get(decl.name)
         if not table:
             continue

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .corpus import VerificationReport, corpus_model, verify
 from .logic import FiniteModel, FrozenDict, Value
-from .registry import Selector, resolve_selector
+from .registry import resolve_selector
 from .search import (DEFAULT_NODE_BUDGET, STATS_COUNTERS, EntailmentVerdict,
                      NoCounterexampleUpTo, Refuted, SearchConfig,
                      entails_bounded)
@@ -80,10 +80,6 @@ def classify_outcome(forward: EntailmentVerdict,
 class Direction(Value):
     __slots__ = ("premises", "target")
 
-    def __init__(self, premises: Selector, target: str):
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "target", target)
-
     @property
     def premise_ids(self) -> tuple[str, ...]:
         return resolve_selector(self.premises)
@@ -91,11 +87,6 @@ class Direction(Value):
 
 class CorpusCheck(Value):
     __slots__ = ("corpus_name", "premises", "target")
-
-    def __init__(self, corpus_name: str, premises: Selector, target: str):
-        object.__setattr__(self, "corpus_name", corpus_name)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "target", target)
 
 
 class ExperimentSpec(Value):
@@ -404,9 +395,6 @@ _TABLE_ROWS = (
 
 class ReducibilityTable(Value):
     __slots__ = ("results",)
-
-    def __init__(self, results: tuple[ExperimentResult, ...]):
-        object.__setattr__(self, "results", results)
 
     @property
     def all_expectations_ok(self) -> bool:

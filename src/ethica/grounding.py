@@ -64,15 +64,6 @@ class GroundConstraintSet(Value):
 
     __slots__ = ("things", "worlds", "atoms", "clauses", "definitions")
 
-    def __init__(self, things: tuple[str, ...], worlds: tuple[str, ...],
-                 atoms: tuple[Atom, ...], clauses: tuple[Clause, ...],
-                 definitions: tuple[Definition, ...] = ()):
-        object.__setattr__(self, "things", things)
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "definitions", definitions)
-
     @property
     def unsatisfiable(self) -> bool:
         return any(not clause for clause in self.clauses)

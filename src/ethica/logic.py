@@ -39,17 +39,27 @@ class ModelError(LogicError):
 class Value:
     """Base of the package's value classes.
 
-    A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__``, which takes them in that order (through
-    ``object.__setattr__``, since values are immutable).  Two values are
-    equal when they are of the same class and their field tuples are equal;
-    the hash is the hash of the field tuple, and the repr is
-    ``Name(field=value, ...)``.  These few methods replace ``dataclasses``,
-    whose generated methods, built by ``exec`` at import, were most of
-    ``import ethica``.
+    A subclass names its fields in ``__slots__``, and ``__init__`` takes
+    them positionally in that order and sets them through
+    ``object.__setattr__``, since values are immutable.  A subclass defines
+    its own ``__init__`` only to normalise, validate or default a field, and
+    that one too takes the fields in ``__slots__`` order, which
+    ``__reduce__`` relies on.  Two values are equal when they are of the
+    same class and their field tuples are equal; the hash is the hash of the
+    field tuple, and the repr is ``Name(field=value, ...)``.  These few
+    methods replace ``dataclasses``, whose generated methods, built by
+    ``exec`` at import, were most of ``import ethica``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{self.__class__.__name__} fields {names}: "
+                            f"expected {len(names)}, got {len(fields)}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -106,18 +116,11 @@ class FrozenDict(dict):
 class Var(Value):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class Elem(Value):
     """A universe-element constant."""
 
     __slots__ = ("sort", "label")
-
-    def __init__(self, sort: Sort, label: str):
-        object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "label", label)
 
 
 Term = Var | Elem
@@ -150,16 +153,9 @@ class Pred(Value):
 class Eq(Value):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Not(Value):
     __slots__ = ("body",)
-
-    def __init__(self, body: Formula):
-        object.__setattr__(self, "body", body)
 
 
 class And(Value):
@@ -179,35 +175,17 @@ class Or(Value):
 class Implies(Value):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Iff(Value):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class ForAll(Value):
     __slots__ = ("var", "sort", "body")
 
-    def __init__(self, var: str, sort: Sort, body: Formula):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "body", body)
-
 
 class Exists(Value):
     __slots__ = ("var", "sort", "body")
-
-    def __init__(self, var: str, sort: Sort, body: Formula):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "body", body)
 
 
 Formula = TrueF | FalseF | Pred | Eq | Not | And | Or | Implies | Iff | ForAll | Exists

@@ -104,15 +104,6 @@ STATUS_DECIDED_HERE = "decided-here"
 class AxiomEntry(Value):
     __slots__ = ("id", "section", "formula", "citation", "status", "display")
 
-    def __init__(self, id: str, section: Section, formula: Formula,
-                 citation: str, status: str, display: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "display", display)
-
 
 def _x(name: str) -> Var:
     return Var(name)

@@ -154,13 +154,6 @@ class SearchStats(Value):
 class Refuted(Value):
     __slots__ = ("model", "thing_size", "world_size", "stats")
 
-    def __init__(self, model: FiniteModel, thing_size: int, world_size: int,
-                 stats: SearchStats):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "thing_size", thing_size)
-        object.__setattr__(self, "world_size", world_size)
-        object.__setattr__(self, "stats", stats)
-
     @property
     def is_refuted(self) -> bool:
         return True
@@ -173,11 +166,6 @@ class Refuted(Value):
 
 class NoCounterexampleUpTo(Value):
     __slots__ = ("thing_bound", "world_bound", "stats")
-
-    def __init__(self, thing_bound: int, world_bound: int, stats: SearchStats):
-        object.__setattr__(self, "thing_bound", thing_bound)
-        object.__setattr__(self, "world_bound", world_bound)
-        object.__setattr__(self, "stats", stats)
 
     @property
     def is_refuted(self) -> bool:
@@ -351,8 +339,6 @@ class _Solver:
 
     def _backtrack(self, lvl: int) -> None:
         trail_lim = self.trail_lim
-        if len(trail_lim) <= lvl:
-            return
         trail = self.trail
         vals = self.vals
         stop = trail_lim[lvl]
@@ -408,18 +394,19 @@ class _Solver:
 
     def _learn(self, lits: Sequence[int]) -> bool:
         """Learn from a clause whose literals are all false, backjump and
-        assert; False when the clause is false at level 0."""
-        level = self.level
-        top = max(level[-lit] for lit in lits)
-        if top == 0:
+        assert; False when the clause is false at level 0.
+
+        ``_propagate`` decides only once the queue is empty, so every
+        conflict clause holds the negation of a literal of the current
+        level, and the learnt clause's second literal is below it."""
+        if not self.trail_lim:
             return False
-        self._backtrack(top)
         learnt = self._analyze(lits)
         if len(learnt) == 1:
             self._backtrack(0)
             self._enqueue(learnt[0], -1)
             return True
-        self._backtrack(level[-learnt[1]])
+        self._backtrack(self.level[-learnt[1]])
         ci = len(self.clauses)
         self.clauses.append(learnt)
         self.w1.append(learnt[0])

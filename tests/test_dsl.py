@@ -72,57 +72,54 @@ def test_worlds_and_modal_tables():
     assert parse_model(serialize_model(model)) == model
 
 
-def test_unknown_predicate_reports_line():
-    with pytest.raises(ModelParseError, match="line 3: unknown predicate 'nosuch'"):
-        parse_model("model m\nthings x\npred nosuch: x\n")
+#: (id, text, line number, message) for each way model text can be malformed.
+MALFORMED = [
+    ("unknown-predicate", "model m\nthings x\npred nosuch: x\n", 3,
+     "unknown predicate 'nosuch'"),
+    ("out-of-universe-element", "model m\nthings x\npred inItself: y\n", 3,
+     "element 'y' is not in the Thing universe"),
+    ("duplicate-thing-label", "model m\nthings x x\n", 2,
+     "duplicate thing label"),
+    ("label-in-both-universes", "model x\nthings a b\nworlds a\n", 3,
+     "label used in both universes: 'a'"),
+    ("missing-model-line", "things x\n", 1, "expected 'model <name>' first"),
+    ("missing-things-line", "model m\n", 1, "missing required 'things' line"),
+    ("arity-mismatch", "model m\nthings x\npred limitedBy: x\n", 3,
+     "limitedBy expects arity 2, got tuple of 1"),
+    ("bad-tuple", "model m\nthings x\npred limitedBy: (x,\n", 3,
+     "bad tuple '(x,'"),
+    ("duplicate-pred-line",
+     "model m\nthings x\npred inItself: x\npred inItself: x\n", 4,
+     "duplicate table for 'inItself'"),
+    ("worlds-after-pred", "model m\nthings x\npred inItself: x\nworlds w\n", 4,
+     "worlds must precede pred lines"),
+    ("star-mixed-with-tuples", "model m\nthings x y\npred inItself: x *\n", 3,
+     "'*' must be the only table token"),
+    ("duplicate-model-line", "model m\nmodel n\n", 2, "duplicate model line"),
+    ("bad-model-name", "model 9m\n", 1, "bad model name '9m'"),
+    ("duplicate-things-line", "model m\nthings x\nthings y\n", 3,
+     "duplicate things line"),
+    ("things-line-first", "model m\nworlds w\n", 2,
+     "expected 'things ...' before this line"),
+    ("duplicate-worlds-line", "model m\nthings x\nworlds w\nworlds v\n", 4,
+     "duplicate worlds line"),
+    ("pred-without-colon", "model m\nthings x\npred inItself x\n", 3,
+     "expected 'pred <name>: ...'"),
+    ("empty-table", "model m\nthings x\npred inItself:\n", 3,
+     "empty table for 'inItself'"),
+    ("unrecognised-statement", "model m\nthings x\nfoo bar\n", 3,
+     "unrecognised statement 'foo'"),
+    ("empty-text", "", 1, "expected 'model <name>' first"),
+    ("empty-thing-universe", "model m\nthings\n", 2, "empty thing universe"),
+    ("bad-label", "model m\nthings x 9y\n", 2, "bad label '9y'"),
+]
 
 
-def test_out_of_universe_element_reports_line():
-    with pytest.raises(ModelParseError, match="line 3.*not in the Thing universe"):
-        parse_model("model m\nthings x\npred inItself: y\n")
-
-
-def test_duplicate_label_reports_line():
-    with pytest.raises(ModelParseError, match="line 2: duplicate thing label"):
-        parse_model("model m\nthings x x\n")
-
-
-def test_label_in_both_universes_reports_the_worlds_line():
-    with pytest.raises(ModelParseError,
-                       match="line 3: label used in both universes: 'a'"):
-        parse_model("model x\nthings a b\nworlds a\n")
-
-
-def test_missing_model_line():
-    with pytest.raises(ModelParseError, match="expected 'model <name>' first"):
-        parse_model("things x\n")
-
-
-def test_missing_things_line():
-    with pytest.raises(ModelParseError, match="missing required 'things'"):
-        parse_model("model m\n")
-
-
-def test_arity_mismatch_reports_line():
-    with pytest.raises(ModelParseError, match="line 3.*arity"):
-        parse_model("model m\nthings x\npred limitedBy: x\n")
-
-
-def test_bad_tuple_syntax():
-    with pytest.raises(ModelParseError, match="bad tuple"):
-        parse_model("model m\nthings x\npred limitedBy: (x,\n")
-
-
-def test_duplicate_pred_line_rejected():
-    with pytest.raises(ModelParseError, match="duplicate table"):
-        parse_model("model m\nthings x\npred inItself: x\npred inItself: x\n")
-
-
-def test_worlds_after_pred_rejected():
-    with pytest.raises(ModelParseError, match="worlds must precede"):
-        parse_model("model m\nthings x\npred inItself: x\nworlds w\n")
-
-
-def test_star_mixed_with_tuples_rejected():
-    with pytest.raises(ModelParseError, match="'\\*' must be the only"):
-        parse_model("model m\nthings x y\npred inItself: x *\n")
+@pytest.mark.parametrize("text, line_number, message",
+                         [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_model_text_names_its_line(text, line_number, message):
+    with pytest.raises(ModelParseError) as info:
+        parse_model(text)
+    assert str(info.value) == f"line {line_number}: {message}"
+    assert info.value.line_number == line_number

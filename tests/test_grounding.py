@@ -11,7 +11,7 @@ from ethica.grounding import (Grounder, GroundingError, atom_space,
                               predicate_profiles)
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
-                          evaluate, mentions_world)
+                          evaluate, forall, mentions_world)
 from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_ids
 from ethica.search import _Solver
 
@@ -326,6 +326,15 @@ EDGE_FORMULAS = [
         Eq(Var("x"), Var("y")),
         Exists("z", T_, And((Pred("conceptualDep", (Var("x"), Var("z"))),
                              Pred("conceptualDep", (Var("z"), Elem(T_, "t1")))))))))),
+    # An ∃ memoized on no slot and an ∧ memoized on four: the memo keys
+    # of `_linear` that the axioms never build.
+    ForAll("x", T_, Or((Pred("inItself", (Var("x"),)),
+                        Exists("y", T_, And((Pred("perSeConceived", (Var("y"),)),
+                                             Pred("inAnother", (Var("y"),)))))))),
+    forall(("a", "b", "c", "d", "e"), T_, Or((
+        And((Pred("limitedBy", (Var("a"), Var("b"))),
+             Pred("limitedBy", (Var("c"), Var("d"))))),
+        Pred("limitedBy", (Var("e"), Var("e")))))),
 ]
 
 

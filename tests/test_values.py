@@ -165,6 +165,20 @@ def test_constructors_keep_their_keywords_and_defaults():
                           config=SearchConfig()).subsets == ()
 
 
+def test_a_missing_or_extra_field_raises_type_error_naming_the_class():
+    with pytest.raises(TypeError) as info:
+        Refuted(_model(), 2, 1)
+    assert str(info.value) == ("Refuted fields ('model', 'thing_size', "
+                               "'world_size', 'stats'): expected 4, got 3")
+    with pytest.raises(TypeError, match=r"^Var fields \('name',\): "
+                                        r"expected 1, got 0$"):
+        Var()
+    with pytest.raises(TypeError, match=r"^TrueF fields \(\): expected 0, got 1$"):
+        TrueF(None)
+    with pytest.raises(TypeError, match=r"^Direction .*expected 2, got 3$"):
+        Direction("PSRSubstance", "A12", "A22")
+
+
 def _package_objects():
     for info in pkgutil.iter_modules(ethica.__path__):
         module = importlib.import_module(f"ethica.{info.name}")
