@@ -116,10 +116,8 @@ def parse_model(text: str) -> FiniteModel:
         raise ModelParseError(1, "expected 'model <name>' first")
     if things is None:
         raise ModelParseError(1, "missing required 'things' line")
-    try:
-        return FiniteModel(name, things, worlds, tables)
-    except LogicError as err:
-        raise ModelParseError(1, str(err)) from err
+    # Each universe FiniteModel refuses was refused at its own line above.
+    return FiniteModel(name, things, worlds, tables)
 
 
 def _parse_labels(line_number, rest, kind):

@@ -1,7 +1,7 @@
 """Bounded counter-model search and bounded semantic entailment.
 
 The engine looks for a finite model satisfying the premises while falsifying
-the target, ascending through thing-universe sizes.  Its core, ``_search``,
+the target, over the sizes up to the bound.  Its core, ``_search``,
 takes (name, formula) pairs and never reads the register; the public
 functions resolve axiom ids through ``registry.axiom_set``.  The formulas'
 predicates are profiled once per search (``grounding.predicate_profiles``),
@@ -33,7 +33,8 @@ Skipping the branches that do not represent their orbit is the search's
 only symmetry mechanism.
 
 The node budget counts assignments, decisions and auxiliary ones included,
-per size across all of its branches.
+per size across all of its branches.  Only the sizes the search solves
+spend it.
 
 Determinism contract: within a branch the solver finds the least assignment
 in lexicographic order of the canonical table-bit encoding (ascending atom
@@ -42,16 +43,25 @@ bits of its solution are the branch's least table solution; the reported
 model is the least canonical relabeling among branch solutions.  The result
 is identical across runs and worker counts.
 
-Each (things, worlds) size is an independent job with its own grounder,
-node budget and least key.  With ``workers`` above 1, the sizes above
-``SEQUENTIAL_THINGS`` things may be solved in forked processes
-(``workers.py``), which report each size's key and counters, the ones the
-calling process would compute itself.  The calling process still takes the
-sizes in ascending order: it sums the counters, fails at the first size out
-of budget, and builds and re-checks the model of the first size with a key.
-So verdicts, models, counters and errors do not depend on the worker count.
-A caller that runs threads of its own should keep ``workers`` at 1, the
-default, which forks nothing.
+Each size is an independent job with its own grounder, node budget and
+least key, and the answer is the least thing count with a counter-model,
+then the least world count.  One walk solves sizes in order, world sizes
+ascending within each thing count, and stops at the first size with a
+key.  It first solves the sizes of at most ``SEQUENTIAL_THINGS`` things.
+Above them, when padding holds (``_paddable``: adding an inert thing to a
+counter-model gives another one), a size without a counter-model settles
+every smaller thing count with the same worlds, so the walk doubles the
+thing count up to the bound, and narrows the first refuted count down by
+bisection, solving every world size of each count it tries.  Otherwise it
+solves every size in ascending order.  With ``workers`` above 1 the sizes
+it schedules above ``SEQUENTIAL_THINGS`` things may be solved in forked
+processes (``workers.py``), which report each size's key and counters, the
+ones the calling process would compute itself; the calling process still
+draws them in schedule order, sums the counters, fails at the first size
+out of budget and stops at the first with a key.  So verdicts, models,
+counters and errors do not depend on the worker count.  A caller that runs
+threads of its own should keep ``workers`` at 1, the default, which forks
+nothing.
 """
 
 from __future__ import annotations
@@ -61,8 +71,9 @@ from collections.abc import Sequence
 
 from .grounding import (Grounder, atom_space, compile_formula,
                         definition_clauses, nnf, predicate_profiles)
-from .logic import (Exists, FiniteModel, Formula, LogicError, Not, Sort,
-                    Value, evaluate, mentions_world, quantifier_prefix)
+from .logic import (And, Eq, Exists, FiniteModel, ForAll, Formula,
+                    LogicError, Not, Or, Pred, Sort, TrueF, Value, Var,
+                    evaluate, mentions_world, quantifier_prefix)
 from .registry import Selector, axiom_set
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -126,16 +137,21 @@ STATS_COUNTERS = ("candidates_visited", "propagations", "conflicts",
 
 class SearchStats(Value):
     """The search's counters.  ``pruned_subtrees`` counts instantiation
-    branches skipped as non-representatives of their orbit."""
+    branches skipped as non-representatives of their orbit.
+    ``sizes_exhausted`` lists the (things, worlds) sizes solved without a
+    counter-model, in the order solved; ``sizes_padded`` the sizes below
+    the answer that were not solved, because padding settles them."""
 
     __slots__ = ("support", "candidates_visited", "propagations", "conflicts",
-                 "pruned_subtrees", "branches_total", "sizes_exhausted")
+                 "pruned_subtrees", "branches_total", "sizes_exhausted",
+                 "sizes_padded")
 
     def __init__(self, support: tuple[str, ...] = (),
                  candidates_visited: int = 0, propagations: int = 0,
                  conflicts: int = 0, pruned_subtrees: int = 0,
                  branches_total: int = 0,
-                 sizes_exhausted: tuple[tuple[int, int], ...] = ()):
+                 sizes_exhausted: tuple[tuple[int, int], ...] = (),
+                 sizes_padded: tuple[tuple[int, int], ...] = ()):
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "candidates_visited", candidates_visited)
         object.__setattr__(self, "propagations", propagations)
@@ -143,11 +159,13 @@ class SearchStats(Value):
         object.__setattr__(self, "pruned_subtrees", pruned_subtrees)
         object.__setattr__(self, "branches_total", branches_total)
         object.__setattr__(self, "sizes_exhausted", sizes_exhausted)
+        object.__setattr__(self, "sizes_padded", sizes_padded)
 
     def to_json_dict(self) -> dict:
         doc = {"support": list(self.support)}
         doc.update((name, getattr(self, name)) for name in STATS_COUNTERS)
         doc["sizes_exhausted"] = [list(size) for size in self.sizes_exhausted]
+        doc["sizes_padded"] = [list(size) for size in self.sizes_padded]
         return doc
 
 
@@ -563,6 +581,65 @@ def canonical_form(model: FiniteModel) -> FiniteModel:
 
 
 # ---------------------------------------------------------------------------
+# Padding with an inert thing
+# ---------------------------------------------------------------------------
+
+def _paddable(formula: Formula) -> bool:
+    """Whether every model of the NNF ``formula`` stays a model when a new
+    thing e is added at which every atom mentioning it is false: then a
+    counter-model of n things pads to one of n + 1 with the same worlds.
+
+    A sufficient test: every ForAll over things has a body that comes out
+    true with its variable at e, whatever the atoms without e.  NNF is
+    monotone, an Exists keeps its witness, and each ForAll gains exactly the
+    instance at e (Claessen, Lillieström & Smallbone, "Sort it out with
+    monotonicity", CADE 2011).  An inert world would falsify a premise such as A18's
+    ``existsAt(x, w)`` for every w, so world counts are never padded."""
+    if isinstance(formula, (And, Or)):
+        return all(map(_paddable, formula.items))
+    if isinstance(formula, (ForAll, Exists)):
+        if isinstance(formula, ForAll) and formula.sort is Sort.THING and \
+                _at_inert(formula.body, formula.var, set()) is not True:
+            return False
+        return _paddable(formula.body)
+    return True
+
+
+def _at_inert(formula: Formula, var: str | None, inner: set) -> bool | None:
+    """The value of the NNF ``formula`` when ``var`` names the inert thing
+    e, by three-valued simplification: True, False, or None when it depends
+    on atoms without e.  An atom mentioning e is false and ``e = e`` true.
+    ``inner`` holds the variables bound inside the padded ForAll's body:
+    those range over e as well, so ``e = y`` is unknown for them and false
+    for any other term, which names a thing of the padded model."""
+    kind = type(formula)
+    if kind is Pred:
+        return False if Var(var) in formula.args else None
+    if kind is Eq:
+        ends = {formula.left, formula.right}
+        if len(ends) == 1:
+            return True
+        return False if Var(var) in ends and not ends & inner else None
+    if kind is Not:
+        value = _at_inert(formula.body, var, inner)
+        return None if value is None else not value
+    if kind is ForAll or kind is Exists:
+        # Every universe is non-empty, so a body true (false) at every
+        # element makes either quantifier true (false).  A rebound name
+        # no longer denotes e.
+        return _at_inert(formula.body, None if formula.var == var else var,
+                         inner | {Var(formula.var)})
+    if kind is And or kind is Or:
+        # True decides a disjunction, False a conjunction.
+        decides = kind is Or
+        values = {_at_inert(item, var, inner) for item in formula.items}
+        if decides in values:
+            return decides
+        return None if None in values else not decides
+    return kind is TrueF
+
+
+# ---------------------------------------------------------------------------
 # The bounded search
 # ---------------------------------------------------------------------------
 
@@ -586,16 +663,19 @@ def _search(premises: Sequence[tuple[str, Formula]],
     # A (things, worlds) size is computed from its index in ascending
     # order, so a size costs nothing until the walk reaches it.
     world_range = range(1, world_bound + 1) or range(1)
+    per_thing = len(world_range)
 
     def size(index):
-        n_things, world_index = divmod(index, len(world_range))
+        n_things, world_index = divmod(index, per_thing)
         return n_things + 1, world_range[world_index]
 
     profiles = predicate_profiles(all_formulas)
     # The premises and the negated target's matrix are compiled once per
     # search; every size instantiates them.
-    compiled = [compile_formula(nnf(formula)) for formula in premise_formulas]
-    prefix, matrix = quantifier_prefix(nnf(Not(target[1])), Exists)
+    premise_nnfs = [nnf(formula) for formula in premise_formulas]
+    compiled = [compile_formula(formula) for formula in premise_nnfs]
+    negated = nnf(Not(target[1]))
+    prefix, matrix = quantifier_prefix(negated, Exists)
     matrix = compile_formula(matrix, prefix)
 
     def universes(index):
@@ -608,54 +688,96 @@ def _search(premises: Sequence[tuple[str, Formula]],
         return _least_branch_key(compiled, prefix, matrix, *universes(index),
                                  profiles, config)
 
-    # The walk draws the sizes' outcomes in ascending order: counters are
-    # summed in size order, and the first size out of budget or with a key
+    # The walk draws the sizes' outcomes in schedule order: counters are
+    # summed in that order, and the first size out of budget or with a key
     # ends it, before any later size is solved or any worker forked.
     totals = [0] * len(STATS_COUNTERS)
     exhausted: list[tuple[int, int]] = []
-    outcomes = _outcomes(solve, config.max_thing_size, len(world_range), workers)
-    for index, outcome in enumerate(outcomes):
-        key, counters = outcome
-        if counters is None:
-            # An unexhausted size cannot show that a model found in a
-            # branch is the least one.
-            raise ResourceLimitExceeded(*size(index), config.node_budget)
-        totals = [total + count for total, count in zip(totals, counters)]
-        if key is not None:
-            things, worlds, atoms = universes(index)
-            model = FiniteModel("countermodel", things, worlds,
-                                _tables(atoms, key))
-            _recheck(model, premises, target)
-            return Refuted(model, *size(index), SearchStats(
-                tuple(profiles), *totals, tuple(exhausted)))
-        exhausted.append(size(index))
 
-    return NoCounterexampleUpTo(config.max_thing_size, world_bound, SearchStats(
-        tuple(profiles), *totals, tuple(exhausted)))
+    def first_key(indices, workers):
+        for index, (key, counters) in zip(
+                indices, _outcomes(solve, indices, workers)):
+            if counters is None:
+                # An unexhausted size cannot show that a model found in a
+                # branch is the least one.
+                raise ResourceLimitExceeded(*size(index), config.node_budget)
+            totals[:] = map(sum, zip(totals, counters))
+            if key is not None:
+                return index, key
+            exhausted.append(size(index))
+        return None, None
+
+    index, key = first_key(
+        range(min(config.max_thing_size, SEQUENTIAL_THINGS) * per_thing), 1)
+    if index is None:
+        index, key = first_key(_schedule(
+            config.max_thing_size, per_thing,
+            _paddable(And(premise_nnfs + [negated]))), workers)
+    if index is not None:
+        # The walk solved every world size of each scheduled thing count
+        # below the first refuted one, and a counter-model pads to every
+        # larger thing count, so the least refuted count lies above the last
+        # count walked below it: bisect.  Where every size is scheduled,
+        # none lies between.
+        high = size(index)[0]
+        low = max((n for n, _ in exhausted if n < high), default=0)
+        while high - low > 1:
+            middle = (low + high) // 2
+            hit = first_key(
+                range((middle - 1) * per_thing, middle * per_thing), 1)
+            if hit[0] is None:
+                low = middle
+            else:
+                high, (index, key) = middle, hit
+    # Each size below the answer that no solve exhausted follows from a
+    # larger exhausted size with the same worlds.
+    limit = config.max_thing_size * per_thing if index is None else index
+    padded = sorted(set(map(size, range(limit))).difference(exhausted))
+    stats = SearchStats(tuple(profiles), *totals, tuple(exhausted),
+                        tuple(padded))
+    if index is None:
+        return NoCounterexampleUpTo(config.max_thing_size, world_bound, stats)
+    things, worlds, atoms = universes(index)
+    model = FiniteModel("countermodel", things, worlds, _tables(atoms, key))
+    _recheck(model, premises, target)
+    return Refuted(model, *size(index), stats)
 
 
-#: Sizes of at most this many things are solved in the calling process
-#: before any worker is forked: each takes about a millisecond, and every
-#: counter-model found so far has at most 2 things, so forking for them
-#: would only delay the common answer.
+#: Sizes of at most this many things are solved first, in ascending order
+#: and in the calling process: every counter-model found so far has at most
+#: 2 things, and each of these sizes takes about a millisecond, so forking
+#: for them, checking for padding or skipping any of them would only delay
+#: the common answer.  Above them a paddable search doubles the thing count
+#: up to the bound.
 SEQUENTIAL_THINGS = 2
 
 
-def _outcomes(solve, max_things: int, per_thing: int, workers: int):
-    """``solve(index)`` for each size in ascending order, lazily: up to
-    ``max_things`` things, with ``per_thing`` world sizes each.  With more
-    than one worker, the sizes above ``SEQUENTIAL_THINGS`` things are
-    solved in worker processes (``workers.solve_sizes``) once the walk
-    reaches them, up to the first size that ends the search."""
-    n_sizes = max_things * per_thing
-    head = n_sizes if workers == 1 else \
-        min(max_things, SEQUENTIAL_THINGS) * per_thing
-    yield from map(solve, range(head))
-    if head < n_sizes:
-        # Imported here, so that a search in one process does not compile
-        # the module.
-        from .workers import solve_sizes
-        yield from solve_sizes(solve, head, n_sizes, workers)
+def _schedule(max_things: int, per_thing: int, paddable: bool):
+    """The indices of the sizes above ``SEQUENTIAL_THINGS`` things that the
+    walk solves, things-major with the world sizes ascending: for a
+    paddable search the thing counts doubling up to ``max_things``,
+    otherwise every one, in a ``range`` that costs nothing until the walk
+    reaches a size."""
+    if not paddable:
+        return range(min(max_things, SEQUENTIAL_THINGS) * per_thing,
+                     max_things * per_thing)
+    counts = [SEQUENTIAL_THINGS]
+    while counts[-1] < max_things:
+        counts.append(min(2 * counts[-1], max_things))
+    return [(n - 1) * per_thing + world
+            for n in counts[1:] for world in range(per_thing)]
+
+
+def _outcomes(solve, indices: Sequence[int], workers: int):
+    """``solve(index)`` for each index in order, lazily, and with more than
+    one worker in worker processes (``workers.solve_sizes``), up to the
+    first size that ends the search."""
+    if workers == 1 or not indices:
+        return map(solve, indices)
+    # Imported here, so that a search in one process does not compile the
+    # module.
+    from .workers import solve_sizes
+    return solve_sizes(solve, indices, workers)
 
 
 def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,

@@ -1,8 +1,9 @@
 """Solving a search's sizes in forked worker processes.
 
 ``search._search`` imports this module only when it is given more than one
-worker and reaches a size above ``search.SEQUENTIAL_THINGS`` things, so a
-search in one process never compiles it.  Each size is an
+worker and its walk reaches a size above ``search.SEQUENTIAL_THINGS``
+things, so a search in one process never compiles it.  The walk hands over
+the rest of its schedule, a sequence of size indices.  Each size is an
 independent job: ``solve(index)`` grounds and solves it and returns its
 outcome, ``(key, counters)``, with ``key`` None when the size is exhausted
 and ``counters`` None when it ran out of node budget.  Workers are forked
@@ -36,8 +37,8 @@ def process_count(workers: int, n_sizes: int) -> int:
 
 
 def owner(index: int, n_sizes: int, procs: int) -> int:
-    """The worker, 0 .. procs - 1, that solves size ``index`` of
-    0 .. n_sizes - 1.
+    """The worker, 0 .. procs - 1, that solves the size at position
+    ``index`` of a schedule of ``n_sizes``.
 
     Search time grows with the size, so the sizes are dealt from the
     largest down in snake order (0, 1, ..., p-1, p-1, ..., 0, ...), which
@@ -53,13 +54,12 @@ def _is_terminal(outcome) -> bool:
 
 
 class _Worker:
-    """A forked process solving its sizes in ascending order and writing
+    """A forked process solving its sizes in schedule order and writing
     each outcome to a pipe as a ``marshal`` record.  It stops after its
     first terminal size; on an error it exits without reporting the size,
     which the calling process then solves itself."""
 
-    def __init__(self, solve, rank: int, first: int, n_sizes: int,
-                 procs: int):
+    def __init__(self, solve, rank: int, indices, procs: int):
         read_fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
@@ -71,8 +71,8 @@ class _Worker:
             try:
                 os.close(read_fd)
                 pipe = open(write_fd, "wb")
-                for index in range(first, n_sizes):
-                    if owner(index, n_sizes, procs) == rank:
+                for pos, index in enumerate(indices):
+                    if owner(pos, len(indices), procs) == rank:
                         outcome = solve(index)
                         marshal.dump(outcome, pipe)
                         pipe.flush()
@@ -102,28 +102,28 @@ class _Worker:
         self.pipe.close()
 
 
-def solve_sizes(solve, first: int, n_sizes: int, workers: int) -> list:
-    """The outcomes ``solve(index)`` of sizes ``first`` .. ``n_sizes - 1``
-    in ascending order, up to the first terminal one.
+def solve_sizes(solve, indices, workers: int) -> list:
+    """The outcomes ``solve(index)`` of the sizes in ``indices``, a sequence
+    of size indices in schedule order, up to the first terminal one.
 
     Up to ``workers`` processes are forked, each solving the sizes it owns
-    (``owner``).  This process walks the sizes in ascending order and reads
+    (``owner``).  This process walks the schedule in order and reads
     each size's outcome from its worker, waiting for it; it solves a size
     itself only when its worker ended without reporting it or could not be
     forked, so an error it raises is the one the sequential search would
     raise.  Every worker is killed and reaped on return, or when an error
     or interrupt leaves the search."""
-    procs = process_count(workers, n_sizes - first)
+    procs = process_count(workers, len(indices))
     pool: list[_Worker] = []
     outcomes = []
     try:
         for rank in range(procs) if procs > 1 else ():
             try:
-                pool.append(_Worker(solve, rank, first, n_sizes, procs))
+                pool.append(_Worker(solve, rank, indices, procs))
             except OSError:
                 break
-        for index in range(first, n_sizes):
-            rank = owner(index, n_sizes, procs)
+        for pos, index in enumerate(indices):
+            rank = owner(pos, len(indices), procs)
             outcome = pool[rank].read() if rank < len(pool) else None
             outcomes.append(solve(index) if outcome is None else outcome)
             if _is_terminal(outcomes[-1]):

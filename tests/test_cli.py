@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import ethica
+from ethica import search
 from ethica.cli import main
 from ethica.dsl import serialize_model
 from ethica.experiments import REPORT_SCHEMA
@@ -97,27 +98,49 @@ def test_entail_reports_verdict_only(capsys):
     assert out.strip() == "NoCounterexampleUpTo(3)"
 
 
-def test_search_stats_line_pins_the_counters(capsys):
+def test_search_stats_line_pins_the_counters(capsys, monkeypatch):
     # The counters are deterministic: decisions, assignments, branches
     # skipped as non-representatives of their orbit, branches solved.
-    code, out, _ = run_cli(capsys, "search", "--premises", "PSRPlenitude",
-                           "--target", "A15", "--max-things", "4")
-    assert code == 0
-    assert out.splitlines()[:2] == [
-        "NoCounterexampleUpTo(4)",
-        "stats: candidates=308 propagations=2559 pruned=85 branches=15"]
+    # Padding settles 3 things; the walk over every size solves it too.
+    for stats in ("candidates=252 propagations=1913 pruned=63 branches=10",
+                  "candidates=308 propagations=2559 pruned=85 branches=15"):
+        code, out, _ = run_cli(capsys, "search", "--premises", "PSRPlenitude",
+                               "--target", "A15", "--max-things", "4")
+        assert code == 0
+        assert out.splitlines()[:2] == ["NoCounterexampleUpTo(4)",
+                                        "stats: " + stats]
+        monkeypatch.setattr(search, "_paddable", lambda formula: False)
+
+
+SIZE_LIST = {"type": "array", "items": {
+    "type": "array", "items": {"type": "integer", "minimum": 0},
+    "minItems": 2, "maxItems": 2}}
 
 
 def test_search_json_validates_direction_schema(capsys):
+    direction_schema = dict(REPORT_SCHEMA["properties"]["forward"])
+    direction_schema["properties"] = dict(direction_schema["properties"])
+    direction_schema["properties"]["stats"] = {
+        "type": "object",
+        "required": ["sizes_exhausted", "sizes_padded"],
+        "properties": {"sizes_exhausted": SIZE_LIST,
+                       "sizes_padded": SIZE_LIST}}
     code, out, _ = run_cli(capsys, "search", "--premises", "PSRSubstance",
                            "--target", "A12", "--max-things", "2", "--json")
     assert code == 0
     doc = json.loads(out)
-    direction_schema = dict(REPORT_SCHEMA["properties"]["forward"])
-    direction_schema["properties"] = dict(direction_schema["properties"])
-    direction_schema["properties"]["stats"] = {"type": "object"}
     jsonschema.validate(doc, direction_schema)
     assert doc["verdict"] == "refuted"
+    assert doc["stats"]["sizes_padded"] == []
+    # The sizes that padding settles are named, and not solved.
+    code, out, _ = run_cli(capsys, "search", "--premises", "PSRSubstance",
+                           "--target", "PropV_allshared", "--max-things", "8",
+                           "--json")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, direction_schema)
+    assert doc["stats"]["sizes_exhausted"] == [[1, 0], [2, 0], [4, 0], [8, 0]]
+    assert doc["stats"]["sizes_padded"] == [[3, 0], [5, 0], [6, 0], [7, 0]]
 
 
 def test_search_unknown_axiom_exits_two(capsys):

@@ -5,7 +5,7 @@ from importlib.resources import files
 import pytest
 
 from ethica.dsl import ModelParseError, parse_model, serialize_model
-from ethica.logic import FiniteModel
+from ethica.logic import FiniteModel, ModelError
 
 
 def test_minimal_file():
@@ -123,3 +123,29 @@ def test_malformed_model_text_names_its_line(text, line_number, message):
         parse_model(text)
     assert str(info.value) == f"line {line_number}: {message}"
     assert info.value.line_number == line_number
+
+
+#: (id, text, line number, things, worlds) for each pair of universes that
+#: FiniteModel refuses.
+REFUSED_UNIVERSES = [
+    ("empty-thing-universe", "model m\n# none\nthings\n", 3, (), ()),
+    ("duplicate-thing-label", "model m\n\nthings x y x\n", 3,
+     ("x", "y", "x"), ()),
+    ("duplicate-world-label", "model m\nthings x\n\nworlds w v w\n", 4,
+     ("x",), ("w", "v", "w")),
+    ("label-in-both-universes", "model m\nthings a b\n# c\nworlds c b\n", 4,
+     ("a", "b"), ("c", "b")),
+]
+
+
+@pytest.mark.parametrize("text, line_number, things, worlds",
+                         [row[1:] for row in REFUSED_UNIVERSES],
+                         ids=[row[0] for row in REFUSED_UNIVERSES])
+def test_the_parser_refuses_what_finite_model_refuses_at_its_line(
+        text, line_number, things, worlds):
+    with pytest.raises(ModelError):
+        FiniteModel("m", things, worlds)
+    with pytest.raises(ModelParseError) as info:
+        parse_model(text)
+    assert info.value.line_number == line_number
+    assert str(info.value).startswith(f"line {line_number}: ")

@@ -10,8 +10,9 @@ from ethica.grounding import (Grounder, atom_space, compile_formula,
                               definition_clauses, nnf, predicate_profiles)
 from ethica import search
 from ethica.logic import (FALSE, And, Eq, Exists, FiniteModel, ForAll, Not,
-                          Pred, Sort, Var, evaluate, quantifier_prefix)
-from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_set
+                          Or, Pred, Sort, Var, evaluate, quantifier_prefix)
+from ethica.registry import (BUNDLES, ETHICA_SIGNATURE, axiom, axiom_ids,
+                             axiom_set)
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
                            SearchConfig, SearchError, SearchStats,
                            _is_orbit_representative,
@@ -214,6 +215,167 @@ def test_sizes_beyond_the_refutation_cost_no_memory(workers):
 
 
 # ---------------------------------------------------------------------------
+# padding with an inert thing
+# ---------------------------------------------------------------------------
+
+def _at_most_things(n):
+    """There are at most n things: among any n + 1 two are equal."""
+    names = [f"y{i}" for i in range(n + 1)]
+    formula = Or([Eq(Var(a), Var(b))
+                  for a, b in itertools.combinations(names, 2)])
+    for name in reversed(names):
+        formula = ForAll(name, Sort.THING, formula)
+    return formula
+
+
+def _distinct_worlds(n):
+    names = [f"w{i}" for i in range(n)]
+    formula = And([Not(Eq(Var(a), Var(b)))
+                   for a, b in itertools.combinations(names, 2)])
+    for name in reversed(names):
+        formula = Exists(name, Sort.WORLD, formula)
+    return formula
+
+
+X, Y = Var("x"), Var("y")
+ALL_EQUAL = ForAll("x", Sort.THING, ForAll("y", Sort.THING, Eq(X, Y)))
+PADDING_CHECKS = [
+    ("all_equal", ALL_EQUAL, False),
+    # e = y is false for a y bound outside the padded ForAll ...
+    ("one_thing", Exists("y", Sort.THING, ForAll("x", Sort.THING, Eq(X, Y))),
+     False),
+    # ... and unknown for one bound inside it, which may be e itself: this
+    # is "every thing is in itself".
+    ("inner_may_be_e", ForAll("x", Sort.THING, ForAll("y", Sort.THING, Or(
+        [Not(Eq(X, Y)), Pred("inItself", (Y,))]))), False),
+    ("A1_form", ForAll("x", Sort.THING, Or(
+        [Pred("inItself", (X,)), Pred("inAnother", (X,))])), False),
+    ("at_most_3", _at_most_things(3), False),
+    ("distinct4", _distinct_things(4), True),
+    ("none_in_itself", ForAll("x", Sort.THING, Not(Pred("inItself", (X,)))),
+     True),
+    ("no_cause_of_another", ForAll("x", Sort.THING, ForAll("y", Sort.THING, Or(
+        [Eq(X, Y), Not(Pred("cause", (X, Y)))]))), True),
+    # A ForAll over worlds is not padded: an inert world would falsify it.
+    ("worlds_are_not_padded", ForAll("w", Sort.WORLD, Exists("x", Sort.THING,
+        Pred("existsAt", (X, Var("w"))))), True),
+]
+
+
+@pytest.mark.parametrize("formula, paddable",
+                         [check[1:] for check in PADDING_CHECKS],
+                         ids=[check[0] for check in PADDING_CHECKS])
+def test_the_padding_check(formula, paddable):
+    assert search._paddable(nnf(formula)) is paddable
+
+
+def test_models_bounded_in_size_are_found_at_their_size():
+    # Both fail the check, so every size is walked.  Had "at most 3"
+    # passed, the walk would go from 2 things to an unsatisfiable 4.
+    verdict = search._search([("all_equal", ALL_EQUAL)], ("false", FALSE),
+                             SearchConfig(max_thing_size=3))
+    assert verdict.describe() == "Refuted(size=1)"
+    verdict = search._search([("at_most_3", _at_most_things(3)),
+                              ("distinct3", _distinct_things(3))],
+                             ("false", FALSE), SearchConfig(max_thing_size=6))
+    assert verdict.describe() == "Refuted(size=3)"
+    assert verdict.stats.sizes_exhausted == ((1, 0), (2, 0))
+    assert verdict.stats.sizes_padded == ()
+
+
+def _same_answers(padded, ascending):
+    """The padded verdict is the ascending one, and the sizes it exhausted
+    or settled by padding below its answer are the ones the ascending walk
+    exhausted."""
+    assert padded.describe() == ascending.describe()
+    answer = (padded.thing_size, padded.world_size) if padded.is_refuted \
+        else (padded.thing_bound + 1, 0)
+    if padded.is_refuted:
+        assert padded.model == ascending.model
+    settled = {size for size in padded.stats.sizes_exhausted if size < answer}
+    assert settled.isdisjoint(padded.stats.sizes_padded)
+    assert sorted(settled.union(padded.stats.sizes_padded)) == \
+        sorted(ascending.stats.sizes_exhausted)
+
+
+def test_bisection_finds_the_least_refuting_thing_count(monkeypatch):
+    # Four distinct things refute FALSE from 4 things on, and any n things
+    # refute "at most n - 1 things".  The doubling walks 1, 2, 4 and the
+    # bound, and bisects between the last count without a counter-model
+    # and the first with one.  With two distinct worlds as well, each count
+    # is refuted at 2 worlds only, so the world size below is solved too.
+    cases = [([("distinct4", _distinct_things(4))], ("false", FALSE), 9, None)]
+    cases += [([], ("at_most", _at_most_things(n - 1)), 7, None)
+              for n in range(2, 7)]
+    cases.append(([("two_worlds", _distinct_worlds(2))],
+                  ("at_most", _at_most_things(4)), 7, 3))
+    padded = [search._search(premises, target, SearchConfig(bound, worlds))
+              for premises, target, bound, worlds in cases]
+    assert [v.describe() for v in padded] == ["Refuted(size=4)"] + [
+        f"Refuted(size={n})" for n in range(2, 7)] + \
+        ["Refuted(size=5; worlds=2)"]
+    assert padded[0].stats.sizes_exhausted == ((1, 0), (2, 0), (3, 0))
+    assert padded[0].stats.sizes_padded == ()
+    assert padded[5].stats.sizes_exhausted == ((1, 0), (2, 0), (4, 0), (5, 0))
+    assert padded[5].stats.sizes_padded == ((3, 0),)
+    assert padded[6].stats.sizes_exhausted == (
+        (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (4, 1), (4, 2),
+        (4, 3), (7, 1), (5, 1))
+    assert padded[6].stats.sizes_padded == ((3, 1), (3, 2), (3, 3))
+    _ascending(monkeypatch)
+    for verdict, (premises, target, bound, worlds) in zip(padded, cases):
+        _same_answers(verdict, search._search(
+            premises, target, SearchConfig(bound, worlds)))
+
+
+def test_padding_gives_the_ascending_answers_on_the_sweep(monkeypatch):
+    # Every axiom and bundle against every axiom at 5 things and 2 worlds,
+    # with and without pruning: the same verdict, size and counter-model as
+    # the walk over every size.
+    targets = axiom_ids()
+    selectors = [[axiom_id] for axiom_id in targets] + list(BUNDLES)
+    configs = [SearchConfig(5, 2, pruning=pruning)
+               for pruning in ("canonical", "none")]
+    searches = [(premises, target, config) for config in configs
+                for premises in selectors for target in targets]
+    padded = [entails_bounded(*search_) for search_ in searches]
+    assert sum(bool(v.stats.sizes_padded) for v in padded) == 70
+    _ascending(monkeypatch)
+    for verdict, search_ in zip(padded, searches):
+        _same_answers(verdict, entails_bounded(*search_))
+
+
+def test_every_bundled_direction_pads(monkeypatch):
+    # Each one without a counter-model up to 8 things and 3 worlds settles
+    # 3, 5, 6 and 7 things at every world size by padding, the modal
+    # {A23, A18, A3m} |= A13 included, whose A18 quantifies over worlds.
+    config = SearchConfig(max_thing_size=8, max_world_size=3)
+    padded = [entails_bounded(premises, target, config)
+              for premises, target, _ in BUNDLED_DIRECTIONS]
+    surviving = [v for v in padded if not v.is_refuted]
+    assert len(surviving) == 6
+    for verdict in surviving:
+        worlds = range(1, verdict.world_bound + 1) or (0,)
+        assert verdict.stats.sizes_padded == tuple(
+            (n, w) for n in (3, 5, 6, 7) for w in worlds)
+    _ascending(monkeypatch)
+    for verdict, (premises, target, _) in zip(padded, BUNDLED_DIRECTIONS):
+        _same_answers(verdict, entails_bounded(premises, target, config))
+
+
+def test_the_node_budget_runs_out_at_a_size_the_search_solves(monkeypatch):
+    # PropV_allshared spends 287 assignments at 4 things, 497 at 5 and
+    # 1,655 at 8.  With 400 the padded search runs out at 8 things; the
+    # walk over every size runs out at 5, a size padding settles.
+    config = SearchConfig(max_thing_size=8, node_budget=400)
+    for size in (8, 5):
+        with pytest.raises(ResourceLimitExceeded) as info:
+            entails_bounded("PSRSubstance", "PropV_allshared", config)
+        assert (info.value.thing_size, info.value.world_size) == (size, 0)
+        _ascending(monkeypatch)
+
+
+# ---------------------------------------------------------------------------
 # world-size handling
 # ---------------------------------------------------------------------------
 
@@ -409,10 +571,16 @@ def test_pruning_actually_prunes():
     assert pruned.stats.branches_total < unpruned.stats.branches_total
 
 
+def _ascending(monkeypatch):
+    """Make every search walk every size, the oracle of padding."""
+    monkeypatch.setattr(search, "_paddable", lambda formula: False)
+
+
 def test_no_solver_is_built_for_a_branch_whose_clauses_are_already_false(
         monkeypatch):
-    # Up to 8 things, 8 of PropV_allshared's 15 branches ground to the
-    # empty clause; they count as branches with 0 steps, without a solver.
+    # At 1, 2, 4 and 8 things, 4 of PropV_allshared's 7 branches ground to
+    # the empty clause; they count as branches with 0 steps, without a
+    # solver.  Walking every size up to 8 things, 8 of 15 do.
     built = []
 
     class CountingSolver(search._Solver):
@@ -421,11 +589,14 @@ def test_no_solver_is_built_for_a_branch_whose_clauses_are_already_false(
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(search, "_Solver", CountingSolver)
-    verdict = entails_bounded("PSRSubstance", "PropV_allshared",
-                              SearchConfig(max_thing_size=8))
-    assert isinstance(verdict, NoCounterexampleUpTo)
-    assert verdict.stats.branches_total == 15
-    assert len(built) == 7
+    for branches, solvers in ((7, 3), (15, 7)):
+        built.clear()
+        verdict = entails_bounded("PSRSubstance", "PropV_allshared",
+                                  SearchConfig(max_thing_size=8))
+        assert isinstance(verdict, NoCounterexampleUpTo)
+        assert verdict.stats.branches_total == branches
+        assert len(built) == solvers
+        _ascending(monkeypatch)
 
 
 def test_a25_self_entailment_needs_fewer_decisions_than_the_distributed_cnf():
@@ -437,17 +608,27 @@ def test_a25_self_entailment_needs_fewer_decisions_than_the_distributed_cnf():
     assert verdict.stats.candidates_visited < 7_502
 
 
-def test_propv_allshared_at_sixteen_things_pins_the_counters():
+def test_propv_allshared_at_sixteen_things_pins_the_counters(monkeypatch):
     # A disjunction grounds to one clause of aux literals.  Keeping its
     # widest part inline, with the other parts' literals merged into each of
     # its clauses, made 2,040 decisions and 389,524 propagations here.
+    # Padding solves 1, 2, 4, 8 and 16 things; the walk over every size
+    # is pinned too.
+    support = ("inItself", "intellectPerceivesAsEssence", "perSeConceived")
     verdict = entails_bounded("PSRSubstance", "PropV_allshared",
                               SearchConfig(max_thing_size=16))
     assert isinstance(verdict, NoCounterexampleUpTo)
     assert verdict.stats == SearchStats(
-        support=("inItself", "intellectPerceivesAsEssence", "perSeConceived"),
-        candidates_visited=240, propagations=51_775, conflicts=150,
-        pruned_subtrees=1_465, branches_total=31,
+        support=support, candidates_visited=52, propagations=12_728,
+        conflicts=34, pruned_subtrees=332, branches_total=9,
+        sizes_exhausted=((1, 0), (2, 0), (4, 0), (8, 0), (16, 0)),
+        sizes_padded=tuple((n, 0) for n in (3, 5, 6, 7, *range(9, 16))))
+    _ascending(monkeypatch)
+    verdict = entails_bounded("PSRSubstance", "PropV_allshared",
+                              SearchConfig(max_thing_size=16))
+    assert verdict.stats == SearchStats(
+        support=support, candidates_visited=240, propagations=51_775,
+        conflicts=150, pruned_subtrees=1_465, branches_total=31,
         sizes_exhausted=tuple((n, 0) for n in range(1, 17)))
 
 
@@ -568,10 +749,12 @@ def test_the_sweep_keeps_its_verdicts_and_counter_models():
     # search engine must leave it as it is.  The counter digest covers
     # each search's counters, so a grounder that reorders clauses or
     # renumbers aux variables changes it even where the verdicts hold.
+    # Up to 3 things padding skips no size, so every ``sizes_padded`` is
+    # empty; without that field the counter digest is a53e54bd....
     searches, refuted, verdicts, counters = sweep()
     assert (searches, refuted) == (1134, 1050)
     assert verdicts == "6e7d2bc820584b54b09c1846dbe91c41"
-    assert counters == "a53e54bd1439804e9c24425388d09b8b"
+    assert counters == "f81e3f5ec930d79e0702b0e44b42b3ff"
 
 
 # ---------------------------------------------------------------------------

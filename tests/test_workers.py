@@ -18,6 +18,10 @@ from ethica.workers import owner, process_count
 from test_search import BUNDLED_DIRECTIONS, _distinct_things
 
 WORKER_COUNTS = (1, 2, 3)
+# A1 needs inItself(e) or inAnother(e) at a new thing e, so this direction
+# fails the padding check: its search walks every size up to the bound,
+# and at 8 things it forks workers for six of them.
+ASCENT = (["A22", "A1"], "PropV_allshared")
 
 
 @pytest.fixture
@@ -80,6 +84,15 @@ def test_the_owner_rule_partitions_the_sizes_into_ascending_shares():
                 set(range(procs))
 
 
+def test_the_ascent_walks_every_size_across_worker_counts(any_cpus):
+    first, *others = search_all(*ASCENT, SearchConfig(max_thing_size=8))
+    assert first.describe() == "NoCounterexampleUpTo(8)"
+    assert first.stats.branches_total == 15
+    assert first.stats.sizes_exhausted == tuple((n, 0) for n in range(1, 9))
+    assert first.stats.sizes_padded == ()
+    assert all(other == first for other in others)
+
+
 def test_workers_below_one_are_refused():
     with pytest.raises(SearchError):
         entails_bounded("PSRSubstance", "A12", SearchConfig(), 0)
@@ -103,7 +116,7 @@ def test_node_budget_fails_at_the_same_size_across_worker_counts(any_cpus):
     # At 200 steps size 4 fails, at 600 size 6; workers solve both.
     for budget, size in ((200, 4), (600, 6)):
         config = SearchConfig(max_thing_size=8, node_budget=budget)
-        assert search_all("PSRSubstance", "PropV_allshared", config) == \
+        assert search_all(*ASCENT, config) == \
             [(size, 0, budget)] * len(WORKER_COUNTS)
 
 
@@ -137,7 +150,7 @@ def test_the_caller_solves_only_the_sizes_before_the_fork(
     head = search.SEQUENTIAL_THINGS
     for count in (2, 3):
         log.write_text("")
-        entails_bounded("PSRSubstance", "PropV_allshared",
+        entails_bounded(*ASCENT,
                         SearchConfig(max_thing_size=8), count)
         solved = {}
         for line in log.read_text().splitlines():
@@ -153,7 +166,7 @@ def test_the_caller_solves_only_the_sizes_before_the_fork(
 
 def test_a_size_no_worker_reports_is_solved_by_the_caller(
         any_cpus, monkeypatch):
-    expected = entails_bounded("PSRSubstance", "PropV_allshared",
+    expected = entails_bounded(*ASCENT,
                                SearchConfig(max_thing_size=8))
     caller = os.getpid()
     solve = search._least_branch_key
@@ -166,14 +179,14 @@ def test_a_size_no_worker_reports_is_solved_by_the_caller(
         return solve(premises, prefix, matrix, things, *args)
 
     monkeypatch.setattr(search, "_least_branch_key", dying)
-    assert search_all("PSRSubstance", "PropV_allshared",
+    assert search_all(*ASCENT,
                       SearchConfig(max_thing_size=8), (2, 3)) == \
         [expected, expected]
 
 
 def test_a_worker_killed_in_a_record_leaves_its_size_to_the_caller(
         any_cpus, monkeypatch):
-    expected = entails_bounded("PSRSubstance", "PropV_allshared",
+    expected = entails_bounded(*ASCENT,
                                SearchConfig(max_thing_size=8))
     caller = os.getpid()
     dump = marshal.dump
@@ -198,7 +211,7 @@ def test_a_worker_killed_in_a_record_leaves_its_size_to_the_caller(
 
     monkeypatch.setattr(marshal, "dump", dying)
     monkeypatch.setattr(search, "_least_branch_key", recording)
-    assert search_all("PSRSubstance", "PropV_allshared",
+    assert search_all(*ASCENT,
                       SearchConfig(max_thing_size=8), (2, 3)) == \
         [expected, expected]
     # The caller solved the sizes from each worker's second on.
@@ -251,7 +264,7 @@ def test_an_error_in_the_caller_leaves_no_worker(any_cpus, monkeypatch, error):
         for count in (2, 3):
             start = time.monotonic()
             with pytest.raises(error):
-                entails_bounded("PSRSubstance", "PropV_allshared",
+                entails_bounded(*ASCENT,
                                 SearchConfig(max_thing_size=8), count)
             assert time.monotonic() - start < 30
             assert_no_children()
@@ -275,5 +288,5 @@ def test_an_error_above_a_terminal_size_of_a_worker_is_not_raised(
 
     monkeypatch.setattr(search, "_least_branch_key", failing_above_four)
     config = SearchConfig(max_thing_size=8, node_budget=200)
-    assert search_all("PSRSubstance", "PropV_allshared", config, (2, 3)) == \
+    assert search_all(*ASCENT, config, (2, 3)) == \
         [(4, 0, 200)] * 2
