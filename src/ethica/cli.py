@@ -18,17 +18,18 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .corpus import VerificationReport, corpus_model, verify
-from .dsl import parse_model, serialize_model
-from .experiments import (PROBE_PREMISES, Direction, InsufficientEvidenceError,
-                          bundled_experiments, conjecture_probe_full_register,
-                          describe_experiment, direction_json,
-                          reducibility_table, run_experiment)
 from .logic import LogicError
 from .registry import BUNDLES, RegistryError, axiom, axiom_ids
-from .search import (DEFAULT_NODE_BUDGET, NoCounterexampleUpTo, RecheckError,
-                     Refuted, ResourceLimitExceeded, SearchConfig, SearchStats,
+from .search import (DEFAULT_NODE_BUDGET, InsufficientEvidenceError,
+                     NoCounterexampleUpTo, RecheckError, Refuted,
+                     ResourceLimitExceeded, SearchConfig, SearchStats,
                      entails_bounded)
+
+# ``corpus``, ``dsl`` and ``experiments`` are imported in the subcommands
+# that use them, so that ``entail``, ``search`` and ``export-axioms`` do not
+# compile them.  ``verify`` and ``run_experiment`` are called as attributes
+# of ``experiments``, so that replacing them there (as ``bench/child.py``'s
+# traced runs do) reaches every call.
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -85,7 +86,9 @@ def _search_config(args, default_things: int = 4) -> SearchConfig:
 def _load_model(ref: str):
     """A `corpus:NAME` reference or a model DSL file path."""
     if ref.startswith("corpus:"):
+        from .corpus import corpus_model
         return corpus_model(ref[len("corpus:"):])
+    from .dsl import parse_model
     with open(ref, encoding="utf-8") as handle:
         return parse_model(handle.read())
 
@@ -101,6 +104,7 @@ def _emit_json(doc) -> None:
 
 
 def _direction_doc(premises, target: str, verdict, config: SearchConfig) -> dict:
+    from .experiments import Direction, direction_json
     doc = direction_json(Direction(premises, target), verdict, config)
     doc["stats"] = verdict.stats.to_json_dict()
     return doc
@@ -118,8 +122,10 @@ def _stats_line(stats: SearchStats) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from . import experiments
     model = _load_model(args.model)
-    report = verify(model, _parse_selector(args.premises), args.target)
+    report = experiments.verify(model, _parse_selector(args.premises),
+                                args.target)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -127,7 +133,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.confirmed else EXIT_EXPECTATION_FAILED
 
 
-def _render_verification(report: VerificationReport) -> str:
+def _render_verification(report) -> str:
+    """A ``corpus.VerificationReport`` as text."""
     lines = [f"model {report.model_name}"]
     for axiom_id, value in report.premise_values:
         lines.append(f"  premise {axiom_id}: {'true' if value else 'false'}")
@@ -151,6 +158,7 @@ def _cmd_search(args, verdict_only: bool = False) -> int:
         return EXIT_OK
     lines = [verdict.describe()]
     if isinstance(verdict, Refuted) and not verdict_only:
+        from .dsl import serialize_model
         lines.append("model:")
         lines.append(serialize_model(verdict.model).rstrip("\n"))
     if not verdict_only:
@@ -165,7 +173,8 @@ def _cmd_search(args, verdict_only: bool = False) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    specs = bundled_experiments(_node_budget())
+    from . import experiments
+    specs = experiments.bundled_experiments(_node_budget())
     if args.name == "all":
         chosen = list(specs.values())
     elif args.name in specs:
@@ -176,19 +185,21 @@ def _cmd_experiment(args) -> int:
     ok = True
     docs = []
     for spec in chosen:
-        result = run_experiment(spec, args.workers)
+        result = experiments.run_experiment(spec, args.workers)
         ok = ok and result.expectation_ok
         if args.json:
             docs.append(result.to_json_dict())
         else:
-            _emit(describe_experiment(result, strict_claims=args.strict_claims))
+            _emit(experiments.describe_experiment(
+                result, strict_claims=args.strict_claims))
     if args.json:
         _emit_json(docs if len(docs) > 1 else docs[0])
     return EXIT_OK if ok else EXIT_EXPECTATION_FAILED
 
 
 def _cmd_table(args) -> int:
-    table = reducibility_table(_node_budget(), args.workers)
+    from . import experiments
+    table = experiments.reducibility_table(_node_budget(), args.workers)
     if args.json:
         _emit_json(table.to_json_dict())
     else:
@@ -197,15 +208,18 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from . import experiments
+    premises = list(experiments.PROBE_PREMISES)
     config = _search_config(args, default_things=3)
-    verdict = conjecture_probe_full_register(config, args.workers)
+    verdict = experiments.conjecture_probe_full_register(config, args.workers)
     if args.json:
-        _emit_json(_direction_doc(list(PROBE_PREMISES), "A12", verdict, config))
+        _emit_json(_direction_doc(premises, "A12", verdict, config))
         return EXIT_OK
-    lines = [f"full-register probe: {{{', '.join(PROBE_PREMISES)}}} |= A12 ?",
+    lines = [f"full-register probe: {{{', '.join(premises)}}} |= A12 ?",
              verdict.describe()]
     if isinstance(verdict, Refuted):
-        report = verify(verdict.model, list(PROBE_PREMISES), "A12")
+        from .dsl import serialize_model
+        report = experiments.verify(verdict.model, premises, "A12")
         lines.append("model:")
         lines.append(serialize_model(verdict.model).rstrip("\n"))
         lines.append(f"verifier cross-check: {report.verdict}")

@@ -17,12 +17,8 @@ from .corpus import VerificationReport, corpus_model, verify
 from .logic import FiniteModel, FrozenDict, Value
 from .registry import resolve_selector
 from .search import (DEFAULT_NODE_BUDGET, STATS_COUNTERS, EntailmentVerdict,
-                     NoCounterexampleUpTo, Refuted, SearchConfig,
-                     entails_bounded)
-
-
-class InsufficientEvidenceError(Exception):
-    """The verdict bundle does not determine an outcome class."""
+                     InsufficientEvidenceError, NoCounterexampleUpTo, Refuted,
+                     SearchConfig, entails_bounded)
 
 
 class OutcomeClass(Enum):

@@ -53,15 +53,16 @@ counter-model gives another one), a size without a counter-model settles
 every smaller thing count with the same worlds, so the walk doubles the
 thing count up to the bound, and narrows the first refuted count down by
 bisection, solving every world size of each count it tries.  Otherwise it
-solves every size in ascending order.  With ``workers`` above 1 the sizes
-it schedules above ``SEQUENTIAL_THINGS`` things may be solved in forked
-processes (``workers.py``), which report each size's key and counters, the
-ones the calling process would compute itself; the calling process still
-draws them in schedule order, sums the counters, fails at the first size
-out of budget and stops at the first with a key.  So verdicts, models,
-counters and errors do not depend on the worker count.  A caller that runs
-threads of its own should keep ``workers`` at 1, the default, which forks
-nothing.
+solves every size in ascending order.  The calling process solves every
+scheduled size of at most ``CALLER_THINGS`` things itself.  With
+``workers`` above 1 and at least two sizes scheduled above
+``CALLER_THINGS`` things, those may be solved in forked processes
+(``workers.py``), which report each size's key and counters, the ones the
+calling process would compute itself; the calling process still draws them
+in schedule order, sums the counters, fails at the first size out of
+budget and stops at the first with a key.  So verdicts, models, counters
+and errors do not depend on the worker count.  A caller that runs threads
+of its own should keep ``workers`` at 1, the default, which forks nothing.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ class ResourceLimitExceeded(LogicError):
 class RecheckError(RuntimeError):
     """A model the search returned fails the evaluator re-check: a defect of
     the clause machinery, never of the input."""
+
+
+class InsufficientEvidenceError(Exception):
+    """The verdict bundle does not determine an outcome class.
+
+    Raised by ``experiments.classify_outcome`` and exported from there; it
+    is defined here so that the CLI can catch it without importing the
+    experiments."""
 
 
 class SearchConfig(Value):
@@ -710,9 +719,16 @@ def _search(premises: Sequence[tuple[str, Formula]],
     index, key = first_key(
         range(min(config.max_thing_size, SEQUENTIAL_THINGS) * per_thing), 1)
     if index is None:
-        index, key = first_key(_schedule(
-            config.max_thing_size, per_thing,
-            _paddable(And(premise_nnfs + [negated]))), workers)
+        schedule = _schedule(config.max_thing_size, per_thing,
+                             _paddable(And(premise_nnfs + [negated])))
+        # The schedule ascends, so the sizes of at most CALLER_THINGS things
+        # are its head.
+        split = next((pos for pos, scheduled in enumerate(schedule)
+                      if scheduled >= CALLER_THINGS * per_thing),
+                     len(schedule))
+        index, key = first_key(schedule[:split], 1)
+        if index is None:
+            index, key = first_key(schedule[split:], workers)
     if index is not None:
         # The walk solved every world size of each scheduled thing count
         # below the first refuted one, and a counter-model pads to every
@@ -745,11 +761,20 @@ def _search(premises: Sequence[tuple[str, Formula]],
 
 #: Sizes of at most this many things are solved first, in ascending order
 #: and in the calling process: every counter-model found so far has at most
-#: 2 things, and each of these sizes takes about a millisecond, so forking
-#: for them, checking for padding or skipping any of them would only delay
-#: the common answer.  Above them a paddable search doubles the thing count
-#: up to the bound.
+#: 2 things, and each of these sizes takes about a millisecond, so checking
+#: for padding or skipping any of them would only delay the common answer.
+#: Above them a paddable search doubles the thing count up to the bound.
 SEQUENTIAL_THINGS = 2
+
+#: The scheduled sizes of at most this many things are solved in the calling
+#: process too, whatever the worker count, and workers are forked only for
+#: two or more sizes above it: one size left leaves nothing to share.  On a
+#: 2-core host a size of 4 things takes 1.5 ms (PSRSubstance |=
+#: PropV_allshared) to 4.4 ms (PSRPlenitude |= A15).  Forking for 4 and 8
+#: things made a ``--workers 2`` process for PropV_allshared at bound 8
+#: 3.9 ms slower than one worker (50.4 against 46.5 ms); a gate at 8 things
+#: made A15 at bounds 12 and 16 11-12 ms slower than this one.
+CALLER_THINGS = 4
 
 
 def _schedule(max_things: int, per_thing: int, paddable: bool):
@@ -770,9 +795,9 @@ def _schedule(max_things: int, per_thing: int, paddable: bool):
 
 def _outcomes(solve, indices: Sequence[int], workers: int):
     """``solve(index)`` for each index in order, lazily, and with more than
-    one worker in worker processes (``workers.solve_sizes``), up to the
-    first size that ends the search."""
-    if workers == 1 or not indices:
+    one worker and more than one size in worker processes
+    (``workers.solve_sizes``), up to the first size that ends the search."""
+    if workers == 1 or len(indices) < 2:
         return map(solve, indices)
     # Imported here, so that a search in one process does not compile the
     # module.

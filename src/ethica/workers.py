@@ -1,9 +1,10 @@
 """Solving a search's sizes in forked worker processes.
 
 ``search._search`` imports this module only when it is given more than one
-worker and its walk reaches a size above ``search.SEQUENTIAL_THINGS``
-things, so a search in one process never compiles it.  The walk hands over
-the rest of its schedule, a sequence of size indices.  Each size is an
+worker, at least two sizes are scheduled above ``search.CALLER_THINGS``
+things, and its walk gets past the sizes below them, so a search in one
+process, or one with fewer sizes to share, never compiles it.  The walk
+hands over those sizes, a sequence of size indices.  Each size is an
 independent job: ``solve(index)`` grounds and solves it and returns its
 outcome, ``(key, counters)``, with ``key`` None when the size is exhausted
 and ``counters`` None when it ran out of node budget.  Workers are forked

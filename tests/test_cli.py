@@ -227,11 +227,11 @@ def _out_of_memory(*args, **kwargs):
 
 def test_out_of_memory_exits_three_without_traceback(capsys, monkeypatch):
     # A search that runs out of memory is a resource limit, like the node
-    # budget; the table must not wrap it in its own error.
+    # budget; the table must not wrap it in its own error.  The CLI runs
+    # experiments through ``experiments.run_experiment``.
     from ethica import cli, experiments
     monkeypatch.setattr(cli, "entails_bounded", _out_of_memory)
     monkeypatch.setattr(experiments, "entails_bounded", _out_of_memory)
-    monkeypatch.setattr(cli, "run_experiment", _out_of_memory)
     monkeypatch.setattr(experiments, "run_experiment", _out_of_memory)
     for argv in (("entail", "--premises", "PSRSubstance",
                   "--target", "PropV_allshared", "--max-things", "4"),
@@ -283,14 +283,13 @@ def test_experiment_errors_exit_alike_from_table_and_experiment(
     # The table reports an experiment's error as the experiment command
     # does: a malformed search is an input error, an outcome the verdicts
     # do not determine an internal one.
-    from ethica import cli, experiments
+    from ethica import experiments
     from ethica.experiments import InsufficientEvidenceError
     from ethica.search import SearchError
     for error, code, message in (
             (SearchError("bad request"), 2, "error: bad request\n"),
             (InsufficientEvidenceError("no evidence"), 1,
              "error: internal error: no evidence\n")):
-        monkeypatch.setattr(cli, "run_experiment", _raising(error))
         monkeypatch.setattr(experiments, "run_experiment", _raising(error))
         for argv in (("table",), ("experiment", "run", "all")):
             assert run_cli(capsys, *argv) == (code, "", message), argv

@@ -10,17 +10,19 @@ import tracemalloc
 import pytest
 
 from ethica import search, workers
+from ethica.cli import main
 from ethica.logic import FALSE
 from ethica.search import (ResourceLimitExceeded, SearchConfig, SearchError,
                            entails_bounded)
 from ethica.workers import owner, process_count
 
-from test_search import BUNDLED_DIRECTIONS, _distinct_things
+from test_search import (BUNDLED_DIRECTIONS, SYNTHETIC_TARGETS,
+                         _distinct_things)
 
 WORKER_COUNTS = (1, 2, 3)
 # A1 needs inItself(e) or inAnother(e) at a new thing e, so this direction
 # fails the padding check: its search walks every size up to the bound,
-# and at 8 things it forks workers for six of them.
+# and at 8 things it forks workers for the four above CALLER_THINGS.
 ASCENT = (["A22", "A1"], "PropV_allshared")
 
 
@@ -30,6 +32,21 @@ def any_cpus(monkeypatch):
     workers fork two on any host; ``process_count`` is tested alone."""
     monkeypatch.setattr(workers, "process_count",
                         lambda count, n_sizes: min(count, n_sizes))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked, recorded by wrapping ``os.fork``."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
 
 
 def assert_no_children():
@@ -113,7 +130,8 @@ def test_bundled_directions_agree_across_worker_counts(any_cpus):
 
 
 def test_node_budget_fails_at_the_same_size_across_worker_counts(any_cpus):
-    # At 200 steps size 4 fails, at 600 size 6; workers solve both.
+    # At 200 steps size 4 fails, which the caller solves, at 600 size 6,
+    # which a worker solves.
     for budget, size in ((200, 4), (600, 6)):
         config = SearchConfig(max_thing_size=8, node_budget=budget)
         assert search_all(*ASCENT, config) == \
@@ -136,8 +154,29 @@ def test_refutation_at_size_two_is_the_same_with_room_for_six(
                       (2, 3)) == [first, first]
 
 
+PROPV_ENTAIL = ("--premises", "PSRSubstance", "--target", "PropV_allshared",
+                "--max-things", "8", "--workers", "2")
+
+
+def test_one_size_above_the_caller_forks_nothing(any_cpus, forks, capsys):
+    # PSRSubstance |= PropV_allshared pads: at 8 things the caller solves 1,
+    # 2 and 4 things, and 8 is the only size above CALLER_THINGS, which no
+    # second worker could share.
+    for command in ("entail", "search"):
+        assert main([command, *PROPV_ENTAIL]) == 0
+        assert "NoCounterexampleUpTo(8)" in capsys.readouterr().out
+    assert forks == []
+
+
+def test_the_table_forks_nothing(any_cpus, forks, capsys):
+    # Every table search is bounded by 4 things, all solved by the caller.
+    assert main(["table", "--workers", "2"]) == 0
+    capsys.readouterr()
+    assert forks == []
+
+
 def test_the_caller_solves_only_the_sizes_before_the_fork(
-        any_cpus, monkeypatch, tmp_path):
+        any_cpus, forks, monkeypatch, tmp_path):
     log = tmp_path / "solved"
     solve = search._least_branch_key
 
@@ -147,17 +186,19 @@ def test_the_caller_solves_only_the_sizes_before_the_fork(
         return solve(premises, prefix, matrix, things, *args)
 
     monkeypatch.setattr(search, "_least_branch_key", recording)
-    head = search.SEQUENTIAL_THINGS
+    head = search.CALLER_THINGS
     for count in (2, 3):
         log.write_text("")
+        forks.clear()
         entails_bounded(*ASCENT,
                         SearchConfig(max_thing_size=8), count)
+        assert len(forks) == count
         solved = {}
         for line in log.read_text().splitlines():
             pid, things = map(int, line.split())
             solved.setdefault(pid, []).append(things)
         # Every worker reports, so the caller solves only the sizes up to
-        # SEQUENTIAL_THINGS, and each worker its share in ascending order.
+        # CALLER_THINGS, and each worker its share in ascending order.
         assert solved.pop(os.getpid()) == list(range(1, head + 1))
         assert sorted(solved.values()) == sorted(
             [index + 1 for index in range(head, 8)
@@ -172,9 +213,9 @@ def test_a_size_no_worker_reports_is_solved_by_the_caller(
     solve = search._least_branch_key
 
     def dying(premises, prefix, matrix, things, *args):
-        # A worker dies at its first size above 3 things, reporting the
-        # sizes before it.
-        if os.getpid() != caller and len(things) > 3:
+        # A worker dies at its first size above the first size workers
+        # solve, reporting the sizes before it.
+        if os.getpid() != caller and len(things) > search.CALLER_THINGS + 1:
             os._exit(1)
         return solve(premises, prefix, matrix, things, *args)
 
@@ -220,37 +261,40 @@ def test_a_worker_killed_in_a_record_leaves_its_size_to_the_caller(
 
 def test_a_refutation_above_the_fork_costs_nothing_per_size_of_the_bound(
         any_cpus):
-    # Four distinct things are refuted at 4 things, the second size a
-    # worker solves; a bound of a million things must cost what a bound of
-    # four does, in the calling process and in time.
+    # Five distinct things are refuted at 5 things, the first size a worker
+    # solves: the premise that every thing is in itself fails the padding
+    # check, so every size is scheduled.  A bound of a million things must
+    # cost what a bound of five does, in the calling process and in time.
     tracemalloc.start()
     try:
-        verdict = search._search([("distinct4", _distinct_things(4))],
+        verdict = search._search([("distinct5", _distinct_things(5)),
+                                  SYNTHETIC_TARGETS[1]],
                                  ("false", FALSE),
                                  SearchConfig(max_thing_size=10**6), 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.describe() == "Refuted(size=4)"
+    assert verdict.describe() == "Refuted(size=5)"
     assert peak < 2 << 20
     assert_no_children()
 
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
 def test_an_error_in_the_caller_leaves_no_worker(any_cpus, monkeypatch, error):
-    # Every worker hangs at its first size but the one owning 3 things,
-    # which dies there, so the caller raises while solving 3 things itself,
-    # and then while waiting for a worker's record, with workers alive.
-    # They are killed, not waited for.
+    # Every worker hangs at its first size but the one owning the first
+    # size workers solve, which dies there, so the caller raises while
+    # solving that size itself, and then while waiting for a worker's
+    # record, with workers alive.  They are killed, not waited for.
     caller = os.getpid()
     solve = search._least_branch_key
+    first = search.CALLER_THINGS + 1
 
     def failing(premises, prefix, matrix, things, *args):
         if os.getpid() != caller:
-            if len(things) == 3:
+            if len(things) == first:
                 os._exit(1)
             time.sleep(60)
-        elif len(things) == 3:
+        elif len(things) == first:
             raise error()
         return solve(premises, prefix, matrix, things, *args)
 
@@ -272,21 +316,21 @@ def test_an_error_in_the_caller_leaves_no_worker(any_cpus, monkeypatch, error):
 
 def test_an_error_above_a_terminal_size_of_a_worker_is_not_raised(
         any_cpus, monkeypatch):
-    # At 200 steps the search fails at 4 things, a worker's size.  Workers
-    # end without reporting any size above 4 things, so a calling process
-    # that walked past 4 would solve 5 things itself and run out of memory
-    # there; one process would have stopped at 4 things and never seen that.
+    # At 600 steps the search fails at 6 things, a worker's size.  Workers
+    # end without reporting any size above 6 things, so a calling process
+    # that walked past 6 would solve 7 things itself and run out of memory
+    # there; one process would have stopped at 6 things and never seen that.
     caller = os.getpid()
     solve = search._least_branch_key
 
-    def failing_above_four(premises, prefix, matrix, things, *args):
-        if len(things) > 4:
+    def failing_above_six(premises, prefix, matrix, things, *args):
+        if len(things) > 6:
             if os.getpid() != caller:
                 os._exit(0)
             raise MemoryError()
         return solve(premises, prefix, matrix, things, *args)
 
-    monkeypatch.setattr(search, "_least_branch_key", failing_above_four)
-    config = SearchConfig(max_thing_size=8, node_budget=200)
+    monkeypatch.setattr(search, "_least_branch_key", failing_above_six)
+    config = SearchConfig(max_thing_size=8, node_budget=600)
     assert search_all(*ASCENT, config, (2, 3)) == \
-        [(4, 0, 200)] * 2
+        [(6, 0, 600)] * 2
