@@ -384,6 +384,7 @@ def test_export_axioms_json(capsys):
 @pytest.mark.parametrize("argv, golden", [
     (("export-axioms",), "export-axioms.txt"),
     (("experiment", "run", "all"), "experiment-run-all.txt"),
+    (("export-axioms", "--json"), "export-axioms.json"),
 ])
 def test_text_report_is_byte_identical_to_its_golden_file(capsys, argv, golden):
     # The golden files hold the reports as ethica prints them; change one
