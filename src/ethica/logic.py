@@ -193,13 +193,6 @@ Formula = TrueF | FalseF | Pred | Eq | Not | And | Or | Implies | Iff | ForAll |
 _QUANTIFIERS = (ForAll, Exists)
 
 
-def forall(names: Sequence[str], sort: Sort, body: Formula) -> Formula:
-    """Nest a block of same-sort universal quantifiers, outermost first."""
-    for name in reversed(names):
-        body = ForAll(name, sort, body)
-    return body
-
-
 def quantifier_prefix(formula: Formula, quantifier: type
                       ) -> tuple[list[tuple[str, Sort]], Formula]:
     """Split off the outermost block of ``quantifier`` (``ForAll`` or

@@ -11,12 +11,13 @@ and are deliberately absent; experiments cannot reference them.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from enum import Enum
 
-from .logic import (And, Eq, Exists, ForAll, Formula, Iff, Implies, Not,
-                    Or, Pred, PredicateDecl, Signature, Sort, Term, Value,
-                    Var, check_sorted, forall)
+from .logic import (And, Eq, Exists, ForAll, Formula, Iff, Implies, LogicError,
+                    Not, Or, Pred, PredicateDecl, Signature, Sort, Term, Value,
+                    Var, check_sorted)
 
 T = Sort.THING
 W = Sort.WORLD
@@ -84,6 +85,133 @@ def is_god(g: Term) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Formula notation
+# ---------------------------------------------------------------------------
+
+class FormulaParseError(LogicError):
+    """A formula's text is malformed; the message names the offending column."""
+
+    def __init__(self, column: int, message: str):
+        super().__init__(f"column {column}: {message}")
+        self.column = column
+
+
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\S"
+_CONNECTIVES = (("↔", Iff), ("→", Implies), ("∨", Or), ("∧", And))
+_MACROS = {"Substance": (substance, (T,)), "Attribute": (attribute, (T, T)),
+           "Mode": (mode, (T,)), "IsGod": (is_god, (T,)), "sameNature": (same_nature, (T, T))}
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse the register's notation into a formula sort-checked against
+    ``ETHICA_SIGNATURE``.  ``¬`` binds tightest, then ``∧``, ``∨``, ``→`` and ``↔``;
+    ``→`` and ``↔`` group to the right; a quantifier's body runs to the end of its
+    group; ``x ≠ y`` is ``¬(x = y)``; macros expand through the functions above; and
+    a variable takes its sort from the predicate or macro argument positions it fills."""
+    parser = _Parser(text)
+    formula = parser.formula(0)
+    token, column = parser.take()
+    if token:
+        raise FormulaParseError(column, f"unexpected {token!r}")
+    check_sorted(formula, ETHICA_SIGNATURE)
+    return formula
+
+
+class _Parser:
+    def __init__(self, text: str):
+        # The empty token ends the text; taking it always leads to an error.
+        self.tokens = [(m[0], m.start() + 1) for m in re.finditer(_TOKEN, text)]
+        self.tokens.append(("", len(text) + 1))
+        self.at = 0
+        # Each bound variable's list of the sorts of the positions it fills.
+        self.scope: dict[str, list] = {}
+
+    def take(self) -> tuple[str, int]:
+        self.at += 1
+        return self.tokens[self.at - 1]
+
+    def skip(self, token: str) -> bool:
+        found = self.tokens[self.at][0] == token
+        self.at += found
+        return found
+
+    def formula(self, level: int) -> Formula:
+        # A formula whose connectives are _CONNECTIVES[level:], loosest first.
+        if level == len(_CONNECTIVES):
+            return self.unary()
+        connective, node = _CONNECTIVES[level]
+        first = self.formula(level + 1)
+        if node is Iff or node is Implies:
+            return node(first, self.formula(level)) if self.skip(connective) else first
+        items = [first]
+        while self.skip(connective):
+            items.append(self.formula(level + 1))
+        return first if len(items) == 1 else node(items)
+
+    def unary(self) -> Formula:
+        token, column = self.take()
+        if token == "¬":
+            return Not(self.unary())
+        if token == "(":
+            formula = self.formula(0)
+            if not self.skip(")"):
+                raise FormulaParseError(column, "'(' is never closed")
+            return formula
+        if token in ("∀", "∃"):
+            return self.quantifier(ForAll if token == "∀" else Exists)
+        if not token.isidentifier():
+            raise FormulaParseError(column, "expected a formula")
+        if self.skip("("):
+            return self.application(token, column)
+        left = self.variable(token, column)
+        relation, column = self.take()
+        if relation not in ("=", "≠"):
+            raise FormulaParseError(column, "expected '=' or '≠'")
+        equality = Eq(left, self.variable(*self.take()))
+        return equality if relation == "=" else Not(equality)
+
+    def quantifier(self, node: type) -> Formula:
+        names = []
+        while not (names and self.skip(".")):
+            name, column = self.take()
+            if not name.isidentifier():
+                raise FormulaParseError(column, "expected a variable")
+            names.append((name, column, []))
+        outer = self.scope
+        self.scope = {**outer, **{name: sorts for name, _, sorts in names}}
+        body = self.formula(0)
+        self.scope = outer
+        for name, column, sorts in reversed(names):
+            if not sorts:
+                raise FormulaParseError(column, f"the sort of {name!r} is not determined")
+            body = node(name, sorts[0], body)
+        return body
+
+    def application(self, name: str, column: int) -> Formula:
+        if name not in _MACROS and name not in ETHICA_SIGNATURE:
+            raise FormulaParseError(column, f"unknown predicate {name!r}")
+        macro, sorts = _MACROS.get(name) or (
+            None, ETHICA_SIGNATURE.declaration(name).argument_sorts)
+        args = [self.variable(*self.take())]
+        while self.skip(","):
+            args.append(self.variable(*self.take()))
+        if not self.skip(")"):
+            raise FormulaParseError(self.tokens[self.at][1], "expected ',' or ')'")
+        if len(args) != len(sorts):
+            raise FormulaParseError(
+                column, f"{name} takes {len(sorts)} arguments, got {len(args)}")
+        for arg, sort in zip(args, sorts):
+            self.scope[arg.name].append(sort)
+        return macro(*args) if macro else Pred(name, args)
+
+    def variable(self, name: str, column: int) -> Var:
+        if name not in self.scope:
+            raise FormulaParseError(column, f"unbound variable {name!r}"
+                                    if name.isidentifier() else "expected a variable")
+        return Var(name)
+
+
+# ---------------------------------------------------------------------------
 # Axiom catalogue
 # ---------------------------------------------------------------------------
 
@@ -105,199 +233,73 @@ class AxiomEntry(Value):
     __slots__ = ("id", "section", "formula", "citation", "status", "display")
 
 
-def _x(name: str) -> Var:
-    return Var(name)
-
-
-def _build_catalogue() -> dict[str, AxiomEntry]:
-    x, y = _x("x"), _x("y")
-    s, a, g, w, c, e = _x("s"), _x("a"), _x("g"), _x("w"), _x("c"), _x("e")
-    s1, s2, g1, g2 = _x("s1"), _x("s2"), _x("g1"), _x("g2")
-
-    entries = [
-        AxiomEntry(
-            "A1", Section.SECTION_I,
-            ForAll("x", T, Or((Pred("inItself", (x,)), Pred("inAnother", (x,))))),
-            "Ethica I, axiom 1: everything is in itself or in another",
-            STATUS_DECIDED_HERE,
-            "∀x. inItself(x) ∨ inAnother(x)"),
-        AxiomEntry(
-            "A1e", Section.SECTION_I,
-            ForAll("x", T, Not(And((Pred("inItself", (x,)), Pred("inAnother", (x,)))))),
-            "exclusivity reading of Ethica I, axiom 1",
-            STATUS_STATED,
-            "∀x. ¬(inItself(x) ∧ inAnother(x))"),
-        AxiomEntry(
-            "A8", Section.SECTION_I,
-            ForAll("x", T, Iff(Pred("inItself", (x,)), Pred("perSeConceived", (x,)))),
-            "parallelism of the ontological and conceptual halves of Ethica I, def. III",
-            STATUS_STATED,
-            "∀x. inItself(x) ↔ perSeConceived(x)"),
-        AxiomEntry(
-            "A9", Section.SECTION_I,
-            ForAll("x", T, Iff(Pred("inAnother", (x,)),
-                               Pred("conceivedThroughAnother", (x,)))),
-            "parallelism of the ontological and conceptual halves of Ethica I, def. V",
-            STATUS_STATED,
-            "∀x. inAnother(x) ↔ conceivedThroughAnother(x)"),
-        AxiomEntry(
-            "A10", Section.SECTION_I,
-            forall(["s", "a"], T,
-                   Implies(attribute(a, s), Pred("perSeConceived", (a,)))),
-            "every attribute of a substance is itself per se conceived (Ethica I, def. IV)",
-            STATUS_DECIDED_HERE,
-            "∀s a. Attribute(a, s) → perSeConceived(a)"),
-        AxiomEntry(
-            "A11", Section.SECTION_I,
-            ForAll("x", T, Iff(Pred("involvesExistence", (x,)),
-                               Pred("natureRequiresExistence", (x,)))),
-            "Ethica I, def. I (causa sui), the sive read identifyingly",
-            STATUS_STATED,
-            "∀x. involvesExistence(x) ↔ natureRequiresExistence(x)"),
-        AxiomEntry(
-            "A12", Section.SECTION_III,
-            forall(["s1", "s2", "a"], T,
-                   Implies(attribute(a, s1), Implies(attribute(a, s2), Eq(s1, s2)))),
-            "Ethica I, prop. V content adopted as axiom: substances sharing an "
-            "attribute are identical",
-            STATUS_STATED,
-            "∀s1 s2 a. Attribute(a, s1) → Attribute(a, s2) → s1 = s2"),
-        AxiomEntry(
-            "A13", Section.SECTION_III,
-            ForAll("s", T, Implies(substance(s), Pred("involvesExistence", (s,)))),
-            "Ethica I, prop. VII content: every substance involves existence",
-            STATUS_DECIDED_HERE,
-            "∀s. Substance(s) → involvesExistence(s)"),
-        AxiomEntry(
-            "A14", Section.SECTION_III,
-            ForAll("s", T, Implies(substance(s), Exists("a", T, attribute(a, s)))),
-            "structural prerequisite for Ethica I, prop. XIV: every substance "
-            "has at least one attribute",
-            STATUS_DECIDED_HERE,
-            "∀s. Substance(s) → ∃a. Attribute(a, s)"),
-        AxiomEntry(
-            "A15", Section.SECTION_III,
-            forall(["g", "s", "a"], T,
-                   Implies(is_god(g),
-                           Implies(substance(s),
-                                   Implies(attribute(a, s), attribute(a, g))))),
-            "universality clause for Ethica I, prop. XIV: every god has every "
-            "realised attribute",
-            STATUS_STATED,
-            "∀g s a. IsGod(g) → Substance(s) → Attribute(a, s) → Attribute(a, g)"),
-        AxiomEntry(
-            "A18", Section.MODAL_BRIDGE,
-            ForAll("x", T, Iff(Pred("involvesExistence", (x,)),
-                               ForAll("w", W, Pred("existsAt", (x, w))))),
-            "bridge: essential existence coincides with existence at every world",
-            STATUS_STATED,
-            "∀x. involvesExistence(x) ↔ (∀w. existsAt(x, w))"),
-        AxiomEntry(
-            "A19", Section.MODAL_BRIDGE,
-            ForAll("x", T, Iff(Pred("perSeConceived", (x,)),
-                               Pred("conceptualDep", (x, x)))),
-            "bridge: per se conception as reflexive conceptual dependence",
-            STATUS_DECIDED_HERE,
-            "∀x. perSeConceived(x) ↔ conceptualDep(x, x)"),
-        AxiomEntry(
-            "A20", Section.MODAL_BRIDGE,
-            ForAll("x", T, Iff(Pred("conceivedThroughAnother", (x,)),
-                               Exists("y", T, And((Not(Eq(y, x)),
-                                                   Pred("conceptualDep", (x, y))))))),
-            "bridge: conception through another as conceptual dependence on "
-            "a distinct thing",
-            STATUS_DECIDED_HERE,
-            "∀x. conceivedThroughAnother(x) ↔ (∃y. y ≠ x ∧ conceptualDep(x, y))"),
-        AxiomEntry(
-            "A21", Section.MODAL_BRIDGE,
-            forall(["c", "e"], T, Iff(Pred("cause", (c, e)),
-                                      ForAll("w", W, Pred("causeAt", (c, e, w))))),
-            "bridge: world-uniform causation as causation at every world",
-            STATUS_DECIDED_HERE,
-            "∀c e. cause(c, e) ↔ (∀w. causeAt(c, e, w))"),
-        AxiomEntry(
-            "A3m", Section.MODAL_BRIDGE,
-            forall(["c", "e"], T,
-                   ForAll("w", W, Implies(Pred("causeAt", (c, e, w)),
-                                          Pred("existsAt", (e, w))))),
-            "Ethica I, axiom 3 rendered modally: from a cause the effect "
-            "follows at that world",
-            STATUS_DECIDED_HERE,
-            "∀c e w. causeAt(c, e, w) → existsAt(e, w)"),
-        AxiomEntry(
-            "A22", Section.PSR_CANDIDATE,
-            forall(["s1", "s2"], T,
-                   Implies(substance(s1),
-                           Implies(substance(s2),
-                                   Implies(Not(Eq(s1, s2)),
-                                           Exists("a", T, Or((
-                                               And((attribute(a, s1),
-                                                    Not(attribute(a, s2)))),
-                                               And((attribute(a, s2),
-                                                    Not(attribute(a, s1))))))))))),
-            "PSR substance distinguishability: distinct substances differ in "
-            "at least one attribute",
-            STATUS_STATED,
-            "∀s1 s2. Substance(s1) → Substance(s2) → s1 ≠ s2 → "
-            "∃a. (Attribute(a, s1) ∧ ¬Attribute(a, s2)) ∨ "
-            "(Attribute(a, s2) ∧ ¬Attribute(a, s1))"),
-        AxiomEntry(
-            "A23", Section.PSR_CANDIDATE,
-            ForAll("s", T, ForAll("w", W,
-                                  Implies(substance(s), Pred("causeAt", (s, s, w))))),
-            "PSR self-causation: every substance is self-causal at every world",
-            STATUS_DECIDED_HERE,
-            "∀s w. Substance(s) → causeAt(s, s, w)"),
-        AxiomEntry(
-            "A24", Section.PSR_CANDIDATE,
-            ForAll("s", T, Implies(substance(s),
-                                   Exists("a", T,
-                                          Pred("intellectPerceivesAsEssence", (s, a))))),
-            "PSR essence perception: every substance has an intellect-perceived "
-            "essence",
-            STATUS_DECIDED_HERE,
-            "∀s. Substance(s) → ∃a. intellectPerceivesAsEssence(s, a)"),
-        AxiomEntry(
-            "A25", Section.PSR_CANDIDATE,
-            forall(["a", "s"], T,
-                   Implies(substance(s),
-                           Implies(attribute(a, s),
-                                   Exists("g", T, And((is_god(g), attribute(a, g))))))),
-            "PSR plenitude: every realised substance attribute is also some "
-            "god's attribute",
-            STATUS_STATED,
-            "∀a s. Substance(s) → Attribute(a, s) → ∃g. IsGod(g) ∧ Attribute(a, g)"),
-        AxiomEntry(
-            "A26", Section.PSR_CANDIDATE,
-            forall(["g1", "g2"], T,
-                   Implies(is_god(g1), Implies(is_god(g2), Eq(g1, g2)))),
-            "god uniqueness: any two gods are identical",
-            STATUS_STATED,
-            "∀g1 g2. IsGod(g1) → IsGod(g2) → g1 = g2"),
-        AxiomEntry(
-            "PropV_allshared", Section.SECTION_III,
-            forall(["s1", "s2"], T,
-                   Implies(substance(s1),
-                           Implies(substance(s2),
-                                   Implies(ForAll("a", T,
-                                                  Iff(attribute(a, s1),
-                                                      attribute(a, s2))),
-                                           Eq(s1, s2))))),
-            "Ethica I, prop. V restricted to the all-shared-attributes case",
-            STATUS_STATED,
-            "∀s1 s2. Substance(s1) → Substance(s2) → "
-            "(∀a. Attribute(a, s1) ↔ Attribute(a, s2)) → s1 = s2"),
-    ]
-    catalogue = {}
-    for entry in entries:
-        if entry.id in catalogue:
-            raise ValueError(f"duplicate axiom id {entry.id!r}")
-        check_sorted(entry.formula, ETHICA_SIGNATURE)
-        catalogue[entry.id] = entry
-    return catalogue
-
-
-_CATALOGUE = _build_catalogue()
+#: (id, section, status, display, citation); ``axiom`` parses the display on first use.
+_CATALOGUE: dict[str, tuple | AxiomEntry] = {row[0]: row for row in [
+    ("A1", Section.SECTION_I, STATUS_DECIDED_HERE,
+     "∀x. inItself(x) ∨ inAnother(x)",
+     "Ethica I, axiom 1: everything is in itself or in another"),
+    ("A1e", Section.SECTION_I, STATUS_STATED,
+     "∀x. ¬(inItself(x) ∧ inAnother(x))",
+     "exclusivity reading of Ethica I, axiom 1"),
+    ("A8", Section.SECTION_I, STATUS_STATED,
+     "∀x. inItself(x) ↔ perSeConceived(x)",
+     "parallelism of the ontological and conceptual halves of Ethica I, def. III"),
+    ("A9", Section.SECTION_I, STATUS_STATED,
+     "∀x. inAnother(x) ↔ conceivedThroughAnother(x)",
+     "parallelism of the ontological and conceptual halves of Ethica I, def. V"),
+    ("A10", Section.SECTION_I, STATUS_DECIDED_HERE,
+     "∀s a. Attribute(a, s) → perSeConceived(a)",
+     "every attribute of a substance is itself per se conceived (Ethica I, def. IV)"),
+    ("A11", Section.SECTION_I, STATUS_STATED,
+     "∀x. involvesExistence(x) ↔ natureRequiresExistence(x)",
+     "Ethica I, def. I (causa sui), the sive read identifyingly"),
+    ("A12", Section.SECTION_III, STATUS_STATED,
+     "∀s1 s2 a. Attribute(a, s1) → Attribute(a, s2) → s1 = s2",
+     "Ethica I, prop. V content adopted as axiom: substances sharing an attribute are identical"),
+    ("A13", Section.SECTION_III, STATUS_DECIDED_HERE,
+     "∀s. Substance(s) → involvesExistence(s)",
+     "Ethica I, prop. VII content: every substance involves existence"),
+    ("A14", Section.SECTION_III, STATUS_DECIDED_HERE,
+     "∀s. Substance(s) → ∃a. Attribute(a, s)",
+     "structural prerequisite for Ethica I, prop. XIV: every substance has at least one attribute"),
+    ("A15", Section.SECTION_III, STATUS_STATED,
+     "∀g s a. IsGod(g) → Substance(s) → Attribute(a, s) → Attribute(a, g)",
+     "universality clause for Ethica I, prop. XIV: every god has every realised attribute"),
+    ("A18", Section.MODAL_BRIDGE, STATUS_STATED,
+     "∀x. involvesExistence(x) ↔ (∀w. existsAt(x, w))",
+     "bridge: essential existence coincides with existence at every world"),
+    ("A19", Section.MODAL_BRIDGE, STATUS_DECIDED_HERE,
+     "∀x. perSeConceived(x) ↔ conceptualDep(x, x)",
+     "bridge: per se conception as reflexive conceptual dependence"),
+    ("A20", Section.MODAL_BRIDGE, STATUS_DECIDED_HERE,
+     "∀x. conceivedThroughAnother(x) ↔ (∃y. y ≠ x ∧ conceptualDep(x, y))",
+     "bridge: conception through another as conceptual dependence on a distinct thing"),
+    ("A21", Section.MODAL_BRIDGE, STATUS_DECIDED_HERE,
+     "∀c e. cause(c, e) ↔ (∀w. causeAt(c, e, w))",
+     "bridge: world-uniform causation as causation at every world"),
+    ("A3m", Section.MODAL_BRIDGE, STATUS_DECIDED_HERE,
+     "∀c e w. causeAt(c, e, w) → existsAt(e, w)",
+     "Ethica I, axiom 3 rendered modally: from a cause the effect follows at that world"),
+    ("A22", Section.PSR_CANDIDATE, STATUS_STATED,
+     "∀s1 s2. Substance(s1) → Substance(s2) → s1 ≠ s2 → "
+     "∃a. (Attribute(a, s1) ∧ ¬Attribute(a, s2)) ∨ (Attribute(a, s2) ∧ ¬Attribute(a, s1))",
+     "PSR substance distinguishability: distinct substances differ in at least one attribute"),
+    ("A23", Section.PSR_CANDIDATE, STATUS_DECIDED_HERE,
+     "∀s w. Substance(s) → causeAt(s, s, w)",
+     "PSR self-causation: every substance is self-causal at every world"),
+    ("A24", Section.PSR_CANDIDATE, STATUS_DECIDED_HERE,
+     "∀s. Substance(s) → ∃a. intellectPerceivesAsEssence(s, a)",
+     "PSR essence perception: every substance has an intellect-perceived essence"),
+    ("A25", Section.PSR_CANDIDATE, STATUS_STATED,
+     "∀a s. Substance(s) → Attribute(a, s) → ∃g. IsGod(g) ∧ Attribute(a, g)",
+     "PSR plenitude: every realised substance attribute is also some god's attribute"),
+    ("A26", Section.PSR_CANDIDATE, STATUS_STATED,
+     "∀g1 g2. IsGod(g1) → IsGod(g2) → g1 = g2",
+     "god uniqueness: any two gods are identical"),
+    ("PropV_allshared", Section.SECTION_III, STATUS_STATED,
+     "∀s1 s2. Substance(s1) → Substance(s2) → (∀a. Attribute(a, s1) ↔ Attribute(a, s2)) → s1 = s2",
+     "Ethica I, prop. V restricted to the all-shared-attributes case"),
+]}
 
 BUNDLES: dict[str, tuple[str, ...]] = {
     "PSRSubstance": ("A22",),
@@ -313,9 +315,14 @@ Selector = str | Sequence[str]
 
 def axiom(axiom_id: str) -> AxiomEntry:
     try:
-        return _CATALOGUE[axiom_id]
+        entry = _CATALOGUE[axiom_id]
     except KeyError:
         raise RegistryError(f"unknown axiom id {axiom_id!r}") from None
+    if isinstance(entry, tuple):
+        _, section, status, display, citation = entry
+        entry = _CATALOGUE[axiom_id] = AxiomEntry(
+            axiom_id, section, parse_formula(display), citation, status, display)
+    return entry
 
 
 def axiom_ids() -> tuple[str, ...]:

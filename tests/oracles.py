@@ -7,7 +7,8 @@ DPLL solver without learning is kept here too, as an oracle for the
 clause-learning solver that replaced it, and so is the grounder that walked
 the formula tree at every size, as the reference for the compiled one, and
 the canonicaliser that tried every relabeling, as the reference for the
-block-wise filter.
+block-wise filter, and the register's formulas as they were built from
+constructors before the registry parsed them from their display text.
 
 A clause has one format throughout, the grounder's: a tuple of signed
 literals over variables 1..n (``-v`` for not v) in ascending order.  The
@@ -24,7 +25,8 @@ from ethica.grounding import (GroundConstraintSet, GroundingError,
 from ethica.logic import (And, Eq, Exists, FalseF, FiniteModel, ForAll,
                           Formula, Iff, Implies, Not, Or, Pred, Sort, TrueF,
                           Var, evaluate, quantifier_prefix)
-from ethica.registry import ETHICA_SIGNATURE, axiom_set
+from ethica.registry import (ETHICA_SIGNATURE, attribute, axiom_set, is_god,
+                             substance)
 from ethica.search import _is_orbit_representative
 
 Clause = tuple[int, ...]
@@ -455,3 +457,121 @@ def reference_solver_inputs(premise_formulas, target_formula, support,
         clauses = clauses + definition_clauses(builder.definitions[premise_defs:])
         inputs.append((len(atoms) + len(builder.definitions), clauses, premises))
     return inputs
+
+
+def forall(names, sort, body):
+    """Nest a block of same-sort universal quantifiers, outermost first."""
+    for name in reversed(names):
+        body = ForAll(name, sort, body)
+    return body
+
+
+def reference_register() -> list[tuple[str, Formula, str]]:
+    """(id, formula, display) for every register axiom in catalogue order,
+    each formula built from constructors and the registry's macros."""
+    T, W = Sort.THING, Sort.WORLD
+    x, y, s, a, g, w, c, e = (Var(name) for name in "xysagwce")
+    s1, s2, g1, g2 = Var("s1"), Var("s2"), Var("g1"), Var("g2")
+    return [
+        ("A1",
+         ForAll("x", T, Or((Pred("inItself", (x,)), Pred("inAnother", (x,))))),
+         "∀x. inItself(x) ∨ inAnother(x)"),
+        ("A1e",
+         ForAll("x", T, Not(And((Pred("inItself", (x,)), Pred("inAnother", (x,)))))),
+         "∀x. ¬(inItself(x) ∧ inAnother(x))"),
+        ("A8",
+         ForAll("x", T, Iff(Pred("inItself", (x,)), Pred("perSeConceived", (x,)))),
+         "∀x. inItself(x) ↔ perSeConceived(x)"),
+        ("A9",
+         ForAll("x", T, Iff(Pred("inAnother", (x,)),
+                            Pred("conceivedThroughAnother", (x,)))),
+         "∀x. inAnother(x) ↔ conceivedThroughAnother(x)"),
+        ("A10",
+         forall(["s", "a"], T,
+                Implies(attribute(a, s), Pred("perSeConceived", (a,)))),
+         "∀s a. Attribute(a, s) → perSeConceived(a)"),
+        ("A11",
+         ForAll("x", T, Iff(Pred("involvesExistence", (x,)),
+                            Pred("natureRequiresExistence", (x,)))),
+         "∀x. involvesExistence(x) ↔ natureRequiresExistence(x)"),
+        ("A12",
+         forall(["s1", "s2", "a"], T,
+                Implies(attribute(a, s1), Implies(attribute(a, s2), Eq(s1, s2)))),
+         "∀s1 s2 a. Attribute(a, s1) → Attribute(a, s2) → s1 = s2"),
+        ("A13",
+         ForAll("s", T, Implies(substance(s), Pred("involvesExistence", (s,)))),
+         "∀s. Substance(s) → involvesExistence(s)"),
+        ("A14",
+         ForAll("s", T, Implies(substance(s), Exists("a", T, attribute(a, s)))),
+         "∀s. Substance(s) → ∃a. Attribute(a, s)"),
+        ("A15",
+         forall(["g", "s", "a"], T,
+                Implies(is_god(g),
+                        Implies(substance(s),
+                                Implies(attribute(a, s), attribute(a, g))))),
+         "∀g s a. IsGod(g) → Substance(s) → Attribute(a, s) → Attribute(a, g)"),
+        ("A18",
+         ForAll("x", T, Iff(Pred("involvesExistence", (x,)),
+                            ForAll("w", W, Pred("existsAt", (x, w))))),
+         "∀x. involvesExistence(x) ↔ (∀w. existsAt(x, w))"),
+        ("A19",
+         ForAll("x", T, Iff(Pred("perSeConceived", (x,)),
+                            Pred("conceptualDep", (x, x)))),
+         "∀x. perSeConceived(x) ↔ conceptualDep(x, x)"),
+        ("A20",
+         ForAll("x", T, Iff(Pred("conceivedThroughAnother", (x,)),
+                            Exists("y", T, And((Not(Eq(y, x)),
+                                                Pred("conceptualDep", (x, y))))))),
+         "∀x. conceivedThroughAnother(x) ↔ (∃y. y ≠ x ∧ conceptualDep(x, y))"),
+        ("A21",
+         forall(["c", "e"], T, Iff(Pred("cause", (c, e)),
+                                   ForAll("w", W, Pred("causeAt", (c, e, w))))),
+         "∀c e. cause(c, e) ↔ (∀w. causeAt(c, e, w))"),
+        ("A3m",
+         forall(["c", "e"], T,
+                ForAll("w", W, Implies(Pred("causeAt", (c, e, w)),
+                                       Pred("existsAt", (e, w))))),
+         "∀c e w. causeAt(c, e, w) → existsAt(e, w)"),
+        ("A22",
+         forall(["s1", "s2"], T,
+                Implies(substance(s1),
+                        Implies(substance(s2),
+                                Implies(Not(Eq(s1, s2)),
+                                        Exists("a", T, Or((
+                                            And((attribute(a, s1),
+                                                 Not(attribute(a, s2)))),
+                                            And((attribute(a, s2),
+                                                 Not(attribute(a, s1))))))))))),
+         "∀s1 s2. Substance(s1) → Substance(s2) → s1 ≠ s2 → "
+         "∃a. (Attribute(a, s1) ∧ ¬Attribute(a, s2)) ∨ "
+         "(Attribute(a, s2) ∧ ¬Attribute(a, s1))"),
+        ("A23",
+         ForAll("s", T, ForAll("w", W,
+                               Implies(substance(s), Pred("causeAt", (s, s, w))))),
+         "∀s w. Substance(s) → causeAt(s, s, w)"),
+        ("A24",
+         ForAll("s", T, Implies(substance(s),
+                                Exists("a", T,
+                                       Pred("intellectPerceivesAsEssence", (s, a))))),
+         "∀s. Substance(s) → ∃a. intellectPerceivesAsEssence(s, a)"),
+        ("A25",
+         forall(["a", "s"], T,
+                Implies(substance(s),
+                        Implies(attribute(a, s),
+                                Exists("g", T, And((is_god(g), attribute(a, g))))))),
+         "∀a s. Substance(s) → Attribute(a, s) → ∃g. IsGod(g) ∧ Attribute(a, g)"),
+        ("A26",
+         forall(["g1", "g2"], T,
+                Implies(is_god(g1), Implies(is_god(g2), Eq(g1, g2)))),
+         "∀g1 g2. IsGod(g1) → IsGod(g2) → g1 = g2"),
+        ("PropV_allshared",
+         forall(["s1", "s2"], T,
+                Implies(substance(s1),
+                        Implies(substance(s2),
+                                Implies(ForAll("a", T,
+                                               Iff(attribute(a, s1),
+                                                   attribute(a, s2))),
+                                        Eq(s1, s2))))),
+         "∀s1 s2. Substance(s1) → Substance(s2) → "
+         "(∀a. Attribute(a, s1) ↔ Attribute(a, s2)) → s1 = s2"),
+    ]

@@ -11,12 +11,12 @@ from ethica.grounding import (Grounder, GroundingError, atom_space,
                               predicate_profiles)
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
-                          evaluate, forall, mentions_world)
+                          evaluate, mentions_world)
 from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_ids
 from ethica.search import _Solver
 
 from oracles import (all_models, assert_clause_format, atom_list,
-                     dpll_least_solution, random_model, reference_ground)
+                     dpll_least_solution, forall, random_model, reference_ground)
 
 T = Sort.THING
 

@@ -6,12 +6,13 @@ import random
 import pytest
 
 from ethica.logic import (And, Elem, Eq, Exists, ForAll, Iff, Implies, Not,
-                          Or, Pred, Sort, Var, check_sorted, evaluate)
-from ethica.registry import (BUNDLES, ETHICA_SIGNATURE, RegistryError, Section,
-                             attribute, axiom, axiom_ids, axiom_set, is_god,
-                             mode, same_nature, substance)
+                          Or, Pred, Sort, SortError, Var, check_sorted, evaluate)
+from ethica.registry import (BUNDLES, ETHICA_SIGNATURE, FormulaParseError,
+                             RegistryError, Section, attribute, axiom, axiom_ids,
+                             axiom_set, is_god, mode, parse_formula, same_nature,
+                             substance)
 
-from oracles import random_model
+from oracles import random_model, reference_register
 
 T = Sort.THING
 
@@ -112,6 +113,80 @@ def test_prop_v_allshared_formula():
                         Implies(ForAll("a", T, Iff(attribute(a, s1),
                                                    attribute(a, s2))),
                                 Eq(s1, s2))))))
+
+
+def p(name, *names):
+    return Pred(name, tuple(Var(n) for n in names))
+
+
+#: (text, formula) pairs that pin the notation where no register axiom does:
+#: ∧ binds tighter than ∨, ¬ only its operand, ↔ chains to the right, and a
+#: quantifier's body runs to the end of its group.
+NOTATION = [
+    ("∀x. inItself(x) ∨ inAnother(x) ∧ eternal(x)",
+     ForAll("x", T, Or((p("inItself", "x"),
+                        And((p("inAnother", "x"), p("eternal", "x"))))))),
+    ("∀x. ¬inItself(x) ∧ inAnother(x)",
+     ForAll("x", T, And((Not(p("inItself", "x")), p("inAnother", "x"))))),
+    ("∀x. inItself(x) ↔ inAnother(x) ↔ eternal(x)",
+     ForAll("x", T, Iff(p("inItself", "x"),
+                        Iff(p("inAnother", "x"), p("eternal", "x"))))),
+    ("∀x y. limitedBy(x, y) → limitedBy(y, x) → cause(x, y)",
+     ForAll("x", T, ForAll("y", T, Implies(p("limitedBy", "x", "y"), Implies(
+         p("limitedBy", "y", "x"), p("cause", "x", "y")))))),
+    ("∀x. eternal(x) ∧ (∃w. existsAt(x, w) ∨ ¬existsAt(x, w)) ∨ inItself(x)",
+     ForAll("x", T, Or((
+         And((p("eternal", "x"),
+              Exists("w", Sort.WORLD, Or((p("existsAt", "x", "w"),
+                                          Not(p("existsAt", "x", "w"))))))),
+         p("inItself", "x"))))),
+]
+
+
+def test_every_formula_is_parsed_from_its_display_as_the_reference_builds_it():
+    reference = reference_register()
+    assert axiom_ids() == tuple(axiom_id for axiom_id, _, _ in reference)
+    for axiom_id, formula, display in reference:
+        entry = axiom(axiom_id)
+        assert entry.display == display
+        assert entry.formula == formula
+        assert parse_formula(display) == formula
+    for text, formula in NOTATION:
+        assert parse_formula(text) == formula
+
+
+#: (id, text, column, message) for malformed formula text.
+MALFORMED = [
+    ("trailing-connective", "∀x. inItself(x) ∧", 18, "expected a formula"),
+    ("trailing-implication", "∀x. inItself(x) →", 18, "expected a formula"),
+    ("unclosed-parenthesis", "∀x. ¬(inItself(x) ∧ inAnother(x)", 6,
+     "'(' is never closed"),
+    ("trailing-parenthesis", "∀x. inItself(x))", 16, "unexpected ')'"),
+    ("unknown-predicate", "∀x. inSelf(x)", 5, "unknown predicate 'inSelf'"),
+    ("predicate-arity", "∀x. limitedBy(x)", 5, "limitedBy takes 2 arguments, got 1"),
+    ("macro-arity", "∀x. Attribute(x)", 5, "Attribute takes 2 arguments, got 1"),
+    ("unbound-variable", "∀x. inItself(y)", 14, "unbound variable 'y'"),
+    ("sort-not-determined", "∀x y. x = y", 4, "the sort of 'y' is not determined"),
+    ("empty-text", "", 1, "expected a formula"),
+    ("quantifier-without-variable", "∀. inItself(x)", 2, "expected a variable"),
+    ("quantifier-without-dot", "∀x inItself(x)", 12, "expected a variable"),
+    ("missing-relation", "∀x. x", 6, "expected '=' or '≠'"),
+    ("unclosed-arguments", "∀x. limitedBy(x, x", 19, "expected ',' or ')'"),
+]
+
+
+@pytest.mark.parametrize("text, column, message", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_formula_text_names_its_column(text, column, message):
+    with pytest.raises(FormulaParseError) as info:
+        parse_formula(text)
+    assert str(info.value) == f"column {column}: {message}"
+    assert info.value.column == column
+
+
+def test_a_variable_that_captures_a_macro_variable_is_bound_twice():
+    with pytest.raises(SortError, match="variable 'attr' bound twice on one path"):
+        parse_formula("∀attr. IsGod(attr)")
 
 
 def test_sections():
