@@ -82,20 +82,6 @@ class VerificationReport(Value):
     __slots__ = ("model_name", "premise_values", "target_id", "target_value",
                  "witnesses", "fidelity_flags", "verdict", "failing_premise")
 
-    def __init__(self, model_name: str,
-                 premise_values: tuple[tuple[str, bool], ...], target_id: str,
-                 target_value: bool, witnesses: tuple[tuple[str, ...], ...],
-                 fidelity_flags: tuple[str, ...], verdict: str,
-                 failing_premise: str | None = None):
-        object.__setattr__(self, "model_name", model_name)
-        object.__setattr__(self, "premise_values", premise_values)
-        object.__setattr__(self, "target_id", target_id)
-        object.__setattr__(self, "target_value", target_value)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "fidelity_flags", fidelity_flags)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "failing_premise", failing_premise)
-
     @property
     def confirmed(self) -> bool:
         return self.verdict == VERDICT_CONFIRMED
@@ -161,13 +147,5 @@ def verify(model: FiniteModel | CorpusModel, premises: Selector,
         verdict = VERDICT_TARGET_NOT_FALSIFIED
     else:
         verdict = VERDICT_CONFIRMED
-    return VerificationReport(
-        model_name=model.name,
-        premise_values=premise_values,
-        target_id=target_entry.id,
-        target_value=target_value,
-        witnesses=witnesses,
-        fidelity_flags=flags,
-        verdict=verdict,
-        failing_premise=failing,
-    )
+    return VerificationReport(model.name, premise_values, target_entry.id, target_value,
+                              witnesses, flags, verdict, failing)

@@ -1,9 +1,12 @@
 """The fixed Ethica Pars I register.
 
 Declares the primitive predicate signature, the derived-definition macros
-(Substance, Attribute, Mode, IsGod, sameNature) and the axiom catalogue with
-its named bundles.  The catalogue is the single source of truth for every
-axiom id used by the verifier, the search engine and the experiments.
+(Substance, Attribute, Mode, IsGod, sameNature), the parser of the register's
+formula notation and the axiom catalogue with its named bundles.  The
+catalogue is the single source of truth for every axiom id used by the
+verifier, the search engine and the experiments, and each entry's display
+text is the only statement of its formula: ``parse_formula`` builds the
+formula from it on the entry's first use.
 
 Spinoza's own axioms II-VII have no settled formal statement in this register
 and are deliberately absent; experiments cannot reference them.
@@ -11,7 +14,6 @@ and are deliberately absent; experiments cannot reference them.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from enum import Enum
 
@@ -96,7 +98,8 @@ class FormulaParseError(LogicError):
         self.column = column
 
 
-_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\S"
+#: Spaces out every symbol, so that the tokens are the text's words.
+_SPACED = str.maketrans({symbol: f" {symbol} " for symbol in "(),.=≠¬∧∨→↔∀∃"})
 _CONNECTIVES = (("↔", Iff), ("→", Implies), ("∨", Or), ("∧", And))
 _MACROS = {"Substance": (substance, (T,)), "Attribute": (attribute, (T, T)),
            "Mode": (mode, (T,)), "IsGod": (is_god, (T,)), "sameNature": (same_nature, (T, T))}
@@ -119,8 +122,14 @@ def parse_formula(text: str) -> Formula:
 
 class _Parser:
     def __init__(self, text: str):
-        # The empty token ends the text; taking it always leads to an error.
-        self.tokens = [(m[0], m.start() + 1) for m in re.finditer(_TOKEN, text)]
+        # (token, column) pairs.  The empty token ends the text; taking it
+        # always leads to an error.
+        self.tokens = []
+        end = 0
+        for token in text.translate(_SPACED).split():
+            start = text.index(token, end)
+            self.tokens.append((token, start + 1))
+            end = start + len(token)
         self.tokens.append(("", len(text) + 1))
         self.at = 0
         # Each bound variable's list of the sorts of the positions it fills.
@@ -217,7 +226,6 @@ class _Parser:
 
 class Section(Enum):
     SECTION_I = "SectionI"
-    SECTION_II_PLACEHOLDER = "SectionII-placeholder"
     SECTION_III = "SectionIII"
     MODAL_BRIDGE = "ModalBridge"
     PSR_CANDIDATE = "PSRCandidate"
@@ -339,11 +347,7 @@ def axiom_set(selector: Selector) -> list[AxiomEntry]:
             raise RegistryError(f"unknown bundle {selector!r}") from None
     else:
         ids = selector
-    seen = []
-    for axiom_id in ids:
-        if axiom_id not in seen:
-            seen.append(axiom_id)
-    return [axiom(axiom_id) for axiom_id in seen]
+    return [axiom(axiom_id) for axiom_id in dict.fromkeys(ids)]
 
 
 def resolve_selector(selector: Selector) -> tuple[str, ...]:
