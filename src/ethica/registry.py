@@ -100,7 +100,8 @@ class FormulaParseError(LogicError):
 
 #: Spaces out every symbol, so that the tokens are the text's words.
 _SPACED = str.maketrans({symbol: f" {symbol} " for symbol in "(),.=≠¬∧∨→↔∀∃"})
-_CONNECTIVES = (("↔", Iff), ("→", Implies), ("∨", Or), ("∧", And))
+#: Each binary connective's binding level, 0 the loosest, and the node it builds.
+_CONNECTIVES = {"↔": (0, Iff), "→": (1, Implies), "∨": (2, Or), "∧": (3, And)}
 _MACROS = {"Substance": (substance, (T,)), "Attribute": (attribute, (T, T)),
            "Mode": (mode, (T,)), "IsGod": (is_god, (T,)), "sameNature": (same_nature, (T, T))}
 
@@ -145,17 +146,22 @@ class _Parser:
         return found
 
     def formula(self, level: int) -> Formula:
-        # A formula whose connectives are _CONNECTIVES[level:], loosest first.
-        if level == len(_CONNECTIVES):
-            return self.unary()
-        connective, node = _CONNECTIVES[level]
-        first = self.formula(level + 1)
-        if node is Iff or node is Implies:
-            return node(first, self.formula(level)) if self.skip(connective) else first
-        items = [first]
-        while self.skip(connective):
-            items.append(self.formula(level + 1))
-        return first if len(items) == 1 else node(items)
+        # The longest formula whose connectives all bind at ``level`` or tighter.
+        formula = self.unary()
+        while True:
+            connective = self.tokens[self.at][0]
+            found, node = _CONNECTIVES.get(connective, (-1, None))
+            if found < level:
+                return formula
+            if node is Iff or node is Implies:
+                # The right operand extends at this same level: right grouping.
+                self.at += 1
+                formula = node(formula, self.formula(found))
+                continue
+            items = [formula]
+            while self.skip(connective):
+                items.append(self.formula(found + 1))
+            formula = node(items)
 
     def unary(self) -> Formula:
         token, column = self.take()
