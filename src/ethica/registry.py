@@ -203,10 +203,12 @@ class _Parser:
         return body
 
     def application(self, name: str, column: int) -> Formula:
-        if name not in _MACROS and name not in ETHICA_SIGNATURE:
+        if name in _MACROS:
+            macro, sorts = _MACROS[name]
+        elif name in ETHICA_SIGNATURE:
+            macro, sorts = None, ETHICA_SIGNATURE.declaration(name).argument_sorts
+        else:
             raise FormulaParseError(column, f"unknown predicate {name!r}")
-        macro, sorts = _MACROS.get(name) or (
-            None, ETHICA_SIGNATURE.declaration(name).argument_sorts)
         args = [self.variable(*self.take())]
         while self.skip(","):
             args.append(self.variable(*self.take()))

@@ -115,7 +115,7 @@ def test_prop_v_allshared_formula():
                                 Eq(s1, s2))))))
 
 
-def p(name, *names):
+def atom(name, *names):
     return Pred(name, tuple(Var(n) for n in names))
 
 
@@ -124,22 +124,22 @@ def p(name, *names):
 #: quantifier's body runs to the end of its group.
 NOTATION = [
     ("∀x. inItself(x) ∨ inAnother(x) ∧ eternal(x)",
-     ForAll("x", T, Or((p("inItself", "x"),
-                        And((p("inAnother", "x"), p("eternal", "x"))))))),
+     ForAll("x", T, Or((atom("inItself", "x"),
+                        And((atom("inAnother", "x"), atom("eternal", "x"))))))),
     ("∀x. ¬inItself(x) ∧ inAnother(x)",
-     ForAll("x", T, And((Not(p("inItself", "x")), p("inAnother", "x"))))),
+     ForAll("x", T, And((Not(atom("inItself", "x")), atom("inAnother", "x"))))),
     ("∀x. inItself(x) ↔ inAnother(x) ↔ eternal(x)",
-     ForAll("x", T, Iff(p("inItself", "x"),
-                        Iff(p("inAnother", "x"), p("eternal", "x"))))),
+     ForAll("x", T, Iff(atom("inItself", "x"),
+                        Iff(atom("inAnother", "x"), atom("eternal", "x"))))),
     ("∀x y. limitedBy(x, y) → limitedBy(y, x) → cause(x, y)",
-     ForAll("x", T, ForAll("y", T, Implies(p("limitedBy", "x", "y"), Implies(
-         p("limitedBy", "y", "x"), p("cause", "x", "y")))))),
+     ForAll("x", T, ForAll("y", T, Implies(atom("limitedBy", "x", "y"), Implies(
+         atom("limitedBy", "y", "x"), atom("cause", "x", "y")))))),
     ("∀x. eternal(x) ∧ (∃w. existsAt(x, w) ∨ ¬existsAt(x, w)) ∨ inItself(x)",
      ForAll("x", T, Or((
-         And((p("eternal", "x"),
-              Exists("w", Sort.WORLD, Or((p("existsAt", "x", "w"),
-                                          Not(p("existsAt", "x", "w"))))))),
-         p("inItself", "x"))))),
+         And((atom("eternal", "x"),
+              Exists("w", Sort.WORLD, Or((atom("existsAt", "x", "w"),
+                                          Not(atom("existsAt", "x", "w"))))))),
+         atom("inItself", "x"))))),
 ]
 
 
