@@ -62,17 +62,6 @@ def _node_budget() -> int:
                          f"got {budget_text!r}") from None
 
 
-def _worker_count(text: str) -> int:
-    """``--workers``: the processes a search may solve its sizes in."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1")
-    return count
-
-
 def _search_config(args, default_things: int = 4) -> SearchConfig:
     things = default_things if args.max_things is None else args.max_things
     return SearchConfig(
@@ -262,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_workers_flag(p):
-        p.add_argument("--workers", type=_worker_count, default=1, metavar="N",
+        p.add_argument("--workers", type=int, default=1, metavar="N",
                        help="solve a search's sizes in up to N processes "
                             "(default 1); results do not depend on N")
 

@@ -101,17 +101,10 @@ class ExperimentSpec(Value):
                  converse_open: bool = False,
                  expectation: dict | None = None,
                  extra_caveats: tuple[str, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "backward", backward)
-        object.__setattr__(self, "restricted_form", restricted_form)
-        object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "corpus_check", corpus_check)
-        object.__setattr__(self, "converse_open", converse_open)
-        object.__setattr__(self, "expectation", None if expectation is None
-                           else FrozenDict(expectation))
-        object.__setattr__(self, "extra_caveats", extra_caveats)
+        super().__init__(name, forward, config, backward, restricted_form,
+                         subsets, corpus_check, converse_open,
+                         None if expectation is None else FrozenDict(expectation),
+                         extra_caveats)
 
     def directions(self) -> list[tuple[str, Direction]]:
         """The (verdict-key, direction) pairs in report order."""
@@ -137,13 +130,8 @@ class ExperimentResult(Value):
                  fidelity_flags: tuple[str, ...],
                  corpus_report: VerificationReport | None,
                  expectation_failures: tuple[str, ...]):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "verdicts", FrozenDict(verdicts))
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "caveats", caveats)
-        object.__setattr__(self, "fidelity_flags", fidelity_flags)
-        object.__setattr__(self, "corpus_report", corpus_report)
-        object.__setattr__(self, "expectation_failures", expectation_failures)
+        super().__init__(spec, FrozenDict(verdicts), outcome, caveats,
+                         fidelity_flags, corpus_report, expectation_failures)
 
     @property
     def name(self) -> str:

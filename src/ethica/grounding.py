@@ -190,28 +190,30 @@ _TRIVIALLY_TRUE: list[Clause] = []
 _TRIVIALLY_FALSE: list[Clause] = [()]
 
 
-class CompiledFormula:
-    """A formula compiled by ``compile_formula``: ``make(grounder)`` returns
-    the function from an environment (a list of ``depth`` element indices)
-    to the formula's clauses at that grounder's universes."""
-
-    __slots__ = ("make", "depth")
-
-    def __init__(self, make, depth: int):
-        self.make = make
-        self.depth = depth
-
-
 def compile_formula(formula: Formula,
-                    bound: Sequence[tuple[str, Sort]] = ()) -> CompiledFormula:
+                    bound: Sequence[tuple[str, Sort]] = ()):
     """Compile a well-sorted formula in negation normal form, as ``nnf``
     returns it: a tree in which ``Not`` wraps only a ``Pred`` or an ``Eq``
     and no ``Implies`` or ``Iff`` occurs.  Its free variables are ``bound``;
     environment slot i holds the element index of ``bound[i]``, and each
-    quantifier binds the slot of its depth."""
+    quantifier binds the slot of its depth.
+
+    The result takes a ``Grounder`` and gives the function from the element
+    indices of ``bound`` (``()`` when there are none) to the formula's
+    clauses at that grounder's universes.  That function holds the
+    formula's memo tables, so take it once per grounder, and call it at
+    most once per environment: a node free in every slot is not memoized,
+    so a repeated environment would get new aux variables.  The grounder
+    does not hold it: no reference cycle keeps a size's clauses alive once
+    the caller lets go of them."""
     scope = {var: (slot, sort) for slot, (var, sort) in enumerate(bound)}
     make, _, depth = _compile(formula, scope, len(bound))
-    return CompiledFormula(make, depth)
+    padding = [0] * (depth - len(bound))
+
+    def ground_at(grounder):
+        fn = make(grounder)
+        return lambda env=(): fn([*env, *padding])
+    return ground_at
 
 
 def _compile(f: Formula, scope: dict, depth: int):
@@ -429,7 +431,7 @@ def _existential(body, slot: int, n: int, disjoin):
 class Grounder:
     """Clauses of compiled formulas over fixed universes and atoms.
 
-    The formulas a grounder instantiates share its auxiliary variables,
+    The formulas ground at one grounder share its auxiliary variables,
     numbered after the table atoms in the order they are made;
     ``definitions`` lists them with their clauses.
     """
@@ -451,23 +453,6 @@ class Grounder:
         # Part list id -> (the list, its aux); the entry holds the list, so
         # its id cannot be reused.
         self._parts: dict[int, tuple[list[Clause], int]] = {}
-
-    def instantiate(self, compiled: CompiledFormula):
-        """The function from the element indices of a compiled formula's
-        bound variables to its clauses at these universes.  It holds the
-        formula's memo tables, so each formula is instantiated once per
-        grounder.  Call it at most once per environment: a node free in
-        every slot is not memoized, so a repeated environment would get new
-        aux variables.  The grounder does not hold it: no reference cycle
-        keeps a size's clauses alive once the caller lets go of them."""
-        fn = compiled.make(self)
-        depth = compiled.depth
-
-        def clauses(env: Sequence[int] = ()) -> list[Clause]:
-            values = list(env)
-            values += [0] * (depth - len(values))
-            return fn(values)
-        return clauses
 
     def disjoin(self, parts: list[list[Clause]]) -> list[Clause]:
         # An empty part ([] = true) makes the whole disjunction true.  Every
@@ -506,7 +491,7 @@ def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),
     """Ground a closed well-sorted formula over fixed universes."""
     atoms = atom_space(predicate_profiles([formula], support), things, worlds)
     grounder = Grounder(things, worlds, atoms)
-    clauses = grounder.instantiate(compile_formula(nnf(formula)))()
+    clauses = compile_formula(nnf(formula))(grounder)()
     clauses = clauses + definition_clauses(grounder.definitions)
     return GroundConstraintSet(tuple(things), tuple(worlds), atoms, tuple(clauses),
                                tuple(grounder.definitions))

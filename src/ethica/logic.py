@@ -42,12 +42,14 @@ class Value:
     A subclass names its fields in ``__slots__``, and ``__init__`` takes
     them positionally in that order and sets them through
     ``object.__setattr__``, since values are immutable.  A subclass defines
-    its own ``__init__`` only to normalise, validate or default a field, and
-    that one too takes the fields in ``__slots__`` order, which
-    ``__reduce__`` relies on.  Two values are equal when they are of the
-    same class and their field tuples are equal; the hash is the hash of the
-    field tuple, and the repr is ``Name(field=value, ...)``.  These few
-    methods replace ``dataclasses``, whose generated methods, built by
+    its own ``__init__`` only to normalise, validate or default a field; that
+    one too takes the fields in ``__slots__`` order, which ``__reduce__``
+    relies on, and hands them to this one.  ``Pred``, ``And`` and ``Or`` set
+    theirs directly: the parser and ``nnf`` build them per node, where this
+    loop costs about half as much again.  Two values are equal when they are
+    of the same class and their field tuples are equal; the hash is the hash
+    of the field tuple, and the repr is ``Name(field=value, ...)``.  These
+    few methods replace ``dataclasses``, whose generated methods, built by
     ``exec`` at import, were most of ``import ethica``.
     """
 
@@ -234,8 +236,7 @@ class PredicateDecl(Value):
         sorts = tuple(argument_sorts)
         if not 1 <= len(sorts) <= 3:
             raise ValueError(f"predicate {name!r}: arity must be 1..3, got {len(sorts)}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "argument_sorts", sorts)
+        super().__init__(name, sorts)
 
     @property
     def arity(self) -> int:
@@ -309,10 +310,7 @@ class FiniteModel(Value):
         if shared:
             raise ModelError(
                 f"label used in both universes: {sorted(shared)[0]!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "things", things)
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "tables", tables)
+        super().__init__(name, things, worlds, tables)
 
     def universe(self, sort: Sort) -> tuple[str, ...]:
         return self.things if sort is Sort.THING else self.worlds

@@ -47,15 +47,14 @@ Each size is an independent job with its own grounder, node budget and
 least key, and the answer is the least thing count with a counter-model,
 then the least world count.  One walk solves sizes in order, world sizes
 ascending within each thing count, and stops at the first size with a
-key.  It first solves the sizes of at most ``SEQUENTIAL_THINGS`` things.
-Above them, when padding holds (``_paddable``: adding an inert thing to a
+key.  When padding holds (``_paddable``: adding an inert thing to a
 counter-model gives another one), a size without a counter-model settles
 every smaller thing count with the same worlds, so the walk doubles the
-thing count up to the bound, and narrows the first refuted count down by
-bisection, solving every world size of each count it tries.  Otherwise it
-solves every size in ascending order.  The calling process solves every
-scheduled size of at most ``CALLER_THINGS`` things itself.  With
-``workers`` above 1 and at least two sizes scheduled above
+thing count from 1 up to the bound, and narrows the first refuted count
+down by bisection, solving every world size of each count it tries.
+Otherwise it solves every size in ascending order.  The calling process
+solves every scheduled size of at most ``CALLER_THINGS`` things itself.
+With ``workers`` above 1 and at least two sizes scheduled above
 ``CALLER_THINGS`` things, those may be solved in forked processes
 (``workers.py``), which report each size's key and counters, the ones the
 calling process would compute itself; the calling process still draws them
@@ -68,6 +67,7 @@ of its own should keep ``workers`` at 1, the default, which forks nothing.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Sequence
 
 from .grounding import (Grounder, atom_space, compile_formula,
@@ -133,10 +133,7 @@ class SearchConfig(Value):
             raise SearchError(f"unknown pruning mode {pruning!r}")
         if node_budget < 1:
             raise SearchError("node_budget must be >= 1")
-        object.__setattr__(self, "max_thing_size", max_thing_size)
-        object.__setattr__(self, "max_world_size", max_world_size)
-        object.__setattr__(self, "pruning", pruning)
-        object.__setattr__(self, "node_budget", node_budget)
+        super().__init__(max_thing_size, max_world_size, pruning, node_budget)
 
 
 #: The additive counters of ``SearchStats``, in report order.
@@ -161,14 +158,9 @@ class SearchStats(Value):
                  branches_total: int = 0,
                  sizes_exhausted: tuple[tuple[int, int], ...] = (),
                  sizes_padded: tuple[tuple[int, int], ...] = ()):
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "candidates_visited", candidates_visited)
-        object.__setattr__(self, "propagations", propagations)
-        object.__setattr__(self, "conflicts", conflicts)
-        object.__setattr__(self, "pruned_subtrees", pruned_subtrees)
-        object.__setattr__(self, "branches_total", branches_total)
-        object.__setattr__(self, "sizes_exhausted", sizes_exhausted)
-        object.__setattr__(self, "sizes_padded", sizes_padded)
+        super().__init__(support, candidates_visited, propagations, conflicts,
+                         pruned_subtrees, branches_total, sizes_exhausted,
+                         sizes_padded)
 
     def to_json_dict(self) -> dict:
         doc = {"support": list(self.support)}
@@ -618,17 +610,18 @@ def _at_inert(formula: Formula, var: str | None, inner: set) -> bool | None:
     """The value of the NNF ``formula`` when ``var`` names the inert thing
     e, by three-valued simplification: True, False, or None when it depends
     on atoms without e.  An atom mentioning e is false and ``e = e`` true.
-    ``inner`` holds the variables bound inside the padded ForAll's body:
-    those range over e as well, so ``e = y`` is unknown for them and false
-    for any other term, which names a thing of the padded model."""
+    ``inner`` holds the names of the variables bound inside the padded
+    ForAll's body: those range over e as well, so ``e = y`` is unknown for
+    them and false for any other term, which names a thing of the padded
+    model."""
     kind = type(formula)
     if kind is Pred:
-        return False if Var(var) in formula.args else None
+        return False if var in _var_names(formula.args) else None
     if kind is Eq:
-        ends = {formula.left, formula.right}
-        if len(ends) == 1:
+        if formula.left == formula.right:
             return True
-        return False if Var(var) in ends and not ends & inner else None
+        names = _var_names((formula.left, formula.right))
+        return False if var in names and not names & inner else None
     if kind is Not:
         value = _at_inert(formula.body, var, inner)
         return None if value is None else not value
@@ -637,7 +630,7 @@ def _at_inert(formula: Formula, var: str | None, inner: set) -> bool | None:
         # element makes either quantifier true (false).  A rebound name
         # no longer denotes e.
         return _at_inert(formula.body, None if formula.var == var else var,
-                         inner | {Var(formula.var)})
+                         inner | {formula.var})
     if kind is And or kind is Or:
         # True decides a disjunction, False a conjunction.
         decides = kind is Or
@@ -646,6 +639,10 @@ def _at_inert(formula: Formula, var: str | None, inner: set) -> bool | None:
             return decides
         return None if None in values else not decides
     return kind is TrueF
+
+
+def _var_names(terms) -> set[str]:
+    return {term.name for term in terms if type(term) is Var}
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +677,7 @@ def _search(premises: Sequence[tuple[str, Formula]],
 
     profiles = predicate_profiles(all_formulas)
     # The premises and the negated target's matrix are compiled once per
-    # search; every size instantiates them.
+    # search; every size grounds them.
     premise_nnfs = [nnf(formula) for formula in premise_formulas]
     compiled = [compile_formula(formula) for formula in premise_nnfs]
     negated = nnf(Not(target[1]))
@@ -716,19 +713,14 @@ def _search(premises: Sequence[tuple[str, Formula]],
             exhausted.append(size(index))
         return None, None
 
-    index, key = first_key(
-        range(min(config.max_thing_size, SEQUENTIAL_THINGS) * per_thing), 1)
+    schedule = _schedule(config.max_thing_size, per_thing,
+                         _paddable(And(premise_nnfs + [negated])))
+    # The schedule ascends, so the sizes of at most CALLER_THINGS things are
+    # its head.
+    split = bisect_left(schedule, CALLER_THINGS * per_thing)
+    index, key = first_key(schedule[:split], 1)
     if index is None:
-        schedule = _schedule(config.max_thing_size, per_thing,
-                             _paddable(And(premise_nnfs + [negated])))
-        # The schedule ascends, so the sizes of at most CALLER_THINGS things
-        # are its head.
-        split = next((pos for pos, scheduled in enumerate(schedule)
-                      if scheduled >= CALLER_THINGS * per_thing),
-                     len(schedule))
-        index, key = first_key(schedule[:split], 1)
-        if index is None:
-            index, key = first_key(schedule[split:], workers)
+        index, key = first_key(schedule[split:], workers)
     if index is not None:
         # The walk solved every world size of each scheduled thing count
         # below the first refuted one, and a counter-model pads to every
@@ -759,15 +751,8 @@ def _search(premises: Sequence[tuple[str, Formula]],
     return Refuted(model, *size(index), stats)
 
 
-#: Sizes of at most this many things are solved first, in ascending order
-#: and in the calling process: every counter-model found so far has at most
-#: 2 things, and each of these sizes takes about a millisecond, so checking
-#: for padding or skipping any of them would only delay the common answer.
-#: Above them a paddable search doubles the thing count up to the bound.
-SEQUENTIAL_THINGS = 2
-
 #: The scheduled sizes of at most this many things are solved in the calling
-#: process too, whatever the worker count, and workers are forked only for
+#: process, whatever the worker count, and workers are forked only for
 #: two or more sizes above it: one size left leaves nothing to share.  On a
 #: 2-core host a size of 4 things takes 1.5 ms (PSRSubstance |=
 #: PropV_allshared) to 4.4 ms (PSRPlenitude |= A15).  Forking for 4 and 8
@@ -778,19 +763,17 @@ CALLER_THINGS = 4
 
 
 def _schedule(max_things: int, per_thing: int, paddable: bool):
-    """The indices of the sizes above ``SEQUENTIAL_THINGS`` things that the
-    walk solves, things-major with the world sizes ascending: for a
-    paddable search the thing counts doubling up to ``max_things``,
-    otherwise every one, in a ``range`` that costs nothing until the walk
-    reaches a size."""
+    """The indices of every size the walk solves, things-major with the
+    world sizes ascending: for a paddable search the thing counts 1, 2, 4,
+    8, ... doubling up to ``max_things``, otherwise every one, in a
+    ``range`` that costs nothing until the walk reaches a size."""
     if not paddable:
-        return range(min(max_things, SEQUENTIAL_THINGS) * per_thing,
-                     max_things * per_thing)
-    counts = [SEQUENTIAL_THINGS]
+        return range(max_things * per_thing)
+    counts = [1]
     while counts[-1] < max_things:
         counts.append(min(2 * counts[-1], max_things))
     return [(n - 1) * per_thing + world
-            for n in counts[1:] for world in range(per_thing)]
+            for n in counts for world in range(per_thing)]
 
 
 def _outcomes(solve, indices: Sequence[int], workers: int):
@@ -820,11 +803,11 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
     # every branch's solver reads them and adds its own.
     shared = []
     for premise in premises:
-        shared += grounder.instantiate(premise)()
+        shared += premise(grounder)()
     premise_defs = len(grounder.definitions)
     shared += definition_clauses(grounder.definitions)
 
-    branch_clauses = grounder.instantiate(matrix)
+    branch_clauses = matrix(grounder)
 
     # The node budget is per size: every branch draws on one counter.
     remaining = config.node_budget

@@ -16,3 +16,17 @@ def a12():
 @pytest.fixture(scope="session")
 def a15():
     return a15_counter_model()
+
+
+@pytest.fixture
+def mismatched_spec():
+    """A14_demote expecting a refutation, with a corpus check whose model
+    satisfies the target: two expectation failures."""
+    from ethica.experiments import (CorpusCheck, ExperimentSpec,
+                                    bundled_experiments)
+    spec = bundled_experiments()["A14_demote"]
+    return ExperimentSpec(
+        spec.name, spec.forward, spec.config, spec.backward,
+        corpus_check=CorpusCheck("A12CounterModel", "PSRSubstance",
+                                 "PropV_allshared"),
+        expectation={"forward": "refuted"}, extra_caveats=spec.extra_caveats)

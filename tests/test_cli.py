@@ -154,6 +154,7 @@ OUT_OF_RANGE_ARGVS = [
     ["entail", "--premises", "A24", "--target", "A14", "--max-things", "0"],
     ["entail", "--premises", "A24", "--target", "A14", "--workers", "0"],
     ["probe", "full-register", "--max-things", "0"],
+    ["probe", "full-register", "--workers", "-3"],
     ["experiment", "run", "A14_demote", "--workers", "0"],
     ["table", "--workers", "0"],
     ["entail", "--premises", "A24", "--target", "A14", "--max-worlds", "-1"],
@@ -293,6 +294,18 @@ def test_experiment_errors_exit_alike_from_table_and_experiment(
         monkeypatch.setattr(experiments, "run_experiment", _raising(error))
         for argv in (("table",), ("experiment", "run", "all")):
             assert run_cli(capsys, *argv) == (code, "", message), argv
+
+
+def test_experiment_expectation_mismatch_exits_one(capsys, monkeypatch,
+                                                   mismatched_spec):
+    from ethica import experiments
+    monkeypatch.setattr(experiments, "bundled_experiments",
+                        lambda node_budget: {"wrong": mismatched_spec})
+    code, out, err = run_cli(capsys, "experiment", "run", "wrong")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "EXPECTATION" in line] == [
+        "  EXPECTATION MISMATCH forward: expected refuted, got no_counterexample",
+        "  EXPECTATION MISMATCH corpus check: target-not-falsified"]
 
 
 def test_no_prune_flag(capsys):

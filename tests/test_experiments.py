@@ -5,11 +5,12 @@ import pytest
 import jsonschema
 
 from ethica.corpus import verify
-from ethica.experiments import (PROBE_PREMISES, REPORT_SCHEMA, ExperimentSpec,
+from ethica.experiments import (PROBE_PREMISES, REPORT_SCHEMA,
                                 InsufficientEvidenceError, OutcomeClass,
                                 bundled_experiments, classify_outcome,
                                 conjecture_probe_full_register,
-                                reducibility_table, run_experiment)
+                                describe_experiment, reducibility_table,
+                                run_experiment)
 from ethica.logic import FiniteModel
 from ethica.search import (NoCounterexampleUpTo, Refuted, SearchConfig,
                            SearchStats)
@@ -155,21 +156,19 @@ def test_report_json_validates_against_schema():
         jsonschema.validate(doc, REPORT_SCHEMA)
 
 
-def test_expectation_mismatches_are_flagged_not_hidden():
-    spec = bundled_experiments()["A14_demote"]
-    wrong = ExperimentSpec(
-        name=spec.name, forward=spec.forward, config=spec.config,
-        backward=spec.backward, restricted_form=spec.restricted_form,
-        subsets=spec.subsets, corpus_check=spec.corpus_check,
-        converse_open=spec.converse_open,
-        expectation={"forward": "refuted"},
-        extra_caveats=spec.extra_caveats)
-    result = run_experiment(wrong)
+def test_expectation_mismatches_are_flagged_not_hidden(mismatched_spec):
+    result = run_experiment(mismatched_spec)
     assert not result.expectation_ok
-    assert result.expectation_failures == (
-        "forward: expected refuted, got no_counterexample",)
+    failures = ("forward: expected refuted, got no_counterexample",
+                "corpus check: target-not-falsified")
+    assert result.expectation_failures == failures
     # the verdicts themselves are reported unchanged
     assert not result.verdicts["forward"].is_refuted
+    for strict_claims in (False, True):
+        report = describe_experiment(result, strict_claims)
+        assert [line for line in report.splitlines()
+                if "EXPECTATION" in line or "expectations:" in line] == [
+            f"  EXPECTATION MISMATCH {failure}" for failure in failures]
 
 
 # ---------------------------------------------------------------------------

@@ -293,10 +293,10 @@ def test_one_builder_grounds_temporary_trees_like_a_fresh_builder_each():
                          lit + offset if lit < -len(atoms) else lit
                          for lit in clause)
 
-        got = shared.instantiate(compile_formula(nnf(formula)))()
+        got = compile_formula(nnf(formula))(shared)()
         fresh = Grounder(things, worlds, atoms)
         assert [shifted(clause) for clause in got] == \
-            fresh.instantiate(compile_formula(nnf(formula)))()
+            compile_formula(nnf(formula))(fresh)()
         assert [(var - offset, tuple(map(shifted, clauses)))
                 for var, clauses in shared.definitions[offset:]] == \
             fresh.definitions

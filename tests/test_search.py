@@ -9,8 +9,9 @@ import pytest
 from ethica.grounding import (Grounder, atom_space, compile_formula,
                               definition_clauses, nnf, predicate_profiles)
 from ethica import search
-from ethica.logic import (FALSE, And, Eq, Exists, FiniteModel, ForAll, Not,
-                          Or, Pred, Sort, Var, evaluate, quantifier_prefix)
+from ethica.logic import (FALSE, TRUE, And, Eq, Exists, FiniteModel, ForAll,
+                          Not, Or, Pred, Sort, Var, evaluate,
+                          quantifier_prefix)
 from ethica.registry import (BUNDLES, ETHICA_SIGNATURE, axiom, axiom_ids,
                              axiom_set)
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
@@ -218,10 +219,12 @@ def test_sizes_beyond_the_refutation_cost_no_memory(workers):
 # padding with an inert thing
 # ---------------------------------------------------------------------------
 
-def _at_most_things(n):
-    """There are at most n things: among any n + 1 two are equal."""
+def _at_most_things(n, pred=None):
+    """There are at most n things, or n of which ``pred`` holds: among any
+    n + 1 (of which it holds) two are equal."""
     names = [f"y{i}" for i in range(n + 1)]
-    formula = Or([Eq(Var(a), Var(b))
+    formula = Or([Not(Pred(pred, (Var(a),))) for a in names if pred] +
+                 [Eq(Var(a), Var(b))
                   for a, b in itertools.combinations(names, 2)])
     for name in reversed(names):
         formula = ForAll(name, Sort.THING, formula)
@@ -260,11 +263,30 @@ PADDING_CHECKS = [
     ("worlds_are_not_padded", ForAll("w", Sort.WORLD, Exists("x", Sort.THING,
         Pred("existsAt", (X, Var("w"))))), True),
 ]
+# The check's leaves, each searched below as well.
+PADDING_LEAVES = [
+    ("reflexive", ForAll("x", Sort.THING, Eq(X, X)), True),
+    ("top", ForAll("x", Sort.THING, TRUE), True),
+    ("bottom", ForAll("x", Sort.THING, FALSE), False),
+    # The check does not look for a witness: e = y is unknown.
+    ("some_equal", ForAll("x", Sort.THING, Exists("y", Sort.THING, Eq(X, Y))),
+     False),
+    # A rebound name no longer denotes e, so the inner ForAll ranges over
+    # every thing.  With one thing in another, the first conjunct says that
+    # every thing is in itself, and at most 3 are: an inert fourth thing
+    # falsifies it.
+    ("rebound", And([
+        ForAll("x", Sort.THING, Or([Pred("inItself", (X,)), ForAll(
+            "x", Sort.THING, Not(Pred("inAnother", (X,))))])),
+        Exists("x", Sort.THING, Pred("inAnother", (X,))),
+        _at_most_things(3, "inItself")]), False),
+]
 
 
-@pytest.mark.parametrize("formula, paddable",
-                         [check[1:] for check in PADDING_CHECKS],
-                         ids=[check[0] for check in PADDING_CHECKS])
+@pytest.mark.parametrize(
+    "formula, paddable",
+    [check[1:] for check in PADDING_CHECKS + PADDING_LEAVES],
+    ids=[check[0] for check in PADDING_CHECKS + PADDING_LEAVES])
 def test_the_padding_check(formula, paddable):
     assert search._paddable(nnf(formula)) is paddable
 
@@ -281,6 +303,24 @@ def test_models_bounded_in_size_are_found_at_their_size():
     assert verdict.describe() == "Refuted(size=3)"
     assert verdict.stats.sizes_exhausted == ((1, 0), (2, 0))
     assert verdict.stats.sizes_padded == ()
+
+
+def test_the_padding_check_leaves_give_the_ascending_answers(monkeypatch):
+    # Each with three distinct things, up to 8 things.  Had the rebound
+    # formula passed the check, the walk would go from 2 things to 4 and 8,
+    # past its only size, 3.
+    cases = [[(name, formula), ("distinct3", _distinct_things(3))]
+             for name, formula, _ in PADDING_LEAVES]
+    config = SearchConfig(max_thing_size=8)
+    padded = [search._search(premises, ("false", FALSE), config)
+              for premises in cases]
+    assert [v.describe() for v in padded] == [
+        "Refuted(size=3)", "Refuted(size=3)", "NoCounterexampleUpTo(8)",
+        "Refuted(size=3)", "Refuted(size=3)"]
+    _ascending(monkeypatch)
+    for verdict, premises in zip(padded, cases):
+        _same_answers(verdict, search._search(premises, ("false", FALSE),
+                                              config))
 
 
 def _same_answers(padded, ascending):
@@ -643,9 +683,9 @@ def _branch_inputs(premises, target, n_things, n_worlds):
                        things, worlds)
     grounder = Grounder(things, worlds, atoms)
     sigma = [clause for formula in premise_formulas
-             for clause in grounder.instantiate(compile_formula(nnf(formula)))()]
+             for clause in compile_formula(nnf(formula))(grounder)()]
     prefix, matrix = quantifier_prefix(nnf(Not(target_formula)), Exists)
-    matrix = grounder.instantiate(compile_formula(matrix, prefix))
+    matrix = compile_formula(matrix, prefix)(grounder)
     sorts = [sort for _, sort in prefix]
     universes = [n_things if sort is Sort.THING else n_worlds for sort in sorts]
     for combo in itertools.product(*map(range, universes)):
