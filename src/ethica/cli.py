@@ -19,7 +19,7 @@ import sys
 from collections.abc import Sequence
 
 from .logic import LogicError
-from .registry import BUNDLES, RegistryError, axiom, axiom_ids
+from .registry import BUNDLES, RegistryError, axiom_ids, catalogue_row
 from .search import (DEFAULT_NODE_BUDGET, InsufficientEvidenceError,
                      NoCounterexampleUpTo, RecheckError, Refuted,
                      ResourceLimitExceeded, SearchConfig, SearchStats,
@@ -219,23 +219,23 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_export_axioms(args) -> int:
-    entries = [axiom(axiom_id) for axiom_id in axiom_ids()]
+    rows = [catalogue_row(axiom_id) for axiom_id in axiom_ids()]
     if args.json:
         _emit_json([
             {
-                "id": entry.id,
-                "section": entry.section.value,
-                "citation": entry.citation,
-                "status": entry.status,
-                "formula": entry.display,
+                "id": axiom_id,
+                "section": section.value,
+                "citation": citation,
+                "status": status,
+                "formula": display,
             }
-            for entry in entries])
+            for axiom_id, section, status, display, citation in rows])
     else:
         lines = []
-        for entry in entries:
-            lines.append(f"{entry.id} [{entry.section.value}] ({entry.status})")
-            lines.append(f"  {entry.display}")
-            lines.append(f"  citation: {entry.citation}")
+        for axiom_id, section, status, display, citation in rows:
+            lines.append(f"{axiom_id} [{section.value}] ({status})")
+            lines.append(f"  {display}")
+            lines.append(f"  citation: {citation}")
         _emit("\n".join(lines))
     return EXIT_OK
 

@@ -32,6 +32,11 @@ element indices.  Each connective or quantifier whose instances can recur
 is memoized on the indices of its free variables, so every instance of a
 shared subformula shares one auxiliary variable.  The others are not: a
 memo that never hits never returns a list twice, so it shares nothing.
+
+The same compiled formulas give truth values under fixed table bits when
+ground at a ``TruthGrounder``, whose literals and disjunctions come out as
+no clause (true) or empty clauses (false); the search checks premise
+instances against a model that way.
 """
 
 from __future__ import annotations
@@ -341,13 +346,8 @@ def _memoized(raw, free, g):
     ``Grounder`` may key on list ids."""
     memo: dict = {}
     get = memo.get
-    weights = []
-    weight = 1
-    for slot, sort in sorted(free, reverse=True):
-        weights.append((slot, weight))
-        weight *= g.size[sort]
-    if len(weights) == 1:
-        slot = weights[0][0]
+    if len(free) == 1:
+        ((slot, _),) = free
 
         def fn(env):
             key = env[slot]
@@ -356,6 +356,11 @@ def _memoized(raw, free, g):
                 clauses = memo[key] = raw(env)
             return clauses
         return fn
+    weights = []
+    weight = 1
+    for slot, sort in sorted(free, reverse=True):
+        weights.append((slot, weight))
+        weight *= g.size[sort]
     key_of = _linear(0, weights)
 
     def fn(env):
@@ -478,6 +483,23 @@ class Grounder:
             self.definitions.append((var, tuple(clauses)))
             entry = self._parts[id(clauses)] = (clauses, var)
         return entry[1]
+
+
+class TruthGrounder(Grounder):
+    """Truth values of compiled formulas under table bits, in the clause
+    format: no clause (``[]``) where a formula is true, and empty clauses
+    where it is false.  It makes no auxiliary variable."""
+
+    def __init__(self, things: Sequence[str], worlds: Sequence[str],
+                 atoms: Sequence[Atom], bits: Sequence[int]):
+        super().__init__(things, worlds, atoms)
+        self.positive = [_TRIVIALLY_TRUE if bit else _TRIVIALLY_FALSE
+                         for bit in bits]
+        self.negative = [_TRIVIALLY_FALSE if bit else _TRIVIALLY_TRUE
+                         for bit in bits]
+
+    def disjoin(self, parts: list[list[Clause]]) -> list[Clause]:
+        return _TRIVIALLY_FALSE if all(parts) else _TRIVIALLY_TRUE
 
 
 def definition_clauses(definitions: Iterable[Definition]) -> list[Clause]:

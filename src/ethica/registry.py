@@ -250,7 +250,7 @@ class AxiomEntry(Value):
 
 
 #: (id, section, status, display, citation); ``axiom`` parses the display on first use.
-_CATALOGUE: dict[str, tuple | AxiomEntry] = {row[0]: row for row in [
+_CATALOGUE: dict[str, tuple[str, Section, str, str, str]] = {row[0]: row for row in [
     ("A1", Section.SECTION_I, STATUS_DECIDED_HERE,
      "∀x. inItself(x) ∨ inAnother(x)",
      "Ethica I, axiom 1: everything is in itself or in another"),
@@ -329,14 +329,23 @@ BUNDLES: dict[str, tuple[str, ...]] = {
 Selector = str | Sequence[str]
 
 
-def axiom(axiom_id: str) -> AxiomEntry:
+_ENTRIES: dict[str, AxiomEntry] = {}
+
+
+def catalogue_row(axiom_id: str) -> tuple[str, Section, str, str, str]:
+    """The catalogue row (id, section, status, display, citation), without
+    parsing the formula."""
     try:
-        entry = _CATALOGUE[axiom_id]
+        return _CATALOGUE[axiom_id]
     except KeyError:
         raise RegistryError(f"unknown axiom id {axiom_id!r}") from None
-    if isinstance(entry, tuple):
-        _, section, status, display, citation = entry
-        entry = _CATALOGUE[axiom_id] = AxiomEntry(
+
+
+def axiom(axiom_id: str) -> AxiomEntry:
+    entry = _ENTRIES.get(axiom_id)
+    if entry is None:
+        _, section, status, display, citation = catalogue_row(axiom_id)
+        entry = _ENTRIES[axiom_id] = AxiomEntry(
             axiom_id, section, parse_formula(display), citation, status, display)
     return entry
 

@@ -4,42 +4,48 @@ The engine looks for a finite model satisfying the premises while falsifying
 the target, over the sizes up to the bound.  Its core, ``_search``,
 takes (name, formula) pairs and never reads the register; the public
 functions resolve axiom ids through ``registry.axiom_set``.  The formulas'
-predicates are profiled once per search (``grounding.predicate_profiles``),
-and the premises and the matrix of the negated target are compiled once
-(``grounding.compile_formula``).  Each size lays out its atoms from the
-profiles and grounds the premises once, definitionally: auxiliary variables
-stand for shared ground subformulas and are numbered after the table atoms.
-The negated target's existential prefix is split into instantiation
-branches (orbit representatives under canonical pruning); each grounds the
-matrix with the prefix bound to the branch's element indices.  The solver
-takes the grounder's clauses as they are, tuples of signed literals in
-ascending order (the DIMACS convention): the size's premise clauses and
-definitions, shared read-only, then the branch's.  It decides them by
-conflict-driven clause learning: watched literals over arrays indexed by
-signed literal, first-UIP learned clauses and backjumping (Een & Sorensson,
-"An extensible SAT-solver", 2003).  A clause's first two literals are its
-first watches, so the literal order fixes every reported counter.
+predicates are profiled once per search (``grounding.predicate_profiles``).
+Each premise's universal prefix is split off and its matrix compiled once
+(``grounding.compile_formula``), and so is the matrix of the negated target
+under its existential prefix.  Each size lays out its atoms from the
+profiles.  The negated target's prefix is split into instantiation branches
+(orbit representatives under canonical pruning); each grounds the matrix
+with the prefix bound to the branch's element indices.
 
-The solver always decides the lowest unassigned variable, false first, and
-neither restarts, reorders variables nor deletes clauses, so its first
-model is the least one (the fixed-order argument of Nadel & Ryvchin,
-"Bit-Vector Optimization", TACAS 2016).  Every clause it holds is satisfied
-by the least model; a literal implied true on a variable below the first
-difference from the least model follows from decisions below that
-variable, which agree with the least model, so the least model would set
-it true as well.
+The premises are instantiated lazily, by counterexample-guided
+instantiation at a fixed domain size (Ge & de Moura, "Complete
+instantiation for quantified formulas in SMT", CAV 2009).  A branch's
+solver (``solver.Solver``) starts from the branch's clauses, the premise
+instances at the elements the branch names (at every element of a sort it
+names none of), and the instances earlier branches of the size added.
+Each model it finds is checked at the other instances with the compiled
+formulas themselves (``grounding.TruthGrounder``).  The instances it
+falsifies are added, each with its renamings: an instance that takes one
+element the branch does not name is added at every such element, since
+the branch's own clauses cannot tell those elements apart.  Then the
+solver solves again, until a model falsifies no instance or the clauses
+are unsatisfiable.  A size grounds each instance once, definitionally:
+auxiliary variables stand for shared ground subformulas and are numbered
+after the table atoms, and a branch holds every definition the size's
+grounder has made.  The solver returns the least model of the clauses it
+holds.  They are a subset of the full grounding, whose least model is
+therefore at least that model M; when M falsifies no instance it is a
+model of the full grounding, so the two are equal, and an unsatisfiable
+subset means an unsatisfiable grounding.  Verdicts and counter-models are
+those of grounding every instance; only the counters depend on which
+instances a branch holds.
 
 Skipping the branches that do not represent their orbit is the search's
 only symmetry mechanism.
 
 The node budget counts assignments, decisions and auxiliary ones included,
-per size across all of its branches.  Only the sizes the search solves
-spend it.
+per size across all of its branches and their solves.  Only the sizes the
+search solves spend it.
 
 Determinism contract: within a branch the solver finds the least assignment
 in lexicographic order of the canonical table-bit encoding (ascending atom
 index, false before true) followed by the auxiliary variables, so the table
-bits of its solution are the branch's least table solution; the reported
+bits of its last solution are the branch's least table solution; the reported
 model is the least canonical relabeling among branch solutions.  The result
 is identical across runs and worker counts.
 
@@ -70,12 +76,13 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Sequence
 
-from .grounding import (Grounder, atom_space, compile_formula,
+from .grounding import (Grounder, TruthGrounder, atom_space, compile_formula,
                         definition_clauses, nnf, predicate_profiles)
 from .logic import (And, Eq, Exists, FiniteModel, ForAll, Formula,
                     LogicError, Not, Or, Pred, Sort, TrueF, Value, Var,
                     evaluate, mentions_world, quantifier_prefix)
 from .registry import Selector, axiom_set
+from .solver import BudgetExceeded, Solver
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -138,29 +145,31 @@ class SearchConfig(Value):
 
 #: The additive counters of ``SearchStats``, in report order.
 STATS_COUNTERS = ("candidates_visited", "propagations", "conflicts",
-                  "pruned_subtrees", "branches_total")
+                  "pruned_subtrees", "branches_total", "premise_instances")
 
 
 class SearchStats(Value):
     """The search's counters.  ``pruned_subtrees`` counts instantiation
-    branches skipped as non-representatives of their orbit.
+    branches skipped as non-representatives of their orbit, and
+    ``premise_instances`` the premise instances ground, summed over the
+    sizes solved.
     ``sizes_exhausted`` lists the (things, worlds) sizes solved without a
     counter-model, in the order solved; ``sizes_padded`` the sizes below
     the answer that were not solved, because padding settles them."""
 
     __slots__ = ("support", "candidates_visited", "propagations", "conflicts",
-                 "pruned_subtrees", "branches_total", "sizes_exhausted",
-                 "sizes_padded")
+                 "pruned_subtrees", "branches_total", "premise_instances",
+                 "sizes_exhausted", "sizes_padded")
 
     def __init__(self, support: tuple[str, ...] = (),
                  candidates_visited: int = 0, propagations: int = 0,
                  conflicts: int = 0, pruned_subtrees: int = 0,
-                 branches_total: int = 0,
+                 branches_total: int = 0, premise_instances: int = 0,
                  sizes_exhausted: tuple[tuple[int, int], ...] = (),
                  sizes_padded: tuple[tuple[int, int], ...] = ()):
         super().__init__(support, candidates_visited, propagations, conflicts,
-                         pruned_subtrees, branches_total, sizes_exhausted,
-                         sizes_padded)
+                         pruned_subtrees, branches_total, premise_instances,
+                         sizes_exhausted, sizes_padded)
 
     def to_json_dict(self) -> dict:
         doc = {"support": list(self.support)}
@@ -198,260 +207,6 @@ class NoCounterexampleUpTo(Value):
 
 
 EntailmentVerdict = Refuted | NoCounterexampleUpTo
-
-
-# ---------------------------------------------------------------------------
-# Clause-learning solver over table bits
-# ---------------------------------------------------------------------------
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _Solver:
-    """Conflict-driven clause learning over a fixed clause list; returns the
-    lexicographically least satisfying assignment (ascending variable index,
-    false before true) as a list of 0/1 values.
-
-    ``clauses`` are the grounder's: tuples of signed literals over variables
-    1..nvars (``-v`` for not v) in ascending order, whose first two
-    literals are the first watches, so the order fixes every counter.  The
-    tuples may be shared read-only with other solvers: watch positions live
-    in the solver's own ``w1``/``w2``.  The solver keeps its own list of
-    them, to which it appends the clauses it learns.  ``steps`` counts
-    assignments, decisions included, against ``budget``."""
-
-    def __init__(self, nvars: int, clauses: Sequence[Sequence[int]],
-                 budget: int):
-        self.nvars = nvars
-        self.budget = budget
-        self.steps = 0
-        self.decisions = 0
-        self.conflicts = 0
-        self.clauses = list(clauses)
-        # Indexed by signed literal, negative ones from the end: values and
-        # watch lists at every literal; levels, reasons (clause indices, -1
-        # for decisions) and analysis marks at the literal that is true.
-        size = 2 * nvars + 1
-        self.vals = [-1] * size
-        self.watches: list[list[int]] = [[] for _ in range(size)]
-        self.level = [0] * size
-        self.reason = [-1] * size
-        self.seen = bytearray(size)
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.next_var = 1
-        self.w1: list[int] = []
-        self.w2: list[int] = []
-        self.units: list[tuple[int, int]] = []
-        self.unsat = False
-        for ci, clause in enumerate(self.clauses):
-            if len(clause) > 1:
-                self.w1.append(clause[0])
-                self.w2.append(clause[1])
-                self.watches[clause[0]].append(ci)
-                self.watches[clause[1]].append(ci)
-            else:
-                self.w1.append(0)
-                self.w2.append(0)
-                if clause:
-                    self.units.append((clause[0], ci))
-                else:
-                    self.unsat = True
-
-    def _enqueue(self, lit: int, reason: int) -> None:
-        self.vals[lit] = 1
-        self.vals[-lit] = 0
-        self.level[lit] = len(self.trail_lim)
-        self.reason[lit] = reason
-        self.trail.append(lit)
-        self.steps += 1
-        if self.steps > self.budget:
-            raise _BudgetExceeded()
-
-    def _propagate(self) -> int:
-        """Unit propagation from ``qhead``, deciding the lowest unassigned
-        variable, false first, whenever nothing is left to propagate (here,
-        to save a call per decision): the index of a clause whose literals
-        are all false, or -1 once every variable is assigned."""
-        vals = self.vals
-        watches = self.watches
-        clauses = self.clauses
-        w1 = self.w1
-        w2 = self.w2
-        trail = self.trail
-        trail_lim = self.trail_lim
-        level = self.level
-        reason = self.reason
-        nvars = self.nvars
-        lvl = len(trail_lim)
-        steps = self.steps
-        budget = self.budget
-        qhead = self.qhead
-        var = self.next_var
-        conflict = -1
-        while True:
-            if qhead == len(trail):
-                while var <= nvars and vals[var] != -1:
-                    var += 1
-                if var > nvars:
-                    break
-                self.decisions += 1
-                trail_lim.append(qhead)
-                lvl += 1
-                vals[-var] = 1
-                vals[var] = 0
-                level[-var] = lvl
-                reason[-var] = -1
-                trail.append(-var)
-                steps += 1
-                if steps > budget:
-                    self.steps = steps
-                    raise _BudgetExceeded()
-            false_lit = -trail[qhead]
-            qhead += 1
-            watchers = watches[false_lit]
-            if not watchers:
-                continue
-            kept: list[int] = []
-            for pos, ci in enumerate(watchers):
-                other = w1[ci]
-                if other == false_lit:
-                    other = w2[ci]
-                v_other = vals[other]
-                if v_other == 1:
-                    kept.append(ci)
-                    continue
-                for cand in clauses[ci]:
-                    # false_lit itself is false, so only the other watch
-                    # needs excluding; comparing first spares its lookup.
-                    if cand != other and vals[cand] != 0:
-                        w1[ci] = other
-                        w2[ci] = cand
-                        watches[cand].append(ci)
-                        break
-                else:
-                    kept.append(ci)
-                    w1[ci] = other
-                    w2[ci] = false_lit
-                    if v_other == 0:
-                        kept.extend(watchers[pos + 1:])
-                        conflict = ci
-                        break
-                    vals[other] = 1
-                    vals[-other] = 0
-                    level[other] = lvl
-                    reason[other] = ci
-                    trail.append(other)
-                    steps += 1
-                    if steps > budget:
-                        self.steps = steps
-                        raise _BudgetExceeded()
-            watches[false_lit] = kept
-            if conflict >= 0:
-                break
-        self.steps = steps
-        self.qhead = qhead
-        self.next_var = var
-        return conflict
-
-    def _backtrack(self, lvl: int) -> None:
-        trail_lim = self.trail_lim
-        trail = self.trail
-        vals = self.vals
-        stop = trail_lim[lvl]
-        # Variables below the first undone decision, -var, stay assigned.
-        self.next_var = -trail[stop]
-        for lit in trail[stop:]:
-            vals[lit] = vals[-lit] = -1
-        del trail[stop:]
-        del trail_lim[lvl:]
-        self.qhead = stop
-
-    def _analyze(self, lits: Sequence[int]) -> list[int]:
-        """The first-UIP clause of a conflict clause whose literals are all
-        false and which has a literal at the current level: its asserting
-        literal first, then a literal of the highest remaining level."""
-        level = self.level
-        reason = self.reason
-        clauses = self.clauses
-        trail = self.trail
-        seen = self.seen
-        current = len(self.trail_lim)
-        learnt = [0]
-        pending = 0
-        p = 0
-        index = len(trail)
-        while True:
-            for q in lits:
-                if q == p or seen[-q] or level[-q] == 0:
-                    continue
-                seen[-q] = 1
-                if level[-q] == current:
-                    pending += 1
-                else:
-                    learnt.append(q)
-            index -= 1
-            while not seen[trail[index]]:
-                index -= 1
-            p = trail[index]
-            seen[p] = 0
-            pending -= 1
-            if pending == 0:
-                break
-            lits = clauses[reason[p]]
-        learnt[0] = -p
-        best = 1
-        for k in range(1, len(learnt)):
-            seen[-learnt[k]] = 0
-            if level[-learnt[k]] > level[-learnt[best]]:
-                best = k
-        if len(learnt) > 2:
-            learnt[1], learnt[best] = learnt[best], learnt[1]
-        return learnt
-
-    def _learn(self, lits: Sequence[int]) -> bool:
-        """Learn from a clause whose literals are all false, backjump and
-        assert; False when the clause is false at level 0.
-
-        ``_propagate`` decides only once the queue is empty, so every
-        conflict clause holds the negation of a literal of the current
-        level, and the learnt clause's second literal is below it."""
-        if not self.trail_lim:
-            return False
-        learnt = self._analyze(lits)
-        if len(learnt) == 1:
-            self._backtrack(0)
-            self._enqueue(learnt[0], -1)
-            return True
-        self._backtrack(self.level[-learnt[1]])
-        ci = len(self.clauses)
-        self.clauses.append(learnt)
-        self.w1.append(learnt[0])
-        self.w2.append(learnt[1])
-        self.watches[learnt[0]].append(ci)
-        self.watches[learnt[1]].append(ci)
-        self._enqueue(learnt[0], ci)
-        return True
-
-    def solve(self) -> list[int] | None:
-        if self.unsat:
-            return None
-        vals = self.vals
-        for lit, ci in self.units:
-            if vals[lit] == 0:
-                self.conflicts += 1
-                return None
-            if vals[lit] == -1:
-                self._enqueue(lit, ci)
-        while True:
-            conflict = self._propagate()
-            if conflict < 0:
-                return vals[1:self.nvars + 1]
-            self.conflicts += 1
-            if not self._learn(self.clauses[conflict]):
-                return None
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +431,13 @@ def _search(premises: Sequence[tuple[str, Formula]],
         return n_things + 1, world_range[world_index]
 
     profiles = predicate_profiles(all_formulas)
-    # The premises and the negated target's matrix are compiled once per
-    # search; every size grounds them.
+    # The premises' matrices and the negated target's are compiled once per
+    # search; every size grounds instances of them.
     premise_nnfs = [nnf(formula) for formula in premise_formulas]
-    compiled = [compile_formula(formula) for formula in premise_nnfs]
+    compiled = []
+    for formula in premise_nnfs:
+        bound, body = quantifier_prefix(formula, ForAll)
+        compiled.append((compile_formula(body, bound), bound))
     negated = nnf(Not(target[1]))
     prefix, matrix = quantifier_prefix(negated, Exists)
     matrix = compile_formula(matrix, prefix)
@@ -754,11 +512,11 @@ def _search(premises: Sequence[tuple[str, Formula]],
 #: The scheduled sizes of at most this many things are solved in the calling
 #: process, whatever the worker count, and workers are forked only for
 #: two or more sizes above it: one size left leaves nothing to share.  On a
-#: 2-core host a size of 4 things takes 1.5 ms (PSRSubstance |=
-#: PropV_allshared) to 4.4 ms (PSRPlenitude |= A15).  Forking for 4 and 8
+#: 2-core host a size of 4 things takes 0.5 ms (PSRSubstance |=
+#: PropV_allshared) to 3.3 ms (PSRPlenitude |= A15).  Forking for 4 and 8
 #: things made a ``--workers 2`` process for PropV_allshared at bound 8
-#: 3.9 ms slower than one worker (50.4 against 46.5 ms); a gate at 8 things
-#: made A15 at bounds 12 and 16 11-12 ms slower than this one.
+#: 3.5 ms slower than one worker (41.3 against 37.8 ms); a gate at 8 things
+#: made A15 at bounds 12 and 16 15-16 ms slower than this one.
 CALLER_THINGS = 4
 
 
@@ -790,31 +548,44 @@ def _outcomes(solve, indices: Sequence[int], workers: int):
 
 def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
                       profiles, config: SearchConfig):
-    """Ground one size and solve its branches: the least canonical key of
-    a branch solution (None when the size is exhausted) and the size's
-    counters in ``STATS_COUNTERS`` order, or (None, None) when the size
-    ran out of node budget.  What the size built is freed on return,
-    before the next size is grounded."""
+    """Solve one size's branches: the least canonical key of a branch
+    solution (None when the size is exhausted) and the size's counters in
+    ``STATS_COUNTERS`` order, or (None, None) when the size ran out of node
+    budget.  ``premises`` holds each premise's compiled matrix and
+    universal prefix.  What the size built is freed on return, before the
+    next size is grounded."""
     n_things, n_worlds = len(things), len(worlds)
+    natoms = len(atoms)
     decisions = steps = conflicts = pruned = branches = 0
     prefix_sorts = [sort for _, sort in prefix]
+    elements = {Sort.THING: range(n_things), Sort.WORLD: range(n_worlds)}
     grounder = Grounder(things, worlds, atoms)
-    # The premise clauses and their definitions are ground once per size;
-    # every branch's solver reads them and adds its own.
-    shared = []
-    for premise in premises:
-        shared += premise(grounder)()
-    premise_defs = len(grounder.definitions)
-    shared += definition_clauses(grounder.definitions)
-
     branch_clauses = matrix(grounder)
+    ground_at: dict = {}
+    # Each premise instance is ground once per size, and serves every
+    # branch that holds it; the instances one branch adds seed the next.
+    instances: dict = {}
+    added: list = []
+    # The definition clauses of the size's first ``made`` aux variables.
+    defined: list = []
+    made = 0
+
+    def clauses_of(keys):
+        out = []
+        for key in keys:
+            clauses = instances.get(key)
+            if clauses is None:
+                p, env = key
+                if p not in ground_at:
+                    ground_at[p] = premises[p][0](grounder)
+                clauses = instances[key] = ground_at[p](env)
+            out += clauses
+        return out
 
     # The node budget is per size: every branch draws on one counter.
     remaining = config.node_budget
     best = None
-    universe_sizes = [n_things if s is Sort.THING else n_worlds
-                      for s in prefix_sorts]
-    for combo in itertools.product(*(range(n) for n in universe_sizes)):
+    for combo in itertools.product(*(elements[s] for s in prefix_sorts)):
         if config.pruning == "canonical" and \
                 not _is_orbit_representative(combo, prefix_sorts):
             pruned += 1
@@ -825,15 +596,45 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
             # The branch's own clauses hold the empty clause: no solver,
             # and 0 steps, as a solver would report.
             continue
-        # A matrix node whose free variables leave out a prefix variable
-        # is memoized across branches, and so is its aux variable: a
-        # branch may use any definition the size's grounder has made so far.
-        nvars = len(atoms) + len(grounder.definitions)
-        solver = _Solver(nvars, shared + clauses + definition_clauses(
-            grounder.definitions[premise_defs:]), remaining)
+        # The elements the branch names, and every element of a sort it
+        # names none of.
+        named = {sort: sorted({e for e, s in zip(combo, prefix_sorts)
+                               if s is sort}) if sort in prefix_sorts else
+                 universe for sort, universe in elements.items()}
+        held = {(p, env) for p, (_, bound) in enumerate(premises)
+                for env in itertools.product(*(named[s] for _, s in bound))}
+        held.update(added)
+        # A branch naming every element its premises quantify over holds
+        # every instance, so its models need no check.
+        complete = all(len(named[s]) == len(elements[s])
+                       for _, bound in premises for _, s in bound)
+        clauses = clauses + clauses_of(sorted(held))
+        # A branch may use any definition the size's grounder has made: a
+        # memoized matrix node's, or another branch's instance's.
+        defined += definition_clauses(grounder.definitions[made:])
+        made = len(grounder.definitions)
         try:
-            solution = solver.solve()
-        except _BudgetExceeded:
+            solver = Solver(natoms + made, clauses + defined, remaining)
+            while (solution := solver.solve()) is not None and \
+                    not complete:
+                violated = _violated(premises, things, worlds, atoms,
+                                     solution[:natoms], elements, held)
+                if not violated:
+                    break
+                # The next least model tends to falsify the same instance at
+                # another element the branch does not name: add them at once.
+                violated = sorted({(p, other) for p, env in violated
+                                   for other in _renamings(
+                                       env, premises[p][1], named, elements)}
+                                  - held)
+                held.update(violated)
+                added += violated
+                clauses = clauses_of(violated)
+                start = len(defined)
+                defined += definition_clauses(grounder.definitions[made:])
+                made = len(grounder.definitions)
+                solver.add(clauses + defined[start:], natoms + made)
+        except BudgetExceeded:
             return None, None
         remaining -= solver.steps
         decisions += solver.decisions
@@ -842,11 +643,39 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
         if solution is not None:
             # Equal keys denote the same model, so the first branch
             # reaching the least key decides it.
-            key = _least_relabeling(profiles, bytes(solution[:len(atoms)]),
+            key = _least_relabeling(profiles, bytes(solution[:natoms]),
                                     n_things, n_worlds)
             if best is None or key < best:
                 best = key
-    return best, (decisions, steps, conflicts, pruned, branches)
+    return best, (decisions, steps, conflicts, pruned, branches,
+                  len(instances))
+
+
+def _violated(premises, things, worlds, atoms, bits, elements, held):
+    """The (premise, environment) keys of the premise instances outside
+    ``held`` that the table bits falsify, in order."""
+    truth = TruthGrounder(things, worlds, atoms, bits)
+    violated = []
+    for p, (compiled, bound) in enumerate(premises):
+        falsified = compiled(truth)
+        violated += [(p, env) for env in itertools.product(
+            *(elements[s] for _, s in bound))
+            if (p, env) not in held and falsified(env)]
+    return violated
+
+
+def _renamings(env, bound, named, elements):
+    """``env`` with the one element it takes that is not ``named`` replaced
+    by each such element of its sort; ``env`` alone when it takes none of
+    them, or more than one."""
+    sorts = [sort for _, sort in bound]
+    unnamed = {(e, s) for e, s in zip(env, sorts) if e not in named[s]}
+    if len(unnamed) != 1:
+        return [env]
+    ((old, sort),) = unnamed
+    return [tuple(new if (e, s) == (old, sort) else e
+                  for e, s in zip(env, sorts))
+            for new in elements[sort] if new not in named[sort]]
 
 
 def _recheck(model: FiniteModel, premises: Sequence[tuple[str, Formula]],

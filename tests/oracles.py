@@ -24,10 +24,9 @@ from ethica.grounding import (GroundConstraintSet, GroundingError,
                               atom_space, nnf, predicate_profiles)
 from ethica.logic import (And, Eq, Exists, FalseF, FiniteModel, ForAll,
                           Formula, Iff, Implies, Not, Or, Pred, Sort, TrueF,
-                          Var, evaluate, quantifier_prefix)
+                          Var, evaluate)
 from ethica.registry import (ETHICA_SIGNATURE, attribute, axiom_set, is_god,
                              substance)
-from ethica.search import _is_orbit_representative
 
 Clause = tuple[int, ...]
 Definition = tuple[int, tuple[Clause, ...]]
@@ -427,36 +426,14 @@ def reference_ground(formula, things, worlds=(), support=None):
                                tuple(builder.definitions))
 
 
-def reference_solver_inputs(premise_formulas, target_formula, support,
-                            things, worlds, pruning="canonical"):
-    """What the search hands the solver of each branch at one size, built by
-    the tree-walking builder: (nvars, clauses, premises) per branch whose
-    clauses do not already hold the empty clause, in branch order."""
-    atoms = atom_space(predicate_profiles(premise_formulas + [target_formula],
-                                          support), things, worlds)
-    atom_index = {atom: i for i, atom in enumerate(atoms)}
-    builder = _CnfBuilder(things, worlds, atom_index)
-    # The builder's caches are keyed on node ids: keep the trees alive.
-    premise_nnfs = [nnf(formula) for formula in premise_formulas]
-    sigma = [clause for formula in premise_nnfs
-             for clause in builder.build(formula, {})]
-    premise_defs = len(builder.definitions)
-    premises = sigma + definition_clauses(builder.definitions)
-    prefix, matrix = quantifier_prefix(nnf(Not(target_formula)), Exists)
-    sorts = [sort for _, sort in prefix]
-    universes = [things if sort is Sort.THING else worlds for sort in sorts]
-    inputs = []
-    for combo in itertools.product(*(range(len(u)) for u in universes)):
-        if pruning == "canonical" and not _is_orbit_representative(combo, sorts):
-            continue
-        env = {var: universe[value] for (var, _), universe, value
-               in zip(prefix, universes, combo)}
-        clauses = builder.build(matrix, env)
-        if not all(clauses):
-            continue
-        clauses = clauses + definition_clauses(builder.definitions[premise_defs:])
-        inputs.append((len(atoms) + len(builder.definitions), clauses, premises))
-    return inputs
+def reference_grounding(calls, things, worlds, atoms):
+    """The tree-walking builder's clauses for each (formula, env) call in
+    order, made on one builder as one grounder makes them, so aux variables
+    are shared and numbered the same way; and the builder's definitions."""
+    builder = _CnfBuilder(things, worlds,
+                          {atom: i for i, atom in enumerate(atoms)})
+    return ([builder.build(formula, env) for formula, env in calls],
+            builder.definitions)
 
 
 def forall(names, sort, body):

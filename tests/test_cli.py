@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import ethica
-from ethica import search
+from ethica import registry, search
 from ethica.cli import main
 from ethica.dsl import serialize_model
 from ethica.experiments import REPORT_SCHEMA
@@ -102,8 +102,8 @@ def test_search_stats_line_pins_the_counters(capsys, monkeypatch):
     # The counters are deterministic: decisions, assignments, branches
     # skipped as non-representatives of their orbit, branches solved.
     # Padding settles 3 things; the walk over every size solves it too.
-    for stats in ("candidates=252 propagations=1913 pruned=63 branches=10",
-                  "candidates=308 propagations=2559 pruned=85 branches=15"):
+    for stats in ("candidates=280 propagations=1823 pruned=63 branches=10",
+                  "candidates=349 propagations=2500 pruned=85 branches=15"):
         code, out, _ = run_cli(capsys, "search", "--premises", "PSRPlenitude",
                                "--target", "A15", "--max-things", "4")
         assert code == 0
@@ -392,6 +392,20 @@ def test_export_axioms_json(capsys):
     assert entries["A22"]["section"] == "PSRCandidate"
     assert entries["A12"]["formula"].startswith("∀s1 s2 a.")
     assert all("citation" in entry for entry in entries.values())
+
+
+def test_export_axioms_parses_no_formula(capsys, monkeypatch):
+    # The catalogue prints each entry's display text, so the command reads
+    # the rows without parsing them.
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(registry, "parse_formula", refuse)
+    monkeypatch.setattr(registry, "_ENTRIES", {})
+    for argv in (("export-axioms",), ("export-axioms", "--json")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "PropV_allshared" in out
 
 
 @pytest.mark.parametrize("argv, golden", [

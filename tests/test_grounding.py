@@ -5,15 +5,15 @@ import random
 
 import pytest
 
-from ethica.grounding import (Grounder, GroundingError, atom_space,
-                              compile_formula, definition_clauses,
+from ethica.grounding import (Grounder, GroundingError, TruthGrounder,
+                              atom_space, compile_formula, definition_clauses,
                               evaluate_via_grounding, ground, nnf,
                               predicate_profiles)
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
-                          evaluate, mentions_world)
+                          evaluate, mentions_world, quantifier_prefix)
 from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_ids
-from ethica.search import _Solver
+from ethica.solver import Solver
 
 from oracles import (all_models, assert_clause_format, atom_list,
                      dpll_least_solution, forall, random_model, reference_ground)
@@ -225,6 +225,41 @@ def test_world_quantifier_without_worlds_fails_even_where_evaluate_short_circuit
         evaluate_via_grounding(formula, model)
 
 
+def test_truth_grounder_agrees_with_the_evaluator_on_every_instance():
+    # The search checks premise instances under a model's table bits with
+    # the compiled formulas themselves: an instance is false exactly when
+    # its clauses hold the empty clause.  Each axiom's universal prefix is
+    # split off as the search splits it, and no aux variable is made.
+    rng = random.Random(8128)
+    checked = 0
+    for axiom_id in axiom_ids():
+        formula = axiom(axiom_id).formula
+        bound, body = quantifier_prefix(nnf(formula), ForAll)
+        compiled = compile_formula(body, bound)
+        worlds = ("w0", "w1")
+        for n_things in (1, 2, 3):
+            things = tuple(f"t{i}" for i in range(n_things))
+            universe = {Sort.THING: things, Sort.WORLD: worlds}
+            atoms = atom_space(predicate_profiles([formula]), things, worlds)
+            for _ in range(20):
+                bits = [rng.random() < 0.5 for _ in atoms]
+                model = FiniteModel("m", things, worlds, {
+                    pred: [args for bit, (name, args) in zip(bits, atoms)
+                           if bit and name == pred]
+                    for pred, _ in atoms})
+                truth = TruthGrounder(things, worlds, atoms, bits)
+                falsified = compiled(truth)
+                for env in itertools.product(*(range(len(universe[sort]))
+                                               for _, sort in bound)):
+                    assignment = {name: (sort, universe[sort][i])
+                                  for (name, sort), i in zip(bound, env)}
+                    assert (() in falsified(env)) != \
+                        evaluate(body, model, assignment), (axiom_id, env)
+                    checked += 1
+                assert truth.definitions == []
+    assert checked == 5240
+
+
 def test_solver_finds_the_least_solution_over_table_bits():
     # The auxiliary variables come after the table atoms, so the least
     # solution of the clauses projects onto the least model of the formula;
@@ -242,8 +277,8 @@ def test_solver_finds_the_least_solution_over_table_bits():
                 support = sorted({pred for pred, _ in atoms})
                 assert atom_list(support, things, worlds) == list(atoms)
                 nvars = len(atoms) + len(constraints.definitions)
-                solution = _Solver(nvars, constraints.clauses,
-                                   budget=10**9).solve()
+                solution = Solver(nvars, constraints.clauses,
+                                  budget=10**9).solve()
                 least = next((model for model in all_models(
                     support, n_things, len(worlds)) if evaluate(polarity, model)),
                     None)

@@ -7,7 +7,8 @@ import tracemalloc
 import pytest
 
 from ethica.grounding import (Grounder, atom_space, compile_formula,
-                              definition_clauses, nnf, predicate_profiles)
+                              definition_clauses, ground, nnf,
+                              predicate_profiles)
 from ethica import search
 from ethica.logic import (FALSE, TRUE, And, Eq, Exists, FiniteModel, ForAll,
                           Not, Or, Pred, Sort, Var, evaluate,
@@ -17,12 +18,14 @@ from ethica.registry import (BUNDLES, ETHICA_SIGNATURE, axiom, axiom_ids,
 from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
                            SearchConfig, SearchError, SearchStats,
                            _is_orbit_representative,
-                           _least_relabeling, _Solver, canonical_form,
+                           _least_relabeling, canonical_form,
                            check_naive_psr, entails_bounded, find_countermodel)
+from ethica.solver import BudgetExceeded, Solver
 
-from oracles import (assert_clause_format, countermodel_exists,
+from oracles import (all_models, assert_clause_format, countermodel_exists,
                      dpll_least_solution, least_relabeling, predicates,
-                     random_model, reference_solver_inputs, refutes)
+                     random_model, reference_ground, reference_grounding,
+                     refutes)
 from sweep import sweep
 
 A22_SUPPORT = ("inItself", "perSeConceived", "intellectPerceivesAsEssence")
@@ -185,6 +188,37 @@ def test_search_core_takes_formulas_that_are_not_in_the_register(
         assert len(verdict.model.things) == n
         assert evaluate(premises[0][1], verdict.model)
         assert not evaluate(target[1], verdict.model)
+
+
+def test_premise_instances_at_elements_no_branch_names_are_checked(
+        monkeypatch):
+    # Every branch names one thing, x, and the target names no world.  Each
+    # thing causes something, and an effect exists at every world, so the
+    # least model of a branch's seed makes x cause a thing the branch does
+    # not name, which breaks instances over things and worlds it does not
+    # hold.  The least counter-model, at 2 things, must be the brute-force
+    # one, and no size below it may have one.
+    monkeypatch.setattr(search, "axiom_set", _no_register)
+    T, W = Sort.THING, Sort.WORLD
+    c, e, w, x, y = map(Var, "cewxy")
+    premises = [
+        ("causes", ForAll("x", T, Exists("y", T, Pred("cause", (x, y))))),
+        ("effects_exist", ForAll("c", T, ForAll("e", T, ForAll("w", W, Or((
+            Not(Pred("cause", (c, e))), Pred("existsAt", (e, w))))))))]
+    target = ("exist", ForAll("x", T, Exists("w", W,
+                                             Pred("existsAt", (x, w)))))
+    formulas = [formula for _, formula in premises]
+    for n_worlds in (1, 2):
+        verdict = search._search(premises, target, SearchConfig(
+            max_thing_size=4, max_world_size=n_worlds))
+        assert (verdict.thing_size, verdict.world_size) == (2, 1)
+        counter_models = {
+            n: [model for model in all_models(("cause", "existsAt"), n, 1)
+                if all(evaluate(f, model) for f in formulas)
+                and not evaluate(target[1], model)] for n in (1, 2)}
+        assert counter_models[1] == []
+        assert verdict.model.tables in [canonical_form(model).tables
+                                        for model in counter_models[2]]
 
 
 def test_failed_recheck_names_the_formula_not_in_the_register(monkeypatch):
@@ -404,10 +438,10 @@ def test_every_bundled_direction_pads(monkeypatch):
 
 
 def test_the_node_budget_runs_out_at_a_size_the_search_solves(monkeypatch):
-    # PropV_allshared spends 287 assignments at 4 things, 497 at 5 and
-    # 1,655 at 8.  With 400 the padded search runs out at 8 things; the
-    # walk over every size runs out at 5, a size padding settles.
-    config = SearchConfig(max_thing_size=8, node_budget=400)
+    # PropV_allshared spends 168 assignments at 4 things, 240 at 5 and 528
+    # at 8.  With 200 the padded search runs out at 8 things; the walk over
+    # every size runs out at 5, a size padding settles.
+    config = SearchConfig(max_thing_size=8, node_budget=200)
     for size in (8, 5):
         with pytest.raises(ResourceLimitExceeded) as info:
             entails_bounded("PSRSubstance", "PropV_allshared", config)
@@ -492,7 +526,7 @@ def test_refutation_is_monotone_in_the_bound():
 # the solver against brute-force SAT and the DPLL oracle
 # ---------------------------------------------------------------------------
 
-class _RecordingSolver(_Solver):
+class _RecordingSolver(Solver):
     """Records how many decision levels each learned clause undoes."""
 
     def __init__(self, *args, **kwargs):
@@ -528,11 +562,11 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
               (4, [(4,)]), (4, [(-4,)]), (4, [(-4,), (4,)]),
               (4, [(-4, 1), (4,)]), (4, [(-4,), (-3, 4), (3, 4)]),
               (4, [(-1, 4), (1, 4), (-4, -2), (-4, 2)])]
-    assert _Solver(0, [], budget=1).solve() == []
+    assert Solver(0, [], budget=1).solve() == []
     # Every assignment counts against the budget, decisions included.
-    assert _Solver(3, [], budget=3).solve() == [0, 0, 0]
-    with pytest.raises(search._BudgetExceeded):
-        _Solver(3, [], budget=2).solve()
+    assert Solver(3, [], budget=3).solve() == [0, 0, 0]
+    with pytest.raises(BudgetExceeded):
+        Solver(3, [], budget=2).solve()
     for nvars, clauses in cases:
         def satisfied(bits):
             return all(any((lit > 0) == bits[abs(lit) - 1] for lit in clause)
@@ -540,7 +574,7 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
 
         solutions = [bits for bits in itertools.product((0, 1), repeat=nvars)
                      if satisfied(bits)]
-        solver = _Solver(nvars, clauses, budget=10**6)
+        solver = Solver(nvars, clauses, budget=10**6)
         answer = solver.solve()
         if not solutions:
             assert answer is None
@@ -567,6 +601,59 @@ def test_solver_agrees_with_brute_force_on_random_clause_sets():
         far_jumps += sum(jump > 1 for jump in solver.jumps)
     assert outcomes == {True, False}
     assert learned > 0 and far_jumps > 0
+
+
+def test_clauses_added_to_a_live_solver_give_the_least_model_so_far():
+    # The lazy search adds premise instances to a solver that has already
+    # found a model, and solves again.  After each batch of random clauses,
+    # some over variables the solver has not seen, the answer must be the
+    # least model of every clause so far, or None once they are
+    # unsatisfiable, whatever the solver learnt before.
+    rng = random.Random(4242)
+
+    def random_clause(nvars, width):
+        chosen = rng.sample(range(1, nvars + 1), min(width, nvars))
+        return tuple(sorted(var if rng.random() < 0.5 else -var
+                            for var in chosen))
+
+    for case in range(300):
+        nvars = rng.randint(0, 3)
+        clauses = []
+        solver = Solver(nvars, [], budget=10**6)
+        for _ in range(rng.randint(1, 6)):
+            nvars += rng.randint(0, 2)
+            batch = [random_clause(nvars, rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 4)) if nvars]
+            if rng.random() < 0.02:
+                batch.append(())
+            solver.add(batch, nvars)
+            clauses += batch
+            solutions = [bits for bits in itertools.product((0, 1),
+                                                            repeat=nvars)
+                         if all(any((lit > 0) == bits[abs(lit) - 1]
+                                    for lit in clause) for clause in clauses)]
+            expected = list(min(solutions)) if solutions else None
+            assert solver.solve() == expected, (case, clauses)
+    # Random 3-CNF near the threshold, added in batches, against the DPLL
+    # oracle: the solver learns clauses before the later batches arrive.
+    learned = 0
+    outcomes = set()
+    for _ in range(30):
+        nvars = rng.randint(15, 25)
+        solver = _RecordingSolver(nvars, [], budget=10**7)
+        clauses = []
+        for _ in range(4):
+            batch = [random_clause(nvars, 3) for _ in range(nvars)]
+            solver.add(batch, nvars)
+            clauses += batch
+            answer = solver.solve()
+            assert answer == dpll_least_solution(nvars, clauses)
+            outcomes.add(answer is None)
+            if answer is None:
+                break
+        learned += len(solver.clauses) - len(clauses)
+    assert outcomes == {True, False}
+    assert learned > 0
 
 
 BUNDLED_DIRECTIONS = [
@@ -623,12 +710,12 @@ def test_no_solver_is_built_for_a_branch_whose_clauses_are_already_false(
     # solver.  Walking every size up to 8 things, 8 of 15 do.
     built = []
 
-    class CountingSolver(search._Solver):
+    class CountingSolver(search.Solver):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(search, "_Solver", CountingSolver)
+    monkeypatch.setattr(search, "Solver", CountingSolver)
     for branches, solvers in ((7, 3), (15, 7)):
         built.clear()
         verdict = entails_bounded("PSRSubstance", "PropV_allshared",
@@ -653,22 +740,26 @@ def test_propv_allshared_at_sixteen_things_pins_the_counters(monkeypatch):
     # widest part inline, with the other parts' literals merged into each of
     # its clauses, made 2,040 decisions and 389,524 propagations here.
     # Padding solves 1, 2, 4, 8 and 16 things; the walk over every size
-    # is pinned too.
+    # is pinned too.  Every branch the search solves is refuted by the A22
+    # instances at its two named things, so a size grounds the 4 instances
+    # at those things (2 at 1 thing).
     support = ("inItself", "intellectPerceivesAsEssence", "perSeConceived")
     verdict = entails_bounded("PSRSubstance", "PropV_allshared",
                               SearchConfig(max_thing_size=16))
     assert isinstance(verdict, NoCounterexampleUpTo)
     assert verdict.stats == SearchStats(
-        support=support, candidates_visited=52, propagations=12_728,
+        support=support, candidates_visited=52, propagations=2_580,
         conflicts=34, pruned_subtrees=332, branches_total=9,
+        premise_instances=16,
         sizes_exhausted=((1, 0), (2, 0), (4, 0), (8, 0), (16, 0)),
         sizes_padded=tuple((n, 0) for n in (3, 5, 6, 7, *range(9, 16))))
     _ascending(monkeypatch)
     verdict = entails_bounded("PSRSubstance", "PropV_allshared",
                               SearchConfig(max_thing_size=16))
     assert verdict.stats == SearchStats(
-        support=support, candidates_visited=240, propagations=51_775,
+        support=support, candidates_visited=240, propagations=11_400,
         conflicts=150, pruned_subtrees=1_465, branches_total=31,
+        premise_instances=60,
         sizes_exhausted=tuple((n, 0) for n in range(1, 17)))
 
 
@@ -706,7 +797,7 @@ def test_generator_pruning_matches_full_group_and_no_pruning():
             for n_worlds in range(1, worlds + 1) if worlds else (0,):
                 for nvars, clauses in _branch_inputs(
                         premises, target, n_things, n_worlds):
-                    solution = _Solver(nvars, clauses, 10**8).solve()
+                    solution = Solver(nvars, clauses, 10**8).solve()
                     assert solution == dpll_least_solution(nvars, clauses), \
                         (premises, target, n_things, n_worlds)
                     solved += solution is not None
@@ -714,72 +805,95 @@ def test_generator_pruning_matches_full_group_and_no_pruning():
     assert solved > 0 and unsat > 0
 
 
-def _solver_inputs(monkeypatch, premises, target, config):
-    """The verdict, and (nvars, clauses) of every solver the search builds,
-    in order."""
-    calls = []
+def _grounding_calls(monkeypatch, premises, target, config):
+    """The verdict, and for each clause grounder the search made (one per
+    size it solved) the calls of its compiled formulas in order, as
+    (formula, bound variables, environment, clauses)."""
+    calls = {}
+    compile_formula = search.compile_formula
 
-    class Recording(_Solver):
-        def __init__(self, nvars, clauses, budget):
-            calls.append((nvars, list(clauses)))
-            super().__init__(nvars, clauses, budget)
+    def recording(formula, bound=()):
+        ground_at = compile_formula(formula, bound)
 
-    monkeypatch.setattr(search, "_Solver", Recording)
+        def at(grounder):
+            fn = ground_at(grounder)
+            if type(grounder) is not Grounder:
+                # The violation check's truth values.
+                return fn
+
+            def call(env=()):
+                clauses = fn(env)
+                calls.setdefault(grounder, []).append(
+                    (formula, bound, env, clauses))
+                return clauses
+            return call
+        return at
+
+    monkeypatch.setattr(search, "compile_formula", recording)
     return entails_bounded(premises, target, config), calls
 
 
-def _assert_solver_inputs_match_the_reference(monkeypatch, premises, target,
-                                              config):
-    """The number of solvers the search built and of the definition clauses
-    handed to them, after checking each input against the reference and
-    against the grounder's clause format."""
-    verdict, calls = _solver_inputs(monkeypatch, premises, target, config)
+def _assert_instances_match_the_reference(monkeypatch, premises, target,
+                                          config):
+    """The number of premise instances the search ground, after checking
+    every grounding call of each size against the tree-walking builder
+    replaying the same calls, and ``ground`` at each size against the
+    builder's full grounding of each premise."""
+    verdict, calls = _grounding_calls(monkeypatch, premises, target, config)
     sizes = verdict.stats.sizes_exhausted
     if verdict.is_refuted:
         sizes += ((verdict.thing_size, verdict.world_size),)
+    assert len(calls) == len(sizes), (premises, target)
     premise_formulas = [entry.formula for entry in axiom_set(premises)]
     target_formula = axiom_set([target])[0].formula
+    support = verdict.stats.support
     profiles = predicate_profiles(premise_formulas + [target_formula],
-                                  verdict.stats.support)
-    expected = []
-    for n_things, n_worlds in sizes:
-        things = tuple(f"t{i}" for i in range(n_things))
-        worlds = tuple(f"w{i}" for i in range(n_worlds))
-        natoms = len(atom_space(profiles, things, worlds))
-        expected += [(natoms,) + entry for entry in reference_solver_inputs(
-            premise_formulas, target_formula, verdict.stats.support,
-            things, worlds, config.pruning)]
-    assert len(calls) == len(expected), (premises, target)
-    definitions = 0
-    for k, (got, (natoms, nvars, clauses, shared)) in enumerate(
-            zip(calls, expected)):
-        assert got[0] == nvars, (premises, target, k, "nvars")
-        assert got[1] == shared + clauses, (premises, target, k, "clauses")
-        definitions += assert_clause_format(got[1], natoms)
-    return len(calls), definitions
+                                  support)
+    matrix = quantifier_prefix(nnf(Not(target_formula)), Exists)[1]
+    instances = 0
+    for grounder, made in calls.items():
+        things = tuple(f"t{i}" for i in range(grounder.size[Sort.THING]))
+        worlds = tuple(f"w{i}" for i in range(grounder.size[Sort.WORLD]))
+        universe = {Sort.THING: things, Sort.WORLD: worlds}
+        atoms = atom_space(profiles, things, worlds)
+        expected, definitions = reference_grounding(
+            [(formula, {name: universe[sort][i]
+                        for (name, sort), i in zip(bound, env)})
+             for formula, bound, env, _ in made], things, worlds, atoms)
+        assert [clauses for *_, clauses in made] == expected, \
+            (premises, target, len(things), len(worlds))
+        assert grounder.definitions == definitions
+        for *_, clauses in made:
+            assert_clause_format(clauses, len(atoms))
+        instances += sum(formula != matrix for formula, *_ in made)
+        for formula in premise_formulas:
+            assert ground(formula, things, worlds, support) == \
+                reference_ground(formula, things, worlds, support)
+    # Each instance is ground once per size.
+    assert instances == verdict.stats.premise_instances
+    return instances
 
 
 @pytest.mark.parametrize("pruning", ["canonical", "none"])
 def test_solver_inputs_match_the_tree_walking_grounder(monkeypatch, pruning):
-    # The compiled grounder must hand every solver exactly the clauses the
-    # tree-walking one did, in the same order and with the same aux
-    # numbering, so the least solution and every counter stay the same.
-    # Both give them in the solver's one format: sorted signed literals.
-    solvers = definitions = 0
+    # The compiled grounder must give every premise instance and branch
+    # matrix exactly the clauses the tree-walking one does, in the same
+    # order and with the same aux numbering, so the least solution and
+    # every counter stay the same.  Both give them in the solver's one
+    # format: sorted signed literals.
+    instances = 0
     for premises, target, worlds in BUNDLED_DIRECTIONS:
-        built, defined = _assert_solver_inputs_match_the_reference(
+        instances += _assert_instances_match_the_reference(
             monkeypatch, premises, target,
             SearchConfig(max_thing_size=3, max_world_size=worlds,
                          pruning=pruning))
-        solvers += built
-        definitions += defined
-    assert solvers > 0 and definitions > 0
+    assert instances > 0
 
 
 def test_solver_inputs_match_the_tree_walking_grounder_at_six_things(monkeypatch):
-    assert _assert_solver_inputs_match_the_reference(
+    assert _assert_instances_match_the_reference(
         monkeypatch, "PSRSubstance", "PropV_allshared",
-        SearchConfig(max_thing_size=6))[0] > 0
+        SearchConfig(max_thing_size=6)) > 0
 
 
 def test_the_sweep_keeps_its_verdicts_and_counter_models():
@@ -788,13 +902,12 @@ def test_the_sweep_keeps_its_verdicts_and_counter_models():
     # each verdict and its serialised counter-model.  A change to the
     # search engine must leave it as it is.  The counter digest covers
     # each search's counters, so a grounder that reorders clauses or
-    # renumbers aux variables changes it even where the verdicts hold.
-    # Up to 3 things padding skips no size, so every ``sizes_padded`` is
-    # empty; without that field the counter digest is a53e54bd....
+    # renumbers aux variables, or a search that holds other premise
+    # instances, changes it even where the verdicts hold.
     searches, refuted, verdicts, counters = sweep()
     assert (searches, refuted) == (1134, 1050)
     assert verdicts == "6e7d2bc820584b54b09c1846dbe91c41"
-    assert counters == "f81e3f5ec930d79e0702b0e44b42b3ff"
+    assert counters == "525a899046884858be8affdcc0f53e3a"
 
 
 # ---------------------------------------------------------------------------

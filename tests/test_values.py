@@ -152,7 +152,8 @@ def test_repr_lists_the_fields_in_order():
     assert repr(SearchStats(support=("inItself",), conflicts=3)) == (
         "SearchStats(support=('inItself',), candidates_visited=0, "
         "propagations=0, conflicts=3, pruned_subtrees=0, "
-        "branches_total=0, sizes_exhausted=(), sizes_padded=())")
+        "branches_total=0, premise_instances=0, sizes_exhausted=(), "
+        "sizes_padded=())")
     assert repr(FiniteModel("m", ("t0",), tables={"inItself": ["t0"]})) == \
         "FiniteModel(name='m', things=('t0',), worlds=(), " \
         "tables={'inItself': frozenset({('t0',)})})"

@@ -130,9 +130,9 @@ def test_bundled_directions_agree_across_worker_counts(any_cpus):
 
 
 def test_node_budget_fails_at_the_same_size_across_worker_counts(any_cpus):
-    # At 200 steps size 4 fails, which the caller solves, at 600 size 6,
+    # At 150 steps size 4 fails, which the caller solves, at 300 size 6,
     # which a worker solves.
-    for budget, size in ((200, 4), (600, 6)):
+    for budget, size in ((150, 4), (300, 6)):
         config = SearchConfig(max_thing_size=8, node_budget=budget)
         assert search_all(*ASCENT, config) == \
             [(size, 0, budget)] * len(WORKER_COUNTS)
@@ -316,7 +316,7 @@ def test_an_error_in_the_caller_leaves_no_worker(any_cpus, monkeypatch, error):
 
 def test_an_error_above_a_terminal_size_of_a_worker_is_not_raised(
         any_cpus, monkeypatch):
-    # At 600 steps the search fails at 6 things, a worker's size.  Workers
+    # At 300 steps the search fails at 6 things, a worker's size.  Workers
     # end without reporting any size above 6 things, so a calling process
     # that walked past 6 would solve 7 things itself and run out of memory
     # there; one process would have stopped at 6 things and never seen that.
@@ -331,6 +331,6 @@ def test_an_error_above_a_terminal_size_of_a_worker_is_not_raised(
         return solve(premises, prefix, matrix, things, *args)
 
     monkeypatch.setattr(search, "_least_branch_key", failing_above_six)
-    config = SearchConfig(max_thing_size=8, node_budget=600)
+    config = SearchConfig(max_thing_size=8, node_budget=300)
     assert search_all(*ASCENT, config, (2, 3)) == \
-        [(6, 0, 600)] * 2
+        [(6, 0, 300)] * 2
