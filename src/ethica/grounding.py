@@ -19,19 +19,19 @@ Formulas are put in negation normal form first, so the polarity rules live
 only in ``nnf``.  Auxiliary variables are numbered after all table atoms.
 
 The atoms come from predicate profiles: ``predicate_profiles`` walks the
-formulas once for each predicate's argument sorts, and ``atom_space`` lays
-out the atoms of any pair of universes from them, so a search profiles its
-formulas once.  A formula is compiled once (``compile_formula``) and then
-ground at any pair of universes (``Grounder``), so a search compiles its
-formulas once and grounds them at every size.  Compiling resolves each
-variable to a slot of an integer environment, one slot per quantifier
-depth, that holds an element's index in its universe.  Grounding turns each
-node into a closure over that environment: an atom's index is its
-predicate's offset in the atom space plus the mixed-radix number of its
-element indices.  Each connective or quantifier whose instances can recur
-is memoized on the indices of its free variables, so every instance of a
-shared subformula shares one auxiliary variable.  The others are not: a
-memo that never hits never returns a list twice, so it shares nothing.
+formulas once for each predicate's argument sorts, and ``atom_layout``, the
+one statement of where an atom lies, lays out any universes' atoms from
+them, so a search profiles its formulas once.  A formula is compiled once
+(``compile_formula``) and then ground at any pair of universes
+(``Grounder``), so a search compiles its formulas once and grounds them at
+every size.  Compiling resolves each variable to a slot of an integer
+environment, one slot per quantifier depth, that holds an element's index
+in its universe.  Grounding turns each node into a closure over that
+environment, reading atom indices off the layout.  Each connective or
+quantifier whose instances can recur is memoized on the indices of its
+free variables, so every instance of a shared subformula shares one
+auxiliary variable.  The others are not: a memo that never hits never
+returns a list twice, so it shares nothing.
 
 The same compiled formulas give truth values under fixed table bits when
 ground at a ``TruthGrounder``, whose literals and disjunctions come out as
@@ -170,15 +170,31 @@ def predicate_profiles(formulas: Iterable[Formula],
     return {name: profiles[name] for name in sorted(profiles) if name in allowed}
 
 
+def atom_layout(profiles: Mapping[str, Sequence[Sort]],
+                size: Mapping[Sort, int]) -> tuple[dict, int]:
+    """Each profiled predicate mapped to its block of atom indices and its
+    weights, and the atom count, at universes of ``size[sort]`` elements:
+    the one statement of where an atom lies.  The blocks follow in profile
+    order, and an atom lies at its block's start plus the sum of its
+    element indices times the weights, the first argument most significant."""
+    layout = {}
+    natoms = 0
+    for name, sorts in profiles.items():
+        weights = []
+        length = 1
+        for sort in reversed(sorts):
+            weights.insert(0, length)
+            length *= size[sort]
+        layout[name] = (range(natoms, natoms + length), tuple(weights))
+        natoms += length
+    return layout, natoms
+
+
 def atom_space(profiles: Mapping[str, Sequence[Sort]], things: Sequence[str],
                worlds: Sequence[str]) -> tuple[Atom, ...]:
-    """All ground atoms of the profiled predicates.
-
-    Atoms are ordered by predicate in the order of ``profiles`` (name order,
-    as ``predicate_profiles`` gives them), then by argument tuple in universe
-    order; this ordering is the canonical table-bit encoding used throughout
-    the search engine.
-    """
+    """The (predicate, argument labels) pair of each ground atom of the
+    profiled predicates, in the order of ``atom_layout``'s indices.  The
+    search works with indices and spells labels only for what it returns."""
     atoms: list[Atom] = []
     for name, sorts in profiles.items():
         universes = [tuple(things) if s is Sort.THING else tuple(worlds)
@@ -291,27 +307,25 @@ def _compile_literal(f: Formula, positive: bool, scope: dict):
         return _compile_equality(terms, true, false), free
 
     def make(g):
-        # Atom index: the predicate's offset plus the mixed-radix number of
-        # its element indices, the first argument most significant.
-        offset = g.offsets.get(f.name)
-        if offset is None:
+        entry = g.layout.get(f.name)
+        if entry is None:
             # Predicate outside the atom space: frozen everywhere-false.
             return _always(false)
+        block, weights = entry
+        offset = block.start
         table = g.positive if positive else g.negative
-        weights = []
-        weight = 1
-        for slot, sort, label in reversed(terms):
+        variables = []
+        for (slot, sort, label), weight in zip(terms, weights):
             if slot is None:
                 index = g.index[sort].get(label)
                 if index is None:
                     return _always(false)
                 offset += index * weight
             else:
-                weights.append((slot, weight))
-            weight *= g.size[sort]
-        if not weights:
+                variables.append((slot, weight))
+        if not variables:
             return _always(table[offset])
-        index_of = _linear(offset, weights)
+        index_of = _linear(offset, variables)
         return lambda env: table[index_of(env)]
     return make, free
 
@@ -434,22 +448,19 @@ def _existential(body, slot: int, n: int, disjoin):
 # ---------------------------------------------------------------------------
 
 class Grounder:
-    """Clauses of compiled formulas over fixed universes and atoms.
+    """Clauses of compiled formulas over fixed universes and profiled atoms.
 
     The formulas ground at one grounder share its auxiliary variables,
     numbered after the table atoms in the order they are made;
     ``definitions`` lists them with their clauses.
     """
 
-    def __init__(self, things: Sequence[str], worlds: Sequence[str],
-                 atoms: Sequence[Atom]):
+    def __init__(self, profiles: Mapping[str, Sequence[Sort]],
+                 things: Sequence[str], worlds: Sequence[str]):
         self.size = {Sort.THING: len(things), Sort.WORLD: len(worlds)}
         self.index = {Sort.THING: {label: i for i, label in enumerate(things)},
                       Sort.WORLD: {label: i for i, label in enumerate(worlds)}}
-        self.offsets: dict[str, int] = {}
-        for i, (pred, _) in enumerate(atoms):
-            self.offsets.setdefault(pred, i)
-        self.natoms = len(atoms)
+        self.layout, self.natoms = atom_layout(profiles, self.size)
         # One shared clause list per literal: single-clause parts are never
         # replaced by an auxiliary variable, so their identity is free.
         self.positive = [[(v,)] for v in range(1, self.natoms + 1)]
@@ -490,9 +501,8 @@ class TruthGrounder(Grounder):
     format: no clause (``[]``) where a formula is true, and empty clauses
     where it is false.  It makes no auxiliary variable."""
 
-    def __init__(self, things: Sequence[str], worlds: Sequence[str],
-                 atoms: Sequence[Atom], bits: Sequence[int]):
-        super().__init__(things, worlds, atoms)
+    def __init__(self, profiles, things, worlds, bits: Sequence[int]):
+        super().__init__(profiles, things, worlds)
         self.positive = [_TRIVIALLY_TRUE if bit else _TRIVIALLY_FALSE
                          for bit in bits]
         self.negative = [_TRIVIALLY_FALSE if bit else _TRIVIALLY_TRUE
@@ -511,12 +521,13 @@ def definition_clauses(definitions: Iterable[Definition]) -> list[Clause]:
 def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),
            support: Iterable[str] | None = None) -> GroundConstraintSet:
     """Ground a closed well-sorted formula over fixed universes."""
-    atoms = atom_space(predicate_profiles([formula], support), things, worlds)
-    grounder = Grounder(things, worlds, atoms)
+    profiles = predicate_profiles([formula], support)
+    grounder = Grounder(profiles, things, worlds)
     clauses = compile_formula(nnf(formula))(grounder)()
     clauses = clauses + definition_clauses(grounder.definitions)
-    return GroundConstraintSet(tuple(things), tuple(worlds), atoms, tuple(clauses),
-                               tuple(grounder.definitions))
+    return GroundConstraintSet(tuple(things), tuple(worlds),
+                               atom_space(profiles, things, worlds),
+                               tuple(clauses), tuple(grounder.definitions))
 
 
 def evaluate_via_grounding(formula: Formula, model: FiniteModel) -> bool:

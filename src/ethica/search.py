@@ -7,10 +7,10 @@ functions resolve axiom ids through ``registry.axiom_set``.  The formulas'
 predicates are profiled once per search (``grounding.predicate_profiles``).
 Each premise's universal prefix is split off and its matrix compiled once
 (``grounding.compile_formula``), and so is the matrix of the negated target
-under its existential prefix.  Each size lays out its atoms from the
-profiles.  The negated target's prefix is split into instantiation branches
-(orbit representatives under canonical pruning); each grounds the matrix
-with the prefix bound to the branch's element indices.
+under its existential prefix.  Atoms are indices laid out from the profiles
+(``grounding.atom_layout``).  The negated target's prefix is split into
+instantiation branches (orbit representatives under canonical pruning);
+each grounds the matrix with the prefix bound to the branch's indices.
 
 The premises are instantiated lazily, by counterexample-guided
 instantiation at a fixed domain size (Ge & de Moura, "Complete
@@ -76,8 +76,9 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Sequence
 
-from .grounding import (Grounder, TruthGrounder, atom_space, compile_formula,
-                        definition_clauses, nnf, predicate_profiles)
+from .grounding import (Grounder, TruthGrounder, atom_layout, atom_space,
+                        compile_formula, definition_clauses, nnf,
+                        predicate_profiles)
 from .logic import (And, Eq, Exists, FiniteModel, ForAll, Formula,
                     LogicError, Not, Or, Pred, Sort, TrueF, Value, Var,
                     evaluate, mentions_world, quantifier_prefix)
@@ -262,9 +263,9 @@ def _least_relabeling(profiles, bits: bytes, n_things: int,
                       n_worlds: int) -> bytes:
     """The least key over all sort-respecting relabelings of the universes:
     byte i of a relabeling's key is the bit of the image of atom i of
-    ``atom_space(profiles, ...)``, whose bits ``bits`` holds.
+    ``atom_layout(profiles, ...)``, whose bits ``bits`` holds.
 
-    The atoms are laid out predicate by predicate, so a key is a
+    The layout puts each predicate's atoms in one block, so a key is a
     concatenation of fixed-length blocks and the least key is found block
     by block: each block keeps only the relabelings whose block is least so
     far, ties included, and the next block filters those.  A relabeling is
@@ -272,25 +273,20 @@ def _least_relabeling(profiles, bits: bytes, n_things: int,
     permutation no block has needed yet is None, and is enumerated lazily
     when a block first needs it.  A block whose bits are all equal is the
     same under every relabeling and filters nothing."""
-    sizes = {Sort.THING: n_things, Sort.WORLD: n_worlds}
     slot = {Sort.THING: 0, Sort.WORLD: 1}
+    layout, _ = atom_layout(profiles, {Sort.THING: n_things,
+                                       Sort.WORLD: n_worlds})
     survivors = [(None, None)]
     key = []
-    offset = 0
-    for sorts in profiles.values():
-        # Image index: the offset plus the mixed-radix number of the
-        # permuted element indices, the first argument most significant.
-        args = []
-        length = 1
-        for s in reversed(sorts):
-            args.insert(0, (slot[s], length))
-            length *= sizes[s]
-        block = bits[offset:offset + length]
+    for name, sorts in profiles.items():
+        atoms, weights = layout[name]
+        args = [(slot[s], weight) for s, weight in zip(sorts, weights)]
+        block = bits[atoms.start:atoms.stop]
         if 0 in block and 1 in block:
             least = None
             for relabeling in _relabelings(survivors, {a for a, _ in args},
                                            n_things, n_worlds):
-                indices = [offset]
+                indices = [atoms.start]
                 for a, weight in args:
                     perm = relabeling[a]
                     indices = [i + x * weight for i in indices for x in perm]
@@ -301,7 +297,6 @@ def _least_relabeling(profiles, bits: bytes, n_things: int,
                     kept.append(relabeling)
             block, survivors = least, kept
         key.append(block)
-        offset += length
     return b"".join(key)
 
 
@@ -446,7 +441,7 @@ def _search(premises: Sequence[tuple[str, Formula]],
         n_things, n_worlds = size(index)
         things = tuple(f"t{i}" for i in range(n_things))
         worlds = tuple(f"w{i}" for i in range(n_worlds))
-        return things, worlds, atom_space(profiles, things, worlds)
+        return things, worlds
 
     def solve(index):
         return _least_branch_key(compiled, prefix, matrix, *universes(index),
@@ -503,8 +498,9 @@ def _search(premises: Sequence[tuple[str, Formula]],
                         tuple(padded))
     if index is None:
         return NoCounterexampleUpTo(config.max_thing_size, world_bound, stats)
-    things, worlds, atoms = universes(index)
-    model = FiniteModel("countermodel", things, worlds, _tables(atoms, key))
+    things, worlds = universes(index)
+    model = FiniteModel("countermodel", things, worlds,
+                        _tables(atom_space(profiles, things, worlds), key))
     _recheck(model, premises, target)
     return Refuted(model, *size(index), stats)
 
@@ -546,22 +542,21 @@ def _outcomes(solve, indices: Sequence[int], workers: int):
     return solve_sizes(solve, indices, workers)
 
 
-def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
-                      profiles, config: SearchConfig):
+def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
+                      config: SearchConfig):
     """Solve one size's branches: the least canonical key of a branch
     solution (None when the size is exhausted) and the size's counters in
     ``STATS_COUNTERS`` order, or (None, None) when the size ran out of node
     budget.  ``premises`` holds each premise's compiled matrix and
     universal prefix.  What the size built is freed on return, before the
     next size is grounded."""
-    n_things, n_worlds = len(things), len(worlds)
-    natoms = len(atoms)
     decisions = steps = conflicts = pruned = branches = 0
     prefix_sorts = [sort for _, sort in prefix]
-    elements = {Sort.THING: range(n_things), Sort.WORLD: range(n_worlds)}
-    grounder = Grounder(things, worlds, atoms)
+    grounder = Grounder(profiles, things, worlds)
+    natoms = grounder.natoms
+    elements = {sort: range(n) for sort, n in grounder.size.items()}
     branch_clauses = matrix(grounder)
-    ground_at: dict = {}
+    ground_at = [compiled(grounder) for compiled, _ in premises]
     # Each premise instance is ground once per size, and serves every
     # branch that holds it; the instances one branch adds seed the next.
     instances: dict = {}
@@ -572,13 +567,10 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
 
     def clauses_of(keys):
         out = []
-        for key in keys:
-            clauses = instances.get(key)
+        for p, env in keys:
+            clauses = instances.get((p, env))
             if clauses is None:
-                p, env = key
-                if p not in ground_at:
-                    ground_at[p] = premises[p][0](grounder)
-                clauses = instances[key] = ground_at[p](env)
+                clauses = instances[p, env] = ground_at[p](env)
             out += clauses
         return out
 
@@ -604,10 +596,6 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
         held = {(p, env) for p, (_, bound) in enumerate(premises)
                 for env in itertools.product(*(named[s] for _, s in bound))}
         held.update(added)
-        # A branch naming every element its premises quantify over holds
-        # every instance, so its models need no check.
-        complete = all(len(named[s]) == len(elements[s])
-                       for _, bound in premises for _, s in bound)
         clauses = clauses + clauses_of(sorted(held))
         # A branch may use any definition the size's grounder has made: a
         # memoized matrix node's, or another branch's instance's.
@@ -615,9 +603,8 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
         made = len(grounder.definitions)
         try:
             solver = Solver(natoms + made, clauses + defined, remaining)
-            while (solution := solver.solve()) is not None and \
-                    not complete:
-                violated = _violated(premises, things, worlds, atoms,
+            while (solution := solver.solve()) is not None:
+                violated = _violated(premises, profiles, things, worlds,
                                      solution[:natoms], elements, held)
                 if not violated:
                     break
@@ -644,17 +631,17 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, atoms,
             # Equal keys denote the same model, so the first branch
             # reaching the least key decides it.
             key = _least_relabeling(profiles, bytes(solution[:natoms]),
-                                    n_things, n_worlds)
+                                    len(things), len(worlds))
             if best is None or key < best:
                 best = key
     return best, (decisions, steps, conflicts, pruned, branches,
                   len(instances))
 
 
-def _violated(premises, things, worlds, atoms, bits, elements, held):
+def _violated(premises, profiles, things, worlds, bits, elements, held):
     """The (premise, environment) keys of the premise instances outside
     ``held`` that the table bits falsify, in order."""
-    truth = TruthGrounder(things, worlds, atoms, bits)
+    truth = TruthGrounder(profiles, things, worlds, bits)
     violated = []
     for p, (compiled, bound) in enumerate(premises):
         falsified = compiled(truth)

@@ -193,6 +193,12 @@ def test_verify_propagates_evaluation_errors(a12):
         verify(a12, ["A18"], "A12")
 
 
+def test_witnesses_over_worlds_on_a_model_without_worlds_are_an_error(a12):
+    # A23's universal block quantifies over World, and the model has none.
+    with pytest.raises(EvaluationError, match="no world universe"):
+        falsifying_witnesses(axiom("A23").formula, a12.model)
+
+
 def test_verifier_search_agreement(a12, a15):
     # A confirmed verification implies the search engine can refute within
     # the corpus model's size.

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from ethica.grounding import (Grounder, GroundingError, TruthGrounder,
-                              atom_space, compile_formula, definition_clauses,
-                              evaluate_via_grounding, ground, nnf,
-                              predicate_profiles)
+                              atom_layout, atom_space, compile_formula,
+                              definition_clauses, evaluate_via_grounding,
+                              ground, nnf, predicate_profiles)
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
                           evaluate, mentions_world, quantifier_prefix)
@@ -225,6 +225,37 @@ def test_world_quantifier_without_worlds_fails_even_where_evaluate_short_circuit
         evaluate_via_grounding(formula, model)
 
 
+def test_the_layout_puts_each_atom_at_its_position_in_the_atom_space():
+    # The grounders and the canonicaliser index atoms by the layout, and
+    # counter-models are spelt from atom_space: the two must agree, also on
+    # predicates over worlds at no worlds, whose blocks are empty.
+    rng = random.Random(20261020)
+    for n_things in range(1, 5):
+        for n_worlds in range(4):
+            things = tuple(f"t{i}" for i in range(n_things))
+            worlds = tuple(f"w{i}" for i in range(n_worlds))
+            index = {label: i for universe in (things, worlds)
+                     for i, label in enumerate(universe)}
+            for _ in range(10):
+                profiles = {f"p{k}": tuple(rng.choice(list(Sort)) for _ in
+                                           range(rng.randint(1, 3)))
+                            for k in range(rng.randint(0, 4))}
+                atoms = atom_space(profiles, things, worlds)
+                layout, natoms = atom_layout(
+                    profiles, {Sort.THING: n_things, Sort.WORLD: n_worlds})
+                assert natoms == len(atoms) == \
+                    Grounder(profiles, things, worlds).natoms
+                for position, (name, labels) in enumerate(atoms):
+                    block, weights = layout[name]
+                    assert position in block
+                    assert block.start + sum(
+                        index[label] * weight
+                        for label, weight in zip(labels, weights)) == position
+                assert [len(block) for block, _ in layout.values()] == \
+                    [sum(name == pred for pred, _ in atoms)
+                     for name in profiles]
+
+
 def test_truth_grounder_agrees_with_the_evaluator_on_every_instance():
     # The search checks premise instances under a model's table bits with
     # the compiled formulas themselves: an instance is false exactly when
@@ -240,14 +271,15 @@ def test_truth_grounder_agrees_with_the_evaluator_on_every_instance():
         for n_things in (1, 2, 3):
             things = tuple(f"t{i}" for i in range(n_things))
             universe = {Sort.THING: things, Sort.WORLD: worlds}
-            atoms = atom_space(predicate_profiles([formula]), things, worlds)
+            profiles = predicate_profiles([formula])
+            atoms = atom_space(profiles, things, worlds)
             for _ in range(20):
                 bits = [rng.random() < 0.5 for _ in atoms]
                 model = FiniteModel("m", things, worlds, {
                     pred: [args for bit, (name, args) in zip(bits, atoms)
                            if bit and name == pred]
                     for pred, _ in atoms})
-                truth = TruthGrounder(things, worlds, atoms, bits)
+                truth = TruthGrounder(profiles, things, worlds, bits)
                 falsified = compiled(truth)
                 for env in itertools.product(*(range(len(universe[sort]))
                                                for _, sort in bound)):
@@ -318,18 +350,18 @@ def test_one_builder_grounds_temporary_trees_like_a_fresh_builder_each():
     formulas = [polarity for axiom_id in axiom_ids()
                 for polarity in (axiom(axiom_id).formula,
                                  Not(axiom(axiom_id).formula))]
-    atoms = atom_space(predicate_profiles(formulas), things, worlds)
-    shared = Grounder(things, worlds, atoms)
+    profiles = predicate_profiles(formulas)
+    shared = Grounder(profiles, things, worlds)
     for formula in formulas:
         offset = len(shared.definitions)
 
         def shifted(clause):
-            return tuple(lit - offset if lit > len(atoms) else
-                         lit + offset if lit < -len(atoms) else lit
+            return tuple(lit - offset if lit > shared.natoms else
+                         lit + offset if lit < -shared.natoms else lit
                          for lit in clause)
 
         got = compile_formula(nnf(formula))(shared)()
-        fresh = Grounder(things, worlds, atoms)
+        fresh = Grounder(profiles, things, worlds)
         assert [shifted(clause) for clause in got] == \
             compile_formula(nnf(formula))(fresh)()
         assert [(var - offset, tuple(map(shifted, clauses)))

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Iff, Implies, ModelError, Not,
-                          Or, Pred, Sort, SortError, Var, check_sorted,
-                          evaluate, mentions_world)
+                          Or, Pred, PredicateDecl, Signature, Sort, SortError,
+                          Var, check_sorted, evaluate, mentions_world)
 from ethica.registry import ETHICA_SIGNATURE, axiom, substance, attribute
 
 T = Sort.THING
@@ -60,10 +60,31 @@ def test_sibling_rebinding_is_fine():
     check_sorted(ok, ETHICA_SIGNATURE)
 
 
+@pytest.mark.parametrize("formula", [
+    Pred("inItself", (thing("s1"),)), TRUE, FALSE,
+    Or((Not(TRUE), Exists("x", T, Eq(Var("x"), thing("s1")))))],
+    ids=["constant-argument", "true", "false", "constant-in-equality"])
+def test_constants_and_truth_values_are_well_sorted(formula):
+    check_sorted(formula, ETHICA_SIGNATURE)
+
+
+def test_a_constant_of_the_wrong_sort_rejected():
+    with pytest.raises(SortError, match=r"inItself expects \(Thing\)"):
+        check_sorted(Pred("inItself", (Elem(W, "w"),)), ETHICA_SIGNATURE)
+
+
 def test_equality_across_sorts_rejected():
     bad = ForAll("x", T, ForAll("w", W, Eq(Var("x"), Var("w"))))
     with pytest.raises(SortError, match="equality compares"):
         check_sorted(bad, ETHICA_SIGNATURE)
+
+
+def test_evaluating_an_equality_across_sorts_is_an_error():
+    # The evaluator does not sort-check first, so it rejects the equality
+    # itself.
+    with pytest.raises(EvaluationError,
+                       match="equality compares Thing with World"):
+        evaluate(Eq(thing("x"), Elem(W, "w")), FiniteModel("m", ("x",), ("w",)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +174,27 @@ def test_table_validation_against_signature():
     model = FiniteModel("m", ("x",), tables={"inItself": {("x", "x")}})
     with pytest.raises(ModelError, match="arity"):
         model.check_against(ETHICA_SIGNATURE)
+
+
+@pytest.mark.parametrize("worlds, tables, message", [
+    ((), {"nosuch": {("x",)}}, "undeclared predicate 'nosuch'"),
+    (("w",), {"inItself": {("w",)}}, "'w' is not in the Thing universe")],
+    ids=["undeclared-predicate", "element-outside-its-universe"])
+def test_table_validation_names_the_offending_table(worlds, tables, message):
+    model = FiniteModel("m", ("x",), worlds, tables)
+    with pytest.raises(ModelError, match=message):
+        model.check_against(ETHICA_SIGNATURE)
+
+
+@pytest.mark.parametrize("sorts", [(), (T, T, W, T)], ids=["0", "4"])
+def test_predicate_arity_outside_one_to_three_rejected(sorts):
+    with pytest.raises(ValueError, match=f"arity must be 1..3, got {len(sorts)}"):
+        PredicateDecl("p", sorts)
+
+
+def test_duplicate_predicate_in_signature_rejected():
+    with pytest.raises(ValueError, match="duplicate predicate 'p'"):
+        Signature([PredicateDecl("p", (T,)), PredicateDecl("p", (W,))])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from ethica.grounding import (Grounder, atom_space, compile_formula,
                               predicate_profiles)
 from ethica import search
 from ethica.logic import (FALSE, TRUE, And, Eq, Exists, FiniteModel, ForAll,
-                          Not, Or, Pred, Sort, Var, evaluate,
+                          LogicError, Not, Or, Pred, Sort, Var, evaluate,
                           quantifier_prefix)
 from ethica.registry import (BUNDLES, ETHICA_SIGNATURE, axiom, axiom_ids,
                              axiom_set)
@@ -219,6 +219,50 @@ def test_premise_instances_at_elements_no_branch_names_are_checked(
         assert counter_models[1] == []
         assert verdict.model.tables in [canonical_form(model).tables
                                         for model in counter_models[2]]
+
+
+def test_instances_at_two_elements_no_branch_names_are_added_alone(
+        monkeypatch):
+    # Every branch names one thing, x, so the least model of its seed
+    # leaves cause empty and falsifies the first premise at pairs of two
+    # other things.  Such an instance has no renamings: it is added as it
+    # is.  Three distinct things are needed, so the least counter-model is
+    # at 3 things, and must be the brute-force one at every pruning.
+    monkeypatch.setattr(search, "axiom_set", _no_register)
+    T = Sort.THING
+    x, y, z = map(Var, "xyz")
+    premises = [
+        ("cause_others", ForAll("y", T, ForAll("z", T, Or((
+            Eq(y, z), Pred("cause", (y, z))))))),
+        ("distinct3", _distinct_things(3))]
+    target = ("none_per_se", ForAll("x", T, Not(Pred("perSeConceived", (x,)))))
+    formulas = [formula for _, formula in premises]
+    counter_models = {}
+    for n in (1, 2, 3):
+        models = list(all_models(("cause", "perSeConceived"), n))
+        counter_models[n] = [canonical_form(model).tables for model in models
+                             if all(evaluate(f, model) for f in formulas)
+                             and not evaluate(target[1], model)]
+    assert len(models) == 4_096
+    assert counter_models[1] == counter_models[2] == []
+    renamings = search._renamings
+    alone = []
+
+    def spy(env, bound, named, elements):
+        unnamed = [e for e, (_, s) in zip(env, bound) if e not in named[s]]
+        renamed = renamings(env, bound, named, elements)
+        if len(unnamed) > 1:
+            alone.append(renamed == [env])
+        return renamed
+
+    monkeypatch.setattr(search, "_renamings", spy)
+    for pruning in ("canonical", "none"):
+        alone.clear()
+        verdict = search._search(premises, target, SearchConfig(
+            max_thing_size=4, pruning=pruning))
+        assert verdict.describe() == "Refuted(size=3)"
+        assert verdict.model.tables in counter_models[3]
+        assert alone and all(alone), pruning
 
 
 def test_failed_recheck_names_the_formula_not_in_the_register(monkeypatch):
@@ -770,9 +814,8 @@ def _branch_inputs(premises, target, n_things, n_worlds):
     target_formula = axiom_set([target])[0].formula
     things = tuple(f"t{i}" for i in range(n_things))
     worlds = tuple(f"w{i}" for i in range(n_worlds))
-    atoms = atom_space(predicate_profiles(premise_formulas + [target_formula]),
-                       things, worlds)
-    grounder = Grounder(things, worlds, atoms)
+    grounder = Grounder(predicate_profiles(premise_formulas + [target_formula]),
+                        things, worlds)
     sigma = [clause for formula in premise_formulas
              for clause in compile_formula(nnf(formula))(grounder)()]
     prefix, matrix = quantifier_prefix(nnf(Not(target_formula)), Exists)
@@ -784,7 +827,7 @@ def _branch_inputs(premises, target, n_things, n_worlds):
             continue
         branch = matrix(combo)
         clauses = sigma + branch + definition_clauses(grounder.definitions)
-        yield len(atoms) + len(grounder.definitions), clauses
+        yield grounder.natoms + len(grounder.definitions), clauses
 
 
 def test_generator_pruning_matches_full_group_and_no_pruning():
@@ -974,6 +1017,17 @@ def test_canonical_form_identifies_swapped_isomorphs(a12):
          for pred, table in model.tables.items()})
     assert permuted != model
     assert canonical_form(permuted) == canonical_form(model)
+
+
+def test_canonical_form_rejects_a_row_outside_its_universes():
+    # A label in neither universe; and a row that puts a world where the
+    # table's other row has a thing, whichever row sets the column sorts.
+    for tables, message in (
+            ({"inItself": {("z",)}}, "'z' is in neither universe"),
+            ({"existsAt": {("x", "w"), ("w", "y")}},
+             "outside its column's universe")):
+        with pytest.raises(LogicError, match=message):
+            canonical_form(FiniteModel("m", ("x", "y"), ("w",), tables))
 
 
 def test_canonical_form_single_element_fixed_point():
