@@ -9,14 +9,20 @@ the node budget ran out, or the process ran out of memory; 130
 interrupted (Ctrl-C).
 Output is deterministic: identical invocations produce byte-identical
 reports (elapsed times never appear in them).
+
+``COMMANDS`` is the one statement of the command-line grammar: each
+command's words, handler, help line and arguments.  ``parse_args`` reads a
+command line against it by argparse's rules (unique prefixes of options,
+``--opt value`` and ``--opt=value``, options and positionals in any order,
+the last of a repeated option winning), and ``-h`` prints it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .logic import LogicError
 from .registry import BUNDLES, RegistryError, axiom_ids, catalogue_row
@@ -244,81 +250,242 @@ def _cmd_export_axioms(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ethica",
-        description="Finite-model workbench for the Ethica Pars I register")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Argument:
+    """One argument of a command.  A name starting with ``-`` is an option,
+    any other a positional, which is required.  ``kind`` is ``bool`` for a
+    flag, else the type the value converts to (``int`` or ``str``)."""
 
-    def add_workers_flag(p):
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="solve a search's sizes in up to N processes "
-                            "(default 1); results do not depend on N")
+    def __init__(self, name, kind=str, default=None, metavar=None, help="",
+                 required=False, choices=None):
+        self.name, self.kind, self.help, self.choices = name, kind, help, choices
+        self.dest = name.lstrip("-").replace("-", "_")
+        self.default = False if kind is bool else default
+        self.required = required or name[0] != "-"
+        if name[0] != "-":
+            self.label = "{" + ",".join(choices) + "}" if choices else name
+        else:
+            self.label = name if kind is bool else \
+                f"{name} {metavar or self.dest.upper()}"
+        self.usage = self.label if self.required else f"[{self.label}]"
 
-    def add_search_flags(p, with_target=True):
-        if with_target:
-            p.add_argument("--premises", required=True,
-                           help="bundle name or comma-separated axiom ids")
-            p.add_argument("--target", required=True, help="axiom id")
-        p.add_argument("--max-things", type=int, default=None, metavar="K")
-        p.add_argument("--max-worlds", type=int, default=None, metavar="W")
-        p.add_argument("--no-prune", action="store_true",
-                       help="disable canonical symmetry pruning")
-        add_workers_flag(p)
-        p.add_argument("--json", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="check a model against premises "
-                                             "and a falsification target")
-    p_verify.add_argument("model", help="model DSL file or corpus:NAME")
-    p_verify.add_argument("--premises", required=True)
-    p_verify.add_argument("--target", required=True)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=_cmd_verify)
+_HELP = _Argument("-h/--help", bool, help="show this help and exit")
+_JSON = _Argument("--json", bool)
+_WORKERS = _Argument("--workers", int, 1, "N",
+                     "solve a search's sizes in up to N processes "
+                     "(default 1); results do not depend on N")
+_SEARCH = (_Argument("--premises", required=True,
+                     help="bundle name or comma-separated axiom ids"),
+           _Argument("--target", required=True, help="axiom id"))
+_BOUNDS = (_Argument("--max-things", int, metavar="K"),
+           _Argument("--max-worlds", int, metavar="W"),
+           _Argument("--no-prune", bool,
+                     help="disable canonical symmetry pruning"),
+           _WORKERS, _JSON)
+_STRICT = _Argument("--strict-claims", bool,
+                    help="print verdicts only, no narrative labels")
 
-    p_search = sub.add_parser("search", help="bounded counter-model search")
-    add_search_flags(p_search)
-    p_search.set_defaults(func=_cmd_search)
+DESCRIPTION = "Finite-model workbench for the Ethica Pars I register"
 
-    p_entail = sub.add_parser("entail", help="bounded entailment "
-                                             "(search reporting the verdict only)")
-    add_search_flags(p_entail)
-    p_entail.set_defaults(func=lambda args: _cmd_search(args, verdict_only=True))
+# The command-line grammar: the words of each command, its handler, its help
+# line and its arguments in argparse's order.  Parsing, usage and -h read it.
+COMMANDS = {
+    "verify": (_cmd_verify, "check a model against premises and a "
+               "falsification target",
+               (_Argument("model", help="model DSL file or corpus:NAME"),
+                *_SEARCH, _JSON)),
+    "search": (_cmd_search, "bounded counter-model search",
+               (*_SEARCH, *_BOUNDS)),
+    "entail": (lambda args: _cmd_search(args, verdict_only=True),
+               "bounded entailment (search reporting the verdict only)",
+               (*_SEARCH, *_BOUNDS)),
+    "experiment run": (_cmd_experiment, "run bundled demote experiments",
+                       (_Argument("name", help="experiment name or 'all'"),
+                        _WORKERS, _JSON, _STRICT)),
+    "table": (_cmd_table, "the four-axiom reducibility table",
+              (_WORKERS, _JSON, _STRICT)),
+    "probe": (_cmd_probe, "open conjecture probes",
+              (_Argument("kind", choices=("full-register",)), *_BOUNDS)),
+    "export-axioms": (_cmd_export_axioms, "export the axiom catalogue",
+                      (_JSON,)),
+}
 
-    p_exp = sub.add_parser("experiment", help="run bundled demote experiments")
-    exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
-    p_run = exp_sub.add_parser("run")
-    p_run.add_argument("name", help="experiment name or 'all'")
-    add_workers_flag(p_run)
-    p_run.add_argument("--json", action="store_true")
-    p_run.add_argument("--strict-claims", action="store_true",
-                       help="print verdicts only, no narrative labels")
-    p_run.set_defaults(func=_cmd_experiment)
 
-    p_table = sub.add_parser("table", help="the four-axiom reducibility table")
-    add_workers_flag(p_table)
-    p_table.add_argument("--json", action="store_true")
-    p_table.add_argument("--strict-claims", action="store_true")
-    p_table.set_defaults(func=_cmd_table)
+def _below(path: list[str]) -> list[str]:
+    """The commands whose words start with ``path``."""
+    return [name for name in COMMANDS if name.split()[:len(path)] == path]
 
-    p_probe = sub.add_parser("probe", help="open conjecture probes")
-    p_probe.add_argument("kind", choices=["full-register"])
-    add_search_flags(p_probe, with_target=False)
-    p_probe.set_defaults(func=_cmd_probe)
 
-    p_export = sub.add_parser("export-axioms", help="export the axiom catalogue")
-    p_export.add_argument("--json", action="store_true")
-    p_export.set_defaults(func=_cmd_export_axioms)
-    return parser
+def _arguments(path: list[str]) -> tuple[_Argument, ...]:
+    """The arguments after the words ``path``: a command's, or the next
+    command word."""
+    if " ".join(path) in COMMANDS:
+        return COMMANDS[" ".join(path)][2]
+    words = dict.fromkeys(name.split()[len(path)] for name in _below(path))
+    return (_Argument("_".join([*path, "command"]), choices=list(words)),)
+
+
+def _usage(path: list[str]) -> str:
+    more = [] if " ".join(path) in COMMANDS else ["..."]
+    return " ".join(["ethica", *path, "[-h]",
+                     *(argument.usage for argument in _arguments(path)), *more])
+
+
+def _help(path: list[str]) -> str:
+    """A command's arguments, or the usage of every command below
+    ``path``, each with its help line."""
+    key = " ".join(path)
+    if key in COMMANDS:
+        text, rows = COMMANDS[key][1], [(argument.label, argument.help) for
+                                        argument in (_HELP, *COMMANDS[key][2])]
+    else:
+        text, rows = DESCRIPTION, [(_usage(name.split()), COMMANDS[name][1])
+                                   for name in _below(path)]
+    return "\n".join([f"usage: {_usage(path)}", "", text, ""] + [
+        f"  {label}" + (f"\n      {line}" if line else "")
+        for label, line in rows]) + "\n"
+
+
+def _fail(path: list[str], message: str):
+    """A usage error: the usage line and argparse's message; exits 2."""
+    sys.stderr.write(f"usage: {_usage(path)}\n"
+                     f"{' '.join(['ethica', *path])}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _classify(path, options, arg):
+    """How argparse reads one argument: None for a positional, else the
+    option it names (None if unknown), the option's string, and the value
+    the argument carries (None if it carries none)."""
+    if arg[:1] != "-":
+        return None
+    if arg in options:
+        return options[arg], arg, None
+    if len(arg) == 1:
+        return None
+    prefix, eq, value = arg.partition("=")
+    if eq and prefix in options:
+        return options[prefix], prefix, value
+    if arg[1] == "-":  # a long option, or a unique prefix of one
+        matches = [(options[o], o, value if eq else None) for o in options
+                   if o.startswith(prefix)]
+    else:  # a short option may carry its value: -hVALUE
+        matches = [(options[o], o, arg[2:] if o == arg[:2] else None)
+                   for o in options if o == arg[:2] or o.startswith(arg)]
+    if len(matches) > 1:
+        _fail(path, f"ambiguous option: {arg} could match "
+                    f"{', '.join(o for _, o, _ in matches)}")
+    if matches:
+        return matches[0]
+    # A negative number (argparse's ``^-\d+$|^-\d*\.\d+$``, where ``$`` also
+    # matches before a final newline) or a text with a space is positional.
+    whole, dot, fraction = arg[1:].removesuffix("\n").partition(".")
+    if (whole.isdecimal() or dot and not whole) and \
+            (fraction.isdecimal() or not dot) or " " in arg:
+        return None
+    return None, arg, None
+
+
+def _value(path, argument: _Argument, text):
+    if argument.kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _fail(path, f"argument {argument.name}: invalid int value: "
+                        f"{text!r}")
+    if argument.choices and text not in argument.choices:
+        _fail(path, f"argument {argument.name}: invalid choice: {text!r} "
+                    f"(choose from {', '.join(map(repr, argument.choices))})")
+    return text
+
+
+def _parse(path: list[str], argv: list[str], values: dict, extras: list):
+    """Read ``argv``, the arguments after the words ``path``, into
+    ``values`` and ``extras`` (the unrecognized ones) as argparse did, and
+    return the handler of the command they select.  Options and positionals
+    come in any order, an option's value follows it or its ``=``, the last
+    value of a repeated option wins, and all after ``--`` is positional.
+    A usage error or -h exits."""
+    arguments = _arguments(path)
+    command = COMMANDS.get(" ".join(path))
+    if command:
+        values.update((argument.dest, argument.default)
+                      for argument in arguments)
+    options = {"-h": _HELP, "--help": _HELP}
+    options.update((argument.name, argument) for argument in arguments
+                   if argument.name[0] == "-")
+    positionals = [argument for argument in arguments
+                   if argument.name[0] != "-"]
+    kinds = []
+    for arg in argv:
+        kinds.append(None if "--" in kinds else "--" if arg == "--" else
+                     _classify(path, options, arg))
+    seen = set()
+    i = 0
+    while i < len(argv):
+        kind = kinds[i]
+        i += 1
+        if kind is None or kind == "--":
+            if not positionals or kind == "--" and i == len(argv):
+                extras.append(argv[i - 1])
+                continue
+            argument = positionals.pop()
+            if not command:  # a command word takes the rest, "--" too
+                values[argument.dest] = _value(path, argument, argv[i - 1])
+                return _parse([*path, argv[i - 1]], argv[i:], values, extras)
+            # "-- value" and "value --" both give the value.
+            i += kind == "--"
+            text = argv[i - 1]
+            i += i < len(argv) and kinds[i] == "--"
+        else:
+            argument, name, text = kind
+            if argument is None:
+                extras.append(name)
+                continue
+            if argument.kind is bool:
+                if name == "-h" and text:
+                    text = text.lstrip("h") or None  # -hh is -h twice
+                if text is not None:
+                    _fail(path, f"argument {argument.name}: ignored explicit "
+                                f"argument {text!r}")
+                if argument is _HELP:
+                    sys.stdout.write(_help(path))
+                    raise SystemExit(EXIT_OK)
+                text = True
+            elif text is None:
+                if i == len(argv) or kinds[i] is not None:
+                    _fail(path, f"argument {argument.name}: expected one "
+                                "argument")
+                text = argv[i]
+                i += 1
+        values[argument.dest] = _value(path, argument, text)
+        seen.add(argument)
+    missing = [argument.name for argument in arguments
+               if argument.required and argument not in seen]
+    if missing:
+        _fail(path, "the following arguments are required: "
+                    + ", ".join(missing))
+    return command[0]
+
+
+def parse_args(argv: Sequence[str]):
+    """The handler of the command ``argv`` names, and its argument values;
+    a usage error or -h raises SystemExit with the exit code."""
+    values: dict = {}
+    extras: list = []
+    handler = _parse([], list(argv), values, extras)
+    if extras:
+        _fail([], "unrecognized arguments: " + " ".join(extras))
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exit_:
-        return exit_.code if isinstance(exit_.code, int) else EXIT_USAGE
+        return exit_.code
     try:
-        return args.func(args)
+        return handler(args)
     except ResourceLimitExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT

@@ -16,13 +16,14 @@ Undeclared predicates are everywhere-false.
 from __future__ import annotations
 
 import itertools
-import re
 
 from .logic import FiniteModel, LogicError, Sort
 from .registry import ETHICA_SIGNATURE
 
-_LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_TUPLE = re.compile(r"\(([A-Za-z_][A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*){0,2})\)\Z")
+
+def _is_label(token: str) -> bool:
+    """``[A-Za-z_][A-Za-z0-9_]*``: the ASCII identifiers."""
+    return token.isascii() and token.isidentifier()
 
 
 class ModelParseError(LogicError):
@@ -58,7 +59,7 @@ def parse_model(text: str) -> FiniteModel:
             if name is not None:
                 raise ModelParseError(line_number, "duplicate model line")
             token = rest.strip()
-            if not _LABEL.match(token):
+            if not _is_label(token):
                 raise ModelParseError(line_number, f"bad model name {token!r}")
             name = token
             continue
@@ -125,23 +126,31 @@ def _parse_labels(line_number, rest, kind):
     if not labels:
         raise ModelParseError(line_number, f"empty {kind} universe")
     for label in labels:
-        if not _LABEL.match(label):
+        if not _is_label(label):
             raise ModelParseError(line_number, f"bad label {label!r}")
     if len(set(labels)) != len(labels):
         raise ModelParseError(line_number, f"duplicate {kind} label")
     return tuple(labels)
 
 
+def _row_labels(token: str) -> tuple[str, ...] | None:
+    """A table token's labels: a label alone, or one to three labels
+    separated by commas in parentheses; None for any other token."""
+    if _is_label(token):
+        return (token,)
+    labels = tuple(token[1:-1].split(","))
+    if token.startswith("(") and token.endswith(")") and len(labels) <= 3 \
+            and all(map(_is_label, labels)):
+        return labels
+    return None
+
+
 def _parse_row(line_number, token, decl, things, worlds):
     if token == "*":
         raise ModelParseError(line_number, "'*' must be the only table token")
-    if _LABEL.match(token):
-        labels = (token,)
-    else:
-        match = _TUPLE.match(token)
-        if not match:
-            raise ModelParseError(line_number, f"bad tuple {token!r}")
-        labels = tuple(match.group(1).split(","))
+    labels = _row_labels(token)
+    if labels is None:
+        raise ModelParseError(line_number, f"bad tuple {token!r}")
     if len(labels) != decl.arity:
         raise ModelParseError(
             line_number,

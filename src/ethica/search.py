@@ -640,14 +640,19 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
 
 def _violated(premises, profiles, things, worlds, bits, elements, held):
     """The (premise, environment) keys of the premise instances outside
-    ``held`` that the table bits falsify, in order."""
-    truth = TruthGrounder(profiles, things, worlds, bits)
+    ``held`` that the table bits falsify, in order.  The bits are read, and
+    a premise compiled against them, only for a premise with such an
+    instance."""
+    truth = None
     violated = []
     for p, (compiled, bound) in enumerate(premises):
-        falsified = compiled(truth)
-        violated += [(p, env) for env in itertools.product(
-            *(elements[s] for _, s in bound))
-            if (p, env) not in held and falsified(env)]
+        envs = [env for env in itertools.product(
+            *(elements[s] for _, s in bound)) if (p, env) not in held]
+        if envs:
+            if truth is None:
+                truth = TruthGrounder(profiles, things, worlds, bits)
+            falsified = compiled(truth)
+            violated += [(p, env) for env in envs if falsified(env)]
     return violated
 
 

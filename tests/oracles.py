@@ -8,7 +8,9 @@ clause-learning solver that replaced it, and so is the grounder that walked
 the formula tree at every size, as the reference for the compiled one, and
 the canonicaliser that tried every relabeling, as the reference for the
 block-wise filter, and the register's formulas as they were built from
-constructors before the registry parsed them from their display text.
+constructors before the registry parsed them from their display text,
+and the argparse parser the command line was read with before the CLI's
+command table replaced it.
 
 A clause has one format throughout, the grounder's: a tuple of signed
 literals over variables 1..n (``-v`` for not v) in ascending order.  The
@@ -16,10 +18,12 @@ reference grounder emits it and the DPLL oracle reads it, as the search's
 solver does, so one clause list passes between all three unchanged.
 """
 
+import argparse
 import itertools
 from collections import deque
 from collections.abc import Iterable
 
+from ethica import cli
 from ethica.grounding import (GroundConstraintSet, GroundingError,
                               atom_space, nnf, predicate_profiles)
 from ethica.logic import (And, Eq, Exists, FalseF, FiniteModel, ForAll,
@@ -552,3 +556,73 @@ def reference_register() -> list[tuple[str, Formula, str]]:
          "∀s1 s2. Substance(s1) → Substance(s2) → "
          "(∀a. Attribute(a, s1) ↔ Attribute(a, s2)) → s1 = s2"),
     ]
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its command table: the
+    reference for ``cli.parse_args``.  Each ``func`` is a handler of
+    ``ethica.cli``."""
+    parser = argparse.ArgumentParser(
+        prog="ethica",
+        description="Finite-model workbench for the Ethica Pars I register")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_workers_flag(p):
+        p.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="solve a search's sizes in up to N processes "
+                            "(default 1); results do not depend on N")
+
+    def add_search_flags(p, with_target=True):
+        if with_target:
+            p.add_argument("--premises", required=True,
+                           help="bundle name or comma-separated axiom ids")
+            p.add_argument("--target", required=True, help="axiom id")
+        p.add_argument("--max-things", type=int, default=None, metavar="K")
+        p.add_argument("--max-worlds", type=int, default=None, metavar="W")
+        p.add_argument("--no-prune", action="store_true",
+                       help="disable canonical symmetry pruning")
+        add_workers_flag(p)
+        p.add_argument("--json", action="store_true")
+
+    p_verify = sub.add_parser("verify", help="check a model against premises "
+                                             "and a falsification target")
+    p_verify.add_argument("model", help="model DSL file or corpus:NAME")
+    p_verify.add_argument("--premises", required=True)
+    p_verify.add_argument("--target", required=True)
+    p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(func=cli._cmd_verify)
+
+    p_search = sub.add_parser("search", help="bounded counter-model search")
+    add_search_flags(p_search)
+    p_search.set_defaults(func=cli._cmd_search)
+
+    p_entail = sub.add_parser("entail", help="bounded entailment "
+                                             "(search reporting the verdict only)")
+    add_search_flags(p_entail)
+    p_entail.set_defaults(func=lambda args: cli._cmd_search(args, verdict_only=True))
+
+    p_exp = sub.add_parser("experiment", help="run bundled demote experiments")
+    exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
+    p_run = exp_sub.add_parser("run")
+    p_run.add_argument("name", help="experiment name or 'all'")
+    add_workers_flag(p_run)
+    p_run.add_argument("--json", action="store_true")
+    p_run.add_argument("--strict-claims", action="store_true",
+                       help="print verdicts only, no narrative labels")
+    p_run.set_defaults(func=cli._cmd_experiment)
+
+    p_table = sub.add_parser("table", help="the four-axiom reducibility table")
+    add_workers_flag(p_table)
+    p_table.add_argument("--json", action="store_true")
+    p_table.add_argument("--strict-claims", action="store_true")
+    p_table.set_defaults(func=cli._cmd_table)
+
+    p_probe = sub.add_parser("probe", help="open conjecture probes")
+    p_probe.add_argument("kind", choices=["full-register"])
+    add_search_flags(p_probe, with_target=False)
+    p_probe.set_defaults(func=cli._cmd_probe)
+
+    p_export = sub.add_parser("export-axioms", help="export the axiom catalogue")
+    p_export.add_argument("--json", action="store_true")
+    p_export.set_defaults(func=cli._cmd_export_axioms)
+    return parser

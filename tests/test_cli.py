@@ -10,10 +10,12 @@ import jsonschema
 import pytest
 
 import ethica
-from ethica import registry, search
+from ethica import cli, registry, search
 from ethica.cli import main
 from ethica.dsl import serialize_model
 from ethica.experiments import REPORT_SCHEMA
+
+from oracles import reference_parser
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -458,3 +460,138 @@ def test_cli_byte_identity_across_processes():
     assert first.returncode == 0, first.stderr
     assert "Refuted(size=2)" in first.stdout
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# argument parsing, against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+# Every command and option, spelled out, after "=", abbreviated, reordered
+# and repeated.
+VALID_ARGVS = [
+    ["verify", "corpus:A12CounterModel", "--premises", "PSRSubstance",
+     "--target", "A12"],
+    ["verify", "--json", "--target=A12", "m.model", "--premises=A22"],
+    ["verify", "--prem", "A22", "--tar=A12", "--js", "m.model"],
+    ["verify", "--premises", "A22", "--target", "A12", "--", "m.model"],
+    ["verify", "--premises", "A22", "--target", "A12", "m.model", "--"],
+    ["verify", "-", "--premises", "A22", "--target", "A12"],
+    ["search", "--premises", "PSRPlenitude", "--target", "A15",
+     "--max-things", "3", "--max-worlds", "2", "--no-prune", "--workers",
+     "2", "--json"],
+    ["search", "--premises=A24", "--target=A14", "--max-things=3",
+     "--max-worlds=0", "--workers=2"],
+    ["search", "--pr", "A24", "--ta", "A14", "--max-t", "3", "--max-w=1",
+     "--no", "--w", "3", "--j"],
+    ["search", "--json", "--max-things", "2", "--target", "A12",
+     "--premises", "A22", "--max-things", "4"],
+    ["search", "--premises", "-x y", "--target", "A12"],
+    ["entail", "--premises", "A1", "--target", "A14", "--premises", "A24",
+     "--workers", "2", "--workers=3", "--no-prune", "--no-prune"],
+    ["entail", "--target", "PropV_allshared", "--premises", "PSRSubstance",
+     "--max-things", "8", "--workers", "2"],
+    ["entail", "--premises", "A24", "--target", "A14", "--max-worlds", "-1",
+     "--max-things", "-0"],
+    ["experiment", "run", "all"],
+    ["experiment", "run", "--json", "A14_demote", "--workers=2",
+     "--strict-claims"],
+    ["experiment", "run", "--str", "--wor", "1", "--js", "all"],
+    ["experiment", "run", "--", "all"],
+    ["table"],
+    ["table", "--workers", "2", "--json", "--strict-claims"],
+    ["table", "--s", "--w=2", "--j"],
+    ["probe", "full-register"],
+    ["probe", "--max-things", "3", "full-register", "--workers", "-3"],
+    ["probe", "full-register", "--max-t=2", "--max-w", "1", "--no",
+     "--json"],
+    ["export-axioms"],
+    ["export-axioms", "--json", "--j"],
+]
+
+HELP_ARGVS = [
+    ["-h"], ["--help"], ["--he"], ["-h", "nosuch"], ["experiment", "-h"],
+    ["experiment", "run", "--help"], ["search", "--premises", "A22", "-h"],
+    ["table", "-hh"], ["probe", "--h", "nosuch"],
+]
+
+# Each error argparse reports, at each level of the command words.
+INVALID_ARGVS = [
+    [],
+    ["experiment"],
+    ["experiment", "run"],
+    ["verify"],
+    ["probe"],
+    ["search", "--premises", "A22"],
+    ["search", "--premises", "A22", "--target", "A12", "--workers", "abc"],
+    ["search", "--premises", "A22", "--target", "A12", "--max-things="],
+    ["search", "--premises", "A22", "--target", "A12", "--max-t", "2.5"],
+    ["probe", "full-register", "--workers", "-.5"],
+    ["search", "--premises", "--target", "A12"],
+    ["search", "--target", "A12", "--premises"],
+    ["verify", "m", "--premises", "-x", "--target", "A12"],
+    ["verify", "m", "--premises", "--", "A22", "--target", "A12"],
+    ["verify", "m", "--", "--premises", "A22", "--target", "A12"],
+    ["table", "foo"],
+    ["table", "--"],
+    ["table", "--foo=1", "bar", "--json"],
+    ["--json", "table"],
+    ["-x", "table", "-y"],
+    ["verify", "m", "n", "--premises", "A22", "--target", "A12"],
+    ["experiment", "--x", "run", "all", "--y"],
+    ["foo"],
+    ["--"],
+    ["--", "table"],
+    ["-3", "table"],
+    ["experiment", "foo"],
+    ["probe", "nosuch"],
+    ["search", "--max", "3"],
+    ["search", "--premises", "A22", "--target", "A12", "--max=3"],
+    ["table", "--=x"],
+    ["table", "--json=yes"],
+    ["entail", "--no-prune=", "--premises", "A22", "--target", "A12"],
+    ["table", "-hx"],
+    ["table", "-h="],
+    ["--help=x"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """(0, the argument values) or (exit code, the last line of stderr)."""
+    try:
+        values = parse(argv)
+    except SystemExit as exit_:
+        return exit_.code, capsys.readouterr().err.splitlines()[-1:]
+    return 0, values
+
+
+def reference_values(argv):
+    values = vars(reference_parser().parse_args(argv))
+    del values["func"]
+    return values
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS + HELP_ARGVS + INVALID_ARGVS)
+def test_the_command_table_reads_argv_as_argparse_did(capsys, argv):
+    # The same values; the same exit code, and the same error line
+    # (``prog: error: message``) for a usage error.  Help text differs.
+    expected = parsed(reference_values, argv, capsys)
+    got = parsed(lambda argv: vars(cli.parse_args(argv)[1]), argv, capsys)
+    if argv in HELP_ARGVS:
+        assert got[0] == expected[0] == 0
+    else:
+        assert got == expected
+        assert got[0] == (2 if argv in INVALID_ARGVS else 0)
+
+
+def test_help_lists_each_command_and_its_arguments(capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    for name in cli.COMMANDS:
+        assert f"  ethica {name} [-h]" in out
+    assert main(["search", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ethica search [-h] --premises PREMISES ")
+    for option in ("--premises PREMISES", "--target TARGET", "--max-things K",
+                   "--max-worlds W", "--no-prune", "--workers N", "--json"):
+        assert f"\n  {option}\n" in out
+

@@ -1,9 +1,12 @@
 """The line-oriented model format: round-trips and diagnostics."""
 
+import itertools
+import re
 from importlib.resources import files
 
 import pytest
 
+from ethica import dsl
 from ethica.dsl import ModelParseError, parse_model, serialize_model
 from ethica.logic import FiniteModel, ModelError
 
@@ -149,3 +152,38 @@ def test_the_parser_refuses_what_finite_model_refuses_at_its_line(
         parse_model(text)
     assert info.value.line_number == line_number
     assert str(info.value).startswith(f"line {line_number}: ")
+
+
+# The label and tuple patterns the parser matched with ``re`` before it
+# tested labels with ``str`` methods: the reference for ``dsl._row_labels``.
+LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+TUPLE = re.compile(
+    r"\(([A-Za-z_][A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*){0,2})\)\Z")
+
+
+def regex_row_labels(token):
+    if LABEL.match(token):
+        return (token,)
+    match = TUPLE.match(token)
+    return tuple(match.group(1).split(",")) if match else None
+
+
+def test_labels_and_tuples_match_the_regular_expressions():
+    # Every string of up to four characters over an alphabet with
+    # non-ASCII identifier characters, and tuples of zero to five parts.
+    alphabet = "aZ_9(),é ａ"
+    tokens = ["", "a\n", "()", "(a)", "(a,b,c)", "(a,b,c,d)", "(a,,b)",
+              "(a, b)", "((a))", "(a,b)c", "x(a)"]
+    tokens += ["".join(chars) for n in range(1, 5)
+               for chars in itertools.product(alphabet, repeat=n)]
+    tokens += ["(" + ",".join(parts) + ")" for n in range(6)
+               for parts in itertools.product(["a", "_1", "", "é", "b c"],
+                                              repeat=n)]
+    accepted = 0
+    for token in tokens:
+        labels = regex_row_labels(token)
+        assert dsl._row_labels(token) == labels, token
+        assert dsl._is_label(token) == bool(LABEL.match(token)), token
+        accepted += labels is not None
+    assert accepted > 100
+

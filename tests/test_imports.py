@@ -1,6 +1,6 @@
 """The package's import surface: ``import ethica`` loads no submodule, each
-public name is loaded on first use, and a CLI search compiles only the
-modules it runs."""
+public name is loaded on first use, a CLI search compiles only the modules
+it runs, and no command loads argparse or the regular expressions."""
 
 import importlib
 import os
@@ -37,13 +37,13 @@ PUBLIC = {
 PUBLIC_NAMES = {name for names in PUBLIC.values() for name in names}
 
 
-def fresh_modules(source: str) -> list[str]:
-    """The ``ethica`` modules loaded after running ``source`` in a fresh
-    interpreter."""
+def fresh_modules(source: str, prefix: str = "ethica") -> list[str]:
+    """The modules whose names start with ``prefix`` loaded after running
+    ``source`` in a fresh interpreter."""
     source_root = os.path.dirname(os.path.dirname(ethica.__file__))
     probe = (f"import sys\n{source}\n"
              "print(' '.join(sorted(m for m in sys.modules "
-             "if m.startswith('ethica'))), file=sys.stderr)")
+             f"if m.startswith({prefix!r}))), file=sys.stderr)")
     child = subprocess.run([sys.executable, "-S", "-c", probe],
                            capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": source_root})
@@ -64,6 +64,29 @@ def test_a_search_command_loads_only_the_modules_it_runs(command):
     assert {"ethica.search", "ethica.solver"} <= set(loaded)
     assert not {"ethica.corpus", "ethica.dsl", "ethica.experiments",
                 "ethica.workers"} & set(loaded)
+
+
+# Modules the command line's start-up no longer needs: argparse, the
+# regular expressions it and the model DSL used, and the translation,
+# terminal-size and locale modules argparse's help formatter loads.
+START_UP_MODULES = {"argparse", "re", "gettext", "shutil", "locale"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["entail", "--premises", "PSRSubstance", "--target", "PropV_allshared",
+     "--max-things", "8", "--workers", "2"],
+    ["search", "--premises", "PSRSubstance", "--target", "A12"],
+    ["table"],
+    ["export-axioms"],
+])
+def test_a_command_loads_no_argument_parsing_or_regex_module(argv):
+    source = f"from ethica.cli import main\nmain({argv!r})"
+    assert not START_UP_MODULES & set(fresh_modules(source, prefix=""))
+    # --json output loads json, whose decoder brings re.
+    source = f"from ethica.cli import main\nmain({argv + ['--json']!r})"
+    loaded = set(fresh_modules(source, prefix=""))
+    assert "json" in loaded
+    assert START_UP_MODULES & loaded == {"re"}
 
 
 def test_every_public_name_is_its_defining_module_s_object():

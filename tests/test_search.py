@@ -221,6 +221,24 @@ def test_premise_instances_at_elements_no_branch_names_are_checked(
                                         for model in counter_models[2]]
 
 
+def test_a_solution_holding_every_premise_instance_reads_no_truth_table(
+        monkeypatch):
+    # {A25} |= A15 is refuted at 2 things.  Every solution on the way comes
+    # from a branch that holds every A25 instance of its size, so none needs
+    # a truth table of its bits to find the instances it falsifies.
+    built = []
+    truth_grounder = search.TruthGrounder
+
+    def spy(profiles, things, worlds, bits):
+        built.append(len(things))
+        return truth_grounder(profiles, things, worlds, bits)
+
+    monkeypatch.setattr(search, "TruthGrounder", spy)
+    verdict = entails_bounded(["A25"], "A15", SearchConfig(max_thing_size=8))
+    assert verdict.describe() == "Refuted(size=2)"
+    assert built == []
+
+
 def test_instances_at_two_elements_no_branch_names_are_added_alone(
         monkeypatch):
     # Every branch names one thing, x, so the least model of its seed
