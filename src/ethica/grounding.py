@@ -16,7 +16,9 @@ inside a disjunction, every multi-clause part is replaced by one auxiliary
 literal ``v``, defined in one direction only by the clauses ``not v or c``
 for each clause ``c`` of the part, so a disjunction grounds to one clause.
 Formulas are put in negation normal form first, so the polarity rules live
-only in ``nnf``.  Auxiliary variables are numbered after all table atoms.
+only in ``nnf``, whose connectives are flat: an n-ary disjunction is one
+node, so each of its instances is one disjunction step.  Auxiliary
+variables are numbered after all table atoms.
 
 The atoms come from predicate profiles: ``predicate_profiles`` walks the
 formulas once for each predicate's argument sorts, and ``atom_layout``, the
@@ -100,41 +102,48 @@ class GroundConstraintSet(Value):
 # ---------------------------------------------------------------------------
 
 def nnf(formula: Formula, positive: bool = True) -> Formula:
-    """Push negations to atoms and eliminate Implies/Iff."""
-    if isinstance(formula, TrueF):
-        return TRUE if positive else FALSE
-    if isinstance(formula, FalseF):
-        return FALSE if positive else TRUE
-    if isinstance(formula, (Pred, Eq)):
+    """Push negations to atoms and eliminate Implies/Iff, with flat
+    connectives: no ``And`` directly under an ``And`` and no ``Or`` directly
+    under an ``Or``, so each disjunction instance grounds in one step."""
+    kind = type(formula)
+    if kind is Pred or kind is Eq:
         return formula if positive else Not(formula)
-    if isinstance(formula, Not):
+    if kind is And or kind is Or:
+        return _flat(And if (kind is And) == positive else Or,
+                     [nnf(item, positive) for item in formula.items])
+    if kind is ForAll or kind is Exists:
+        if not positive:
+            kind = Exists if kind is ForAll else ForAll
+        return kind(formula.var, formula.sort, nnf(formula.body, positive))
+    if kind is Implies:
+        return _flat(Or if positive else And, (nnf(formula.left, not positive),
+                                               nnf(formula.right, positive)))
+    if kind is Not:
         return nnf(formula.body, not positive)
-    if isinstance(formula, And):
-        items = tuple(nnf(item, positive) for item in formula.items)
-        return And(items) if positive else Or(items)
-    if isinstance(formula, Or):
-        items = tuple(nnf(item, positive) for item in formula.items)
-        return Or(items) if positive else And(items)
-    if isinstance(formula, Implies):
-        if positive:
-            return Or((nnf(formula.left, False), nnf(formula.right, True)))
-        return And((nnf(formula.left, True), nnf(formula.right, False)))
-    if isinstance(formula, Iff):
+    if kind is Iff:
         left, right = formula.left, formula.right
+        lp, ln = nnf(left), nnf(left, False)
+        rp, rn = nnf(right), nnf(right, False)
         if positive:
-            return And((Or((nnf(left, False), nnf(right, True))),
-                        Or((nnf(right, False), nnf(left, True)))))
-        return Or((And((nnf(left, True), nnf(right, False))),
-                   And((nnf(right, True), nnf(left, False)))))
-    if isinstance(formula, ForAll):
-        if positive:
-            return ForAll(formula.var, formula.sort, nnf(formula.body, True))
-        return Exists(formula.var, formula.sort, nnf(formula.body, False))
-    if isinstance(formula, Exists):
-        if positive:
-            return Exists(formula.var, formula.sort, nnf(formula.body, True))
-        return ForAll(formula.var, formula.sort, nnf(formula.body, False))
+            return _flat(And, (_flat(Or, (ln, rp)), _flat(Or, (rn, lp))))
+        return _flat(Or, (_flat(And, (lp, rn)), _flat(And, (rp, ln))))
+    if kind is TrueF:
+        return TRUE if positive else FALSE
+    if kind is FalseF:
+        return FALSE if positive else TRUE
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def _flat(kind: type, items: Iterable[Formula]) -> Formula:
+    """``kind`` (``And`` or ``Or``) of the items, with the items of each
+    item of the same kind spliced in; ``nnf``'s items are flat already."""
+    flat = []
+    for item in items:
+        if type(item) is kind:
+            flat += item.items
+        else:
+            flat.append(item)
+    return kind(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +159,21 @@ def predicate_profiles(formulas: Iterable[Formula],
     profiles: dict[str, tuple[Sort, ...]] = {}
 
     def walk(f: Formula, env: dict[str, Sort]) -> None:
-        if isinstance(f, Pred):
-            profiles.setdefault(f.name, tuple(
-                env[t.name] if isinstance(t, Var) else t.sort for t in f.args))
-        elif isinstance(f, Not):
-            walk(f.body, env)
-        elif isinstance(f, (And, Or)):
+        kind = type(f)
+        if kind is Pred:
+            if f.name not in profiles:
+                profiles[f.name] = tuple([env[t.name] if type(t) is Var
+                                          else t.sort for t in f.args])
+        elif kind is And or kind is Or:
             for item in f.items:
                 walk(item, env)
-        elif isinstance(f, (Implies, Iff)):
+        elif kind is ForAll or kind is Exists:
+            walk(f.body, {**env, f.var: f.sort})
+        elif kind is Implies or kind is Iff:
             walk(f.left, env)
             walk(f.right, env)
-        elif isinstance(f, (ForAll, Exists)):
-            walk(f.body, {**env, f.var: f.sort})
+        elif kind is Not:
+            walk(f.body, env)
 
     for formula in formulas:
         walk(formula, {})
@@ -214,8 +225,9 @@ _TRIVIALLY_FALSE: list[Clause] = [()]
 def compile_formula(formula: Formula,
                     bound: Sequence[tuple[str, Sort]] = ()):
     """Compile a well-sorted formula in negation normal form, as ``nnf``
-    returns it: a tree in which ``Not`` wraps only a ``Pred`` or an ``Eq``
-    and no ``Implies`` or ``Iff`` occurs.  Its free variables are ``bound``;
+    returns it: a tree in which ``Not`` wraps only a ``Pred`` or an ``Eq``,
+    no ``Implies`` or ``Iff`` occurs, and no ``And`` or ``Or`` lies directly
+    under one of its own kind.  Its free variables are ``bound``;
     environment slot i holds the element index of ``bound[i]``, and each
     quantifier binds the slot of its depth.
 

@@ -427,45 +427,60 @@ def _term_value(term: Term, env: dict) -> tuple[Sort, str]:
 
 
 def _eval(f: Formula, m: FiniteModel, env: dict) -> bool:
-    if isinstance(f, TrueF):
+    # One type test per kind, the most frequent kinds first.
+    kind = type(f)
+    if kind is Pred:
+        try:
+            row = tuple([env[t.name][1] if type(t) is Var else t.label
+                         for t in f.args])
+        except KeyError as unbound:
+            raise EvaluationError(
+                f"unbound variable {unbound.args[0]!r}") from None
+        table = m.tables.get(f.name)
+        return table is not None and row in table
+    if kind is And:
+        for item in f.items:
+            if not _eval(item, m, env):
+                return False
         return True
-    if isinstance(f, FalseF):
+    if kind is Implies:
+        return not _eval(f.left, m, env) or _eval(f.right, m, env)
+    if kind is ForAll or kind is Exists:
+        universe = m.universe(f.sort)
+        if not universe:
+            raise EvaluationError(
+                "quantification over World on a model with no world universe")
+        universal = kind is ForAll
+        var, sort, body = f.var, f.sort, f.body
+        outer = env.get(var)
+        try:
+            for label in universe:
+                env[var] = (sort, label)
+                if _eval(body, m, env) is not universal:
+                    return not universal
+            return universal
+        finally:
+            if outer is None:
+                del env[var]
+            else:
+                env[var] = outer
+    if kind is Not:
+        return not _eval(f.body, m, env)
+    if kind is Or:
+        for item in f.items:
+            if _eval(item, m, env):
+                return True
         return False
-    if isinstance(f, Pred):
-        labels = tuple(_term_value(t, env)[1] for t in f.args)
-        return m.truth(f.name, labels)
-    if isinstance(f, Eq):
+    if kind is Iff:
+        return _eval(f.left, m, env) == _eval(f.right, m, env)
+    if kind is Eq:
         lsort, llabel = _term_value(f.left, env)
         rsort, rlabel = _term_value(f.right, env)
         if lsort is not rsort:
             raise EvaluationError(f"equality compares {lsort} with {rsort}")
         return llabel == rlabel
-    if isinstance(f, Not):
-        return not _eval(f.body, m, env)
-    if isinstance(f, And):
-        return all(_eval(item, m, env) for item in f.items)
-    if isinstance(f, Or):
-        return any(_eval(item, m, env) for item in f.items)
-    if isinstance(f, Implies):
-        return (not _eval(f.left, m, env)) or _eval(f.right, m, env)
-    if isinstance(f, Iff):
-        return _eval(f.left, m, env) == _eval(f.right, m, env)
-    if isinstance(f, _QUANTIFIERS):
-        universe = m.universe(f.sort)
-        if not universe:
-            raise EvaluationError(
-                "quantification over World on a model with no world universe")
-        universal = isinstance(f, ForAll)
-        outer = env.get(f.var)
-        try:
-            for label in universe:
-                env[f.var] = (f.sort, label)
-                if _eval(f.body, m, env) is not universal:
-                    return not universal
-            return universal
-        finally:
-            if outer is None:
-                del env[f.var]
-            else:
-                env[f.var] = outer
+    if kind is TrueF:
+        return True
+    if kind is FalseF:
+        return False
     raise TypeError(f"not a formula: {f!r}")

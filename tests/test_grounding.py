@@ -10,8 +10,9 @@ from ethica.grounding import (Grounder, GroundingError, TruthGrounder,
                               definition_clauses, evaluate_via_grounding,
                               ground, nnf, predicate_profiles)
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
-                          FiniteModel, ForAll, Not, Or, Pred, Sort, Var,
-                          evaluate, mentions_world, quantifier_prefix)
+                          FiniteModel, ForAll, Iff, Implies, Not, Or, Pred,
+                          Sort, Var, evaluate, mentions_world,
+                          quantifier_prefix)
 from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_ids
 from ethica.solver import Solver
 
@@ -333,6 +334,51 @@ def test_nnf_strips_implications():
             return all(no_arrows(item) for item in f.items)
         return True
     assert no_arrows(formula)
+
+
+def _nnf_breaches(f, parent=None) -> list:
+    """The nodes of ``f`` that break ``nnf``'s output shape: an ``Implies``
+    or ``Iff``, a ``Not`` over anything but an atom, and an ``And`` directly
+    under an ``And`` or an ``Or`` directly under an ``Or``."""
+    kind = type(f)
+    if kind in (Implies, Iff) or (kind in (And, Or) and kind is parent) or \
+            (kind is Not and type(f.body) not in (Pred, Eq)):
+        return [f]
+    if kind in (And, Or):
+        return [bad for item in f.items for bad in _nnf_breaches(item, kind)]
+    if kind in (ForAll, Exists):
+        return _nnf_breaches(f.body)
+    return []
+
+
+def _thing_atom(name):
+    return Pred(name, (Var("x"),))
+
+
+#: An Iff nested in an Implies, whose left side is itself an Implies: each
+#: expansion of the Iff puts a connective of its own kind under each part.
+IFF_IN_IMPLIES = ForAll("x", T, Implies(
+    _thing_atom("inItself"),
+    Iff(Implies(_thing_atom("perSeConceived"), _thing_atom("inAnother")),
+        _thing_atom("conceivedThroughAnother"))))
+NNF_CASES = [(f"{axiom_id}{sign}", polarity) for axiom_id in axiom_ids()
+             for sign, polarity in (("+", axiom(axiom_id).formula),
+                                    ("-", Not(axiom(axiom_id).formula)))]
+NNF_CASES += [("iff-in-implies+", IFF_IN_IMPLIES),
+              ("iff-in-implies-", Not(IFF_IN_IMPLIES))]
+
+
+@pytest.mark.parametrize("name, formula", NNF_CASES,
+                         ids=[name for name, _ in NNF_CASES])
+def test_nnf_output_is_flat_with_negations_on_atoms_and_keeps_the_truth(
+        name, formula):
+    normal = nnf(formula)
+    assert _nnf_breaches(normal) == []
+    rng = random.Random(f"nnf:{name}")
+    support = [decl.name for decl in ETHICA_SIGNATURE]
+    for _ in range(6):
+        model = random_model(rng, 3, support, n_worlds=2)
+        assert evaluate(normal, model) == evaluate(formula, model)
 
 
 def test_grounding_world_quantifier_without_worlds_fails():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ethica.grounding import nnf
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Iff, Implies, ModelError, Not,
                           Or, Pred, PredicateDecl, Signature, Sort, SortError,
@@ -135,6 +136,30 @@ def test_world_quantifier_on_worldless_model_is_an_error(a12):
     assert a12.model.worlds == ()
     with pytest.raises(EvaluationError, match="no world universe"):
         evaluate(axiom("A18").formula, a12.model)
+
+
+#: A model with a table for inItself only: every other atom is false.
+ONE_TABLE = FiniteModel("m", ("t",), (), {"inItself": ["t"]})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # A predicate's terms are read before its table, so an unbound variable
+    # raises even where the atom is false for want of a table; the first
+    # unbound variable is the one named.
+    (lambda: evaluate(Pred("perSeConceived", (Var("x"),)), ONE_TABLE),
+     EvaluationError, "unbound variable 'x'"),
+    (lambda: evaluate(ForAll("x", T, Pred("cause", (Var("x"), Var("y")))),
+                      ONE_TABLE),
+     EvaluationError, "unbound variable 'y'"),
+    (lambda: evaluate(Eq(thing("t"), Var("z")), ONE_TABLE),
+     EvaluationError, "unbound variable 'z'"),
+    (lambda: evaluate(Var("x"), ONE_TABLE), TypeError, "not a formula"),
+    (lambda: nnf(Var("x")), TypeError, "not a formula"),
+], ids=["unbound-without-table", "second-term-unbound", "unbound-in-equality",
+        "evaluate-a-term", "nnf-of-a-term"])
+def test_evaluator_edge_cases(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_mentions_world():

@@ -968,7 +968,7 @@ def test_the_sweep_keeps_its_verdicts_and_counter_models():
     searches, refuted, verdicts, counters = sweep()
     assert (searches, refuted) == (1134, 1050)
     assert verdicts == "6e7d2bc820584b54b09c1846dbe91c41"
-    assert counters == "525a899046884858be8affdcc0f53e3a"
+    assert counters == "aa38f918134ed19eb98d3a1523558a83"
 
 
 # ---------------------------------------------------------------------------
