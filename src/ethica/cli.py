@@ -25,17 +25,19 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .logic import LogicError
-from .registry import BUNDLES, RegistryError, axiom_ids, catalogue_row
+from .registry import (BUNDLES, RegistryError, axiom_ids, catalogue_row,
+                       resolve_selector)
 from .search import (DEFAULT_NODE_BUDGET, InsufficientEvidenceError,
                      NoCounterexampleUpTo, RecheckError, Refuted,
                      ResourceLimitExceeded, SearchConfig, SearchStats,
                      entails_bounded)
 
 # ``corpus``, ``dsl`` and ``experiments`` are imported in the subcommands
-# that use them, so that ``entail``, ``search`` and ``export-axioms`` do not
-# compile them.  ``verify`` and ``run_experiment`` are called as attributes
-# of ``experiments``, so that replacing them there (as ``bench/child.py``'s
-# traced runs do) reaches every call.
+# that use them, so that ``entail``, ``search`` and ``export-axioms``, with
+# or without ``--json``, do not compile them (``search`` loads ``dsl`` only
+# to print a counter-model).  ``verify`` and ``run_experiment`` are called
+# as attributes of ``experiments``, so that replacing them there (as
+# ``bench/child.py``'s traced runs do) reaches every call.
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -98,11 +100,9 @@ def _emit_json(doc) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _direction_doc(premises, target: str, verdict, config: SearchConfig) -> dict:
-    from .experiments import Direction, direction_json
-    doc = direction_json(Direction(premises, target), verdict, config)
-    doc["stats"] = verdict.stats.to_json_dict()
-    return doc
+def _direction_doc(premises, target: str, verdict) -> dict:
+    return {"premises": list(resolve_selector(premises)), "target": target,
+            **verdict.to_json_dict(), "stats": verdict.stats.to_json_dict()}
 
 
 def _stats_line(stats: SearchStats) -> str:
@@ -149,7 +149,7 @@ def _cmd_search(args, verdict_only: bool = False) -> int:
     config = _search_config(args)
     verdict = entails_bounded(premises, args.target, config, args.workers)
     if args.json:
-        _emit_json(_direction_doc(premises, args.target, verdict, config))
+        _emit_json(_direction_doc(premises, args.target, verdict))
         return EXIT_OK
     lines = [verdict.describe()]
     if isinstance(verdict, Refuted) and not verdict_only:
@@ -208,7 +208,7 @@ def _cmd_probe(args) -> int:
     config = _search_config(args, default_things=3)
     verdict = experiments.conjecture_probe_full_register(config, args.workers)
     if args.json:
-        _emit_json(_direction_doc(premises, "A12", verdict, config))
+        _emit_json(_direction_doc(premises, "A12", verdict))
         return EXIT_OK
     lines = [f"full-register probe: {{{', '.join(premises)}}} |= A12 ?",
              verdict.describe()]

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from enum import Enum
 
 from .corpus import VerificationReport, corpus_model, verify
-from .logic import FiniteModel, FrozenDict, Value
+from .logic import FrozenDict, Value
 from .registry import resolve_selector
 from .search import (DEFAULT_NODE_BUDGET, STATS_COUNTERS, EntailmentVerdict,
                      InsufficientEvidenceError, NoCounterexampleUpTo, Refuted,
@@ -147,7 +147,9 @@ class ExperimentResult(Value):
 
     def to_json_dict(self) -> dict:
         directions = {
-            key: direction_json(direction, self.verdicts[key], self.spec.config)
+            key: {"premises": list(direction.premise_ids),
+                  "target": direction.target,
+                  **self.verdicts[key].to_json_dict()}
             for key, direction in self.spec.directions()}
         doc = {
             "name": self.spec.name,
@@ -165,39 +167,6 @@ class ExperimentResult(Value):
         if self.corpus_report is not None:
             doc["corpus_check"] = self.corpus_report.to_json_dict()
         return doc
-
-
-def _verdict_kind(verdict: EntailmentVerdict) -> str:
-    return "refuted" if verdict.is_refuted else "no_counterexample"
-
-
-def _model_json(model: FiniteModel) -> dict:
-    return {
-        "name": model.name,
-        "things": list(model.things),
-        "worlds": list(model.worlds),
-        "tables": {pred: sorted(list(row) for row in table)
-                   for pred, table in sorted(model.tables.items())},
-    }
-
-
-def direction_json(direction: Direction, verdict: EntailmentVerdict,
-                   config: SearchConfig) -> dict:
-    if isinstance(verdict, NoCounterexampleUpTo):
-        bound = {"things": verdict.thing_bound, "worlds": verdict.world_bound}
-    else:
-        bound = {"things": config.max_thing_size,
-                 "worlds": verdict.world_size}
-    doc = {
-        "premises": list(direction.premise_ids),
-        "target": direction.target,
-        "verdict": _verdict_kind(verdict),
-        "bound": bound,
-    }
-    if isinstance(verdict, Refuted):
-        doc["size"] = {"things": verdict.thing_size, "worlds": verdict.world_size}
-        doc["model"] = _model_json(verdict.model)
-    return doc
 
 
 def _combined_stats(verdicts) -> dict:
@@ -310,13 +279,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     failures = []
     for key, expected in (spec.expectation or {}).items():
-        actual = _verdict_kind(verdicts[key])
+        actual = verdicts[key].kind
         if actual != expected:
             failures.append(f"{key}: expected {expected}, got {actual}")
     if corpus_report is not None and not corpus_report.confirmed:
         failures.append(f"corpus check: {corpus_report.verdict}")
 
-    caveats = (_bound_caveat(spec, verdicts["forward"]),) + spec.extra_caveats
+    caveats = (_bound_caveat(spec.forward, verdicts["forward"]),
+               *spec.extra_caveats)
     return ExperimentResult(
         spec=spec,
         verdicts=verdicts,
@@ -328,12 +298,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     )
 
 
-def _bound_caveat(spec: ExperimentSpec, forward: EntailmentVerdict) -> str:
-    ids = ", ".join(spec.forward.premise_ids)
-    caveat = f"within tested premises {{{ids}}} and bound things <= " \
-             f"{spec.config.max_thing_size}"
-    worlds = forward.world_bound if isinstance(forward, NoCounterexampleUpTo) \
-        else forward.world_size
+def _bound_caveat(direction: Direction, verdict: EntailmentVerdict) -> str:
+    ids = ", ".join(direction.premise_ids)
+    things, worlds = verdict.bound
+    caveat = f"within tested premises {{{ids}}} and bound things <= {things}"
     if worlds:
         caveat += f", worlds <= {worlds}"
     return caveat
@@ -450,7 +418,7 @@ _DIRECTION_SCHEMA = {
     "properties": {
         "premises": {"type": "array", "items": {"type": "string"}},
         "target": {"type": "string"},
-        "verdict": {"enum": ["refuted", "no_counterexample"]},
+        "verdict": {"enum": [Refuted.kind, NoCounterexampleUpTo.kind]},
         "bound": {
             "type": "object",
             "required": ["things", "worlds"],

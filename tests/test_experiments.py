@@ -20,7 +20,7 @@ from oracles import refutes
 
 def _refuted():
     model = FiniteModel("m", ("t0",), tables={"inItself": {"t0"}})
-    return Refuted(model, 1, 0, SearchStats())
+    return Refuted(model, 1, 0, 4, SearchStats())
 
 
 def _survived(bound=4):

@@ -55,12 +55,18 @@ def test_import_ethica_loads_no_submodule():
     assert fresh_modules("import ethica") == ["ethica"]
 
 
-@pytest.mark.parametrize("command", ["entail", "search"])
-def test_a_search_command_loads_only_the_modules_it_runs(command):
-    loaded = fresh_modules(
-        "from ethica.cli import main\n"
-        f"main(['{command}', '--premises', 'PSRSubstance', '--target', "
-        "'PropV_allshared', '--max-things', '8', '--workers', '2'])")
+# A JSON report, a refutation's too, is the verdict's own (no ``dsl``).
+@pytest.mark.parametrize("command, target, options", [
+    ("entail", "PropV_allshared", []), ("search", "PropV_allshared", []),
+    ("entail", "PropV_allshared", ["--json"]),
+    ("search", "PropV_allshared", ["--json"]), ("search", "A12", ["--json"]),
+], ids=["entail", "search", "entail-json", "search-json",
+        "search-json-refuted"])
+def test_a_search_command_loads_only_the_modules_it_runs(command, target,
+                                                         options):
+    argv = [command, "--premises", "PSRSubstance", "--target", target,
+            "--max-things", "8", "--workers", "2", *options]
+    loaded = fresh_modules(f"from ethica.cli import main\nmain({argv!r})")
     assert {"ethica.search", "ethica.solver"} <= set(loaded)
     assert not {"ethica.corpus", "ethica.dsl", "ethica.experiments",
                 "ethica.workers"} & set(loaded)

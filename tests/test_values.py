@@ -60,7 +60,7 @@ FROZEN = {
     AxiomEntry: lambda: axiom("A1"),
     GroundConstraintSet: lambda: ground(axiom("A1").formula, ("t0", "t1")),
     SearchConfig: lambda: SearchConfig(max_thing_size=3, max_world_size=1),
-    Refuted: lambda: Refuted(_model(), 2, 1, SearchStats()),
+    Refuted: lambda: Refuted(_model(), 2, 1, 4, SearchStats()),
     NoCounterexampleUpTo: lambda: NoCounterexampleUpTo(4, 0, SearchStats()),
     CorpusModel: lambda: CorpusModel("m", _model(), ("F1",)),
     VerificationReport: lambda: verify(a12_counter_model(), "PSRSubstance", "A12"),
@@ -170,7 +170,8 @@ def test_a_missing_or_extra_field_raises_type_error_naming_the_class():
     with pytest.raises(TypeError) as info:
         Refuted(_model(), 2, 1)
     assert str(info.value) == ("Refuted fields ('model', 'thing_size', "
-                               "'world_size', 'stats'): expected 4, got 3")
+                               "'world_size', 'thing_bound', 'stats'): "
+                               "expected 5, got 3")
     with pytest.raises(TypeError, match=r"^Var fields \('name',\): "
                                         r"expected 1, got 0$"):
         Var()
