@@ -18,7 +18,8 @@ for each clause ``c`` of the part, so a disjunction grounds to one clause.
 Formulas are put in negation normal form first, so the polarity rules live
 only in ``nnf``, whose connectives are flat: an n-ary disjunction is one
 node, so each of its instances is one disjunction step.  Auxiliary
-variables are numbered after all table atoms.
+variables are numbered after all table atoms by ``Grounder``, which keeps
+their defining clauses in its ``defining`` list.
 
 The atoms come from predicate profiles: ``predicate_profiles`` walks the
 formulas once for each predicate's argument sorts, and ``atom_layout``, the
@@ -29,11 +30,11 @@ them, so a search profiles its formulas once.  A formula is compiled once
 every size.  Compiling resolves each variable to a slot of an integer
 environment, one slot per quantifier depth, that holds an element's index
 in its universe.  Grounding turns each node into a closure over that
-environment, reading atom indices off the layout.  Each connective or
-quantifier whose instances can recur is memoized on the indices of its
-free variables, so every instance of a shared subformula shares one
-auxiliary variable.  The others are not: a memo that never hits never
-returns a list twice, so it shares nothing.
+environment, reading atom indices off the layout.  A connective or
+quantifier is memoized on the indices of its free variables, so that every
+instance of a shared subformula shares one auxiliary variable, exactly
+when an instance can recur: when it is free in fewer slots than vary
+between its calls (``_memoized``).  A memo that never hits shares nothing.
 
 The same compiled formulas give truth values under fixed table bits when
 ground at a ``TruthGrounder``, whose literals and disjunctions come out as
@@ -235,22 +236,24 @@ def compile_formula(formula: Formula,
     indices of ``bound`` (``()`` when there are none) to the formula's
     clauses at that grounder's universes.  That function holds the
     formula's memo tables, so take it once per grounder, and call it at
-    most once per environment: a node free in every slot is not memoized,
-    so a repeated environment would get new aux variables.  The grounder
-    does not hold it: no reference cycle keeps a size's clauses alive once
-    the caller lets go of them."""
+    most once per environment: a node free in every bound slot is not
+    memoized, so a repeated environment would get new aux variables.  The
+    grounder does not hold it: no reference cycle keeps a size's clauses
+    alive once the caller lets go of them."""
     scope = {var: (slot, sort) for slot, (var, sort) in enumerate(bound)}
     make, _, depth = _compile(formula, scope, len(bound))
     padding = [0] * (depth - len(bound))
 
     def ground_at(grounder):
-        fn = make(grounder)
+        fn = make(grounder, len(bound))
         return lambda env=(): fn([*env, *padding])
     return ground_at
 
 
 def _compile(f: Formula, scope: dict, depth: int):
-    """(make, free slots as (slot, sort) pairs, environment length)."""
+    """(make, free slots as (slot, sort) pairs, environment length).
+    ``make(g, varying)`` is the node's function at grounder ``g``, given how
+    many slots vary between its calls; its free slots are among them."""
     if isinstance(f, TrueF):
         return _constant(_TRIVIALLY_TRUE), frozenset(), depth
     if isinstance(f, FalseF):
@@ -269,13 +272,11 @@ def _compile(f: Formula, scope: dict, depth: int):
         free = frozenset().union(*[free for _, free, _ in compiled])
         size = max([depth] + [size for _, _, size in compiled])
         conjunctive = isinstance(f, And)
-        # An instance can recur unless every slot below depth is free.
-        recurs = len(free) < depth
 
-        def make(g):
-            fns = [make(g) for make in makes]
+        def make(g, varying):
+            fns = [make(g, len(free)) for make in makes]
             raw = _conjunction(fns) if conjunctive else _disjunction(fns, g.disjoin)
-            return _memoized(raw, free, g) if recurs else raw
+            return _memoized(raw, free, g) if len(free) < varying else raw
         return make, free, size
     if isinstance(f, (ForAll, Exists)):
         slot, sort = depth, f.sort
@@ -283,17 +284,16 @@ def _compile(f: Formula, scope: dict, depth: int):
             f.body, {**scope, f.var: (slot, sort)}, depth + 1)
         free = body_free - {(slot, sort)}
         universal = isinstance(f, ForAll)
-        recurs = len(free) < depth
 
-        def make(g):
+        def make(g, varying):
             n = g.size[sort]
             if not n:
                 raise GroundingError(
                     "quantification over World on universes with no worlds")
-            body = body_make(g)
+            body = body_make(g, len(free) + 1)
             raw = _universal(body, slot, n) if universal else \
                 _existential(body, slot, n, g.disjoin)
-            return _memoized(raw, free, g) if recurs else raw
+            return _memoized(raw, free, g) if len(free) < varying else raw
         return make, free, size
     raise TypeError(f"not a formula in negation normal form: {f!r}")
 
@@ -304,7 +304,7 @@ def _always(clauses: list[Clause]):
 
 def _constant(clauses: list[Clause]):
     fn = _always(clauses)
-    return lambda g: fn
+    return lambda g, varying: fn
 
 
 def _compile_literal(f: Formula, positive: bool, scope: dict):
@@ -318,7 +318,7 @@ def _compile_literal(f: Formula, positive: bool, scope: dict):
     if isinstance(f, Eq):
         return _compile_equality(terms, true, false), free
 
-    def make(g):
+    def make(g, varying):
         entry = g.layout.get(f.name)
         if entry is None:
             # Predicate outside the atom space: frozen everywhere-false.
@@ -351,9 +351,9 @@ def _compile_equality(terms, true, false):
     if a is None:
         a, sort, b, label_b = b, sort_b, a, label_a
     if b is not None:
-        return lambda g: lambda env: true if env[a] == env[b] else false
+        return lambda g, varying: lambda env: true if env[a] == env[b] else false
 
-    def make(g):
+    def make(g, varying):
         index = g.index[sort].get(label_b)
         if index is None:
             return _always(false)
@@ -364,12 +364,14 @@ def _compile_equality(terms, true, false):
 def _memoized(raw, free, g):
     """``raw`` memoized on the element indices of the node's free slots,
     read as one mixed-radix number, so each instance of a subformula is
-    ground once per grounder.  Only nodes whose instances can recur are
-    memoized: the slots below a node's depth (bound or enclosing
-    quantifiers') vary between its calls, so one free in all of them never
-    sees a key twice, and a memo that never hits never returns a list twice,
-    so it shares no aux variable.  The memo keeps every list it returns, so
-    ``Grounder`` may key on list ids."""
+    ground once per grounder.  It is built only for a node free in fewer
+    slots than vary between its calls: the bound and quantifier slots, or,
+    below a memoized node, that node's free slots and the quantifier slots
+    under it, since a memoized node runs once per key.  So a node's items
+    are made with its own free slot count.  A node free in every varying
+    slot never sees a key twice, and a memo that never hits never returns a
+    list twice, so it would share no aux variable.  The memo keeps every
+    list it returns, so ``Grounder`` may key on list ids."""
     memo: dict = {}
     get = memo.get
     if len(free) == 1:
@@ -464,7 +466,8 @@ class Grounder:
 
     The formulas ground at one grounder share its auxiliary variables,
     numbered after the table atoms in the order they are made;
-    ``definitions`` lists them with their clauses.
+    ``definitions`` lists them with their clauses, and ``defining`` the
+    clauses ``not v or c`` for each clause ``c`` defining ``v``, in order.
     """
 
     def __init__(self, profiles: Mapping[str, Sequence[Sort]],
@@ -478,6 +481,7 @@ class Grounder:
         self.positive = [[(v,)] for v in range(1, self.natoms + 1)]
         self.negative = [[(-v,)] for v in range(1, self.natoms + 1)]
         self.definitions: list[Definition] = []
+        self.defining: list[Clause] = []
         # Part list id -> (the list, its aux); the entry holds the list, so
         # its id cannot be reused.
         self._parts: dict[int, tuple[list[Clause], int]] = {}
@@ -504,6 +508,8 @@ class Grounder:
         if entry is None:
             var = self.natoms + len(self.definitions) + 1
             self.definitions.append((var, tuple(clauses)))
+            # v follows every variable of c, so -v leads, in sorted order.
+            self.defining += [(-var,) + clause for clause in clauses]
             entry = self._parts[id(clauses)] = (clauses, var)
         return entry[1]
 
@@ -524,19 +530,12 @@ class TruthGrounder(Grounder):
         return _TRIVIALLY_FALSE if all(parts) else _TRIVIALLY_TRUE
 
 
-def definition_clauses(definitions: Iterable[Definition]) -> list[Clause]:
-    """The clauses ``not v or c`` for each clause ``c`` defining ``v``; v is
-    numbered after every variable of c, so ``-v`` leads and they stay sorted."""
-    return [(-var,) + clause for var, clauses in definitions for clause in clauses]
-
-
 def ground(formula: Formula, things: Sequence[str], worlds: Sequence[str] = (),
            support: Iterable[str] | None = None) -> GroundConstraintSet:
     """Ground a closed well-sorted formula over fixed universes."""
     profiles = predicate_profiles([formula], support)
     grounder = Grounder(profiles, things, worlds)
-    clauses = compile_formula(nnf(formula))(grounder)()
-    clauses = clauses + definition_clauses(grounder.definitions)
+    clauses = compile_formula(nnf(formula))(grounder)() + grounder.defining
     return GroundConstraintSet(tuple(things), tuple(worlds),
                                atom_space(profiles, things, worlds),
                                tuple(clauses), tuple(grounder.definitions))

@@ -77,8 +77,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 
 from .grounding import (Grounder, TruthGrounder, atom_layout, atom_space,
-                        compile_formula, definition_clauses, nnf,
-                        predicate_profiles)
+                        compile_formula, nnf, predicate_profiles)
 from .logic import (And, Eq, Exists, FiniteModel, ForAll, Formula,
                     LogicError, Not, Or, Pred, Sort, TrueF, Value, Var,
                     evaluate, mentions_world, quantifier_prefix)
@@ -585,6 +584,9 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
     prefix_sorts = [sort for _, sort in prefix]
     grounder = Grounder(profiles, things, worlds)
     natoms = grounder.natoms
+    # A branch may use any definition the size's grounder has made: a
+    # memoized matrix node's, or another branch's instance's.
+    defining = grounder.defining
     elements = {sort: range(n) for sort, n in grounder.size.items()}
     branch_clauses = matrix(grounder)
     ground_at = [compiled(grounder) for compiled, _ in premises]
@@ -592,9 +594,6 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
     # branch that holds it; the instances one branch adds seed the next.
     instances: dict = {}
     added: list = []
-    # The definition clauses of the size's first ``made`` aux variables.
-    defined: list = []
-    made = 0
 
     def clauses_of(keys):
         out = []
@@ -628,12 +627,9 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
                 for env in itertools.product(*(named[s] for _, s in bound))}
         held.update(added)
         clauses = clauses + clauses_of(sorted(held))
-        # A branch may use any definition the size's grounder has made: a
-        # memoized matrix node's, or another branch's instance's.
-        defined += definition_clauses(grounder.definitions[made:])
-        made = len(grounder.definitions)
         try:
-            solver = Solver(natoms + made, clauses + defined, remaining)
+            solver = Solver(natoms + len(grounder.definitions),
+                            clauses + defining, remaining)
             while (solution := solver.solve()) is not None:
                 violated = _violated(premises, profiles, things, worlds,
                                      solution[:natoms], elements, held)
@@ -647,11 +643,10 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
                                   - held)
                 held.update(violated)
                 added += violated
+                start = len(defining)
                 clauses = clauses_of(violated)
-                start = len(defined)
-                defined += definition_clauses(grounder.definitions[made:])
-                made = len(grounder.definitions)
-                solver.add(clauses + defined[start:], natoms + made)
+                solver.add(clauses + defining[start:],
+                           natoms + len(grounder.definitions))
         except BudgetExceeded:
             return None, None
         remaining -= solver.steps

@@ -5,19 +5,22 @@ import random
 
 import pytest
 
+from ethica import grounding
 from ethica.grounding import (Grounder, GroundingError, TruthGrounder,
                               atom_layout, atom_space, compile_formula,
-                              definition_clauses, evaluate_via_grounding,
-                              ground, nnf, predicate_profiles)
+                              evaluate_via_grounding, ground, nnf,
+                              predicate_profiles)
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Iff, Implies, Not, Or, Pred,
                           Sort, Var, evaluate, mentions_world,
                           quantifier_prefix)
 from ethica.registry import ETHICA_SIGNATURE, axiom, axiom_ids
+from ethica.search import SearchConfig, entails_bounded
 from ethica.solver import Solver
 
 from oracles import (all_models, assert_clause_format, atom_list,
-                     dpll_least_solution, forall, random_model, reference_ground)
+                     definition_clauses, dpll_least_solution, forall,
+                     random_model, reference_ground)
 
 T = Sort.THING
 
@@ -489,3 +492,25 @@ def test_ground_matches_the_tree_walking_grounder_on_a_support():
             things = ("t0", "t1", "t2")
             assert ground(formula, things, (), support) == \
                 reference_ground(formula, things, (), support), axiom_id
+
+
+def test_memo_tables_are_built_only_where_an_instance_can_recur(monkeypatch):
+    # Only the count of memo tables pins the rule of ``_memoized``:
+    # memoizing more nodes gives the same clauses.
+    built = []
+    memoized = grounding._memoized
+
+    def spy(raw, free, g):
+        built.append(free)
+        return memoized(raw, free, g)
+    monkeypatch.setattr(grounding, "_memoized", spy)
+    things, worlds = ("t0", "t1", "t2", "t3"), ("w0", "w1")
+    for axiom_id in axiom_ids():
+        ground(axiom(axiom_id).formula, things, worlds)
+    assert len(axiom_ids()) == 21
+    assert len(built) == 14
+    built.clear()
+    verdict = entails_bounded("PSRPlenitude", "A15",
+                              SearchConfig(max_thing_size=12))
+    assert not verdict.is_refuted
+    assert len(built) == 71

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ethica.grounding import nnf
+from ethica.grounding import compile_formula, nnf
 from ethica.logic import (FALSE, TRUE, And, Elem, Eq, EvaluationError, Exists,
                           FiniteModel, ForAll, Iff, Implies, ModelError, Not,
                           Or, Pred, PredicateDecl, Signature, Sort, SortError,
@@ -155,8 +155,13 @@ ONE_TABLE = FiniteModel("m", ("t",), (), {"inItself": ["t"]})
      EvaluationError, "unbound variable 'z'"),
     (lambda: evaluate(Var("x"), ONE_TABLE), TypeError, "not a formula"),
     (lambda: nnf(Var("x")), TypeError, "not a formula"),
+    (lambda: compile_formula(Implies(TRUE, TRUE)), TypeError,
+     "not a formula in negation normal form"),
+    (lambda: check_sorted(Var("x"), ETHICA_SIGNATURE), TypeError,
+     "not a formula"),
 ], ids=["unbound-without-table", "second-term-unbound", "unbound-in-equality",
-        "evaluate-a-term", "nnf-of-a-term"])
+        "evaluate-a-term", "nnf-of-a-term", "compile-outside-nnf",
+        "sort-check-a-term"])
 def test_evaluator_edge_cases(call, error, message):
     with pytest.raises(error, match=message):
         call()

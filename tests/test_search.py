@@ -6,9 +6,8 @@ import tracemalloc
 
 import pytest
 
-from ethica.grounding import (Grounder, atom_space, compile_formula,
-                              definition_clauses, ground, nnf,
-                              predicate_profiles)
+from ethica.grounding import (Grounder, atom_space, compile_formula, ground,
+                              nnf, predicate_profiles)
 from ethica import search
 from ethica.logic import (FALSE, TRUE, And, Eq, Exists, FiniteModel, ForAll,
                           LogicError, Not, Or, Pred, Sort, Var, evaluate,
@@ -23,7 +22,8 @@ from ethica.search import (NoCounterexampleUpTo, Refuted, ResourceLimitExceeded,
 from ethica.solver import BudgetExceeded, Solver
 
 from oracles import (all_models, assert_clause_format, countermodel_exists,
-                     dpll_least_solution, least_relabeling, predicates,
+                     definition_clauses, dpll_least_solution,
+                     least_relabeling, predicates,
                      random_model, reference_ground, reference_grounding,
                      refutes)
 from sweep import sweep
