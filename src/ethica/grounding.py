@@ -34,7 +34,7 @@ environment, reading atom indices off the layout.  A connective or
 quantifier is memoized on the indices of its free variables, so that every
 instance of a shared subformula shares one auxiliary variable, exactly
 when an instance can recur: when it is free in fewer slots than vary
-between its calls (``_memoized``).  A memo that never hits shares nothing.
+between its calls (``_shared``).  A memo that never hits shares nothing.
 
 The same compiled formulas give truth values under fixed table bits when
 ground at a ``TruthGrounder``, whose literals and disjunctions come out as
@@ -241,19 +241,19 @@ def compile_formula(formula: Formula,
     grounder does not hold it: no reference cycle keeps a size's clauses
     alive once the caller lets go of them."""
     scope = {var: (slot, sort) for slot, (var, sort) in enumerate(bound)}
-    make, _, depth = _compile(formula, scope, len(bound))
+    make, free, depth = _compile(formula, scope, len(bound))
+    make = _shared(formula, make, free, len(bound))
     padding = [0] * (depth - len(bound))
 
     def ground_at(grounder):
-        fn = make(grounder, len(bound))
+        fn = make(grounder)
         return lambda env=(): fn([*env, *padding])
     return ground_at
 
 
 def _compile(f: Formula, scope: dict, depth: int):
-    """(make, free slots as (slot, sort) pairs, environment length).
-    ``make(g, varying)`` is the node's function at grounder ``g``, given how
-    many slots vary between its calls; its free slots are among them."""
+    """(make, free slots as (slot, sort) pairs, environment length);
+    ``make(g)`` is the node's function at grounder ``g``."""
     if isinstance(f, TrueF):
         return _constant(_TRIVIALLY_TRUE), frozenset(), depth
     if isinstance(f, FalseF):
@@ -268,32 +268,32 @@ def _compile(f: Formula, scope: dict, depth: int):
             clauses = _TRIVIALLY_TRUE if isinstance(f, And) else _TRIVIALLY_FALSE
             return _constant(clauses), frozenset(), depth
         compiled = [_compile(item, scope, depth) for item in f.items]
-        makes = [make for make, _, _ in compiled]
         free = frozenset().union(*[free for _, free, _ in compiled])
+        makes = [_shared(item, make, item_free, len(free))
+                 for item, (make, item_free, _) in zip(f.items, compiled)]
         size = max([depth] + [size for _, _, size in compiled])
         conjunctive = isinstance(f, And)
 
-        def make(g, varying):
-            fns = [make(g, len(free)) for make in makes]
-            raw = _conjunction(fns) if conjunctive else _disjunction(fns, g.disjoin)
-            return _memoized(raw, free, g) if len(free) < varying else raw
+        def make(g):
+            fns = [make(g) for make in makes]
+            return _conjunction(fns) if conjunctive else _disjunction(fns, g.disjoin)
         return make, free, size
     if isinstance(f, (ForAll, Exists)):
         slot, sort = depth, f.sort
         body_make, body_free, size = _compile(
             f.body, {**scope, f.var: (slot, sort)}, depth + 1)
         free = body_free - {(slot, sort)}
+        body_make = _shared(f.body, body_make, body_free, len(free) + 1)
         universal = isinstance(f, ForAll)
 
-        def make(g, varying):
+        def make(g):
             n = g.size[sort]
             if not n:
                 raise GroundingError(
                     "quantification over World on universes with no worlds")
-            body = body_make(g, len(free) + 1)
-            raw = _universal(body, slot, n) if universal else \
+            body = body_make(g)
+            return _universal(body, slot, n) if universal else \
                 _existential(body, slot, n, g.disjoin)
-            return _memoized(raw, free, g) if len(free) < varying else raw
         return make, free, size
     raise TypeError(f"not a formula in negation normal form: {f!r}")
 
@@ -304,7 +304,7 @@ def _always(clauses: list[Clause]):
 
 def _constant(clauses: list[Clause]):
     fn = _always(clauses)
-    return lambda g, varying: fn
+    return lambda g: fn
 
 
 def _compile_literal(f: Formula, positive: bool, scope: dict):
@@ -318,7 +318,7 @@ def _compile_literal(f: Formula, positive: bool, scope: dict):
     if isinstance(f, Eq):
         return _compile_equality(terms, true, false), free
 
-    def make(g, varying):
+    def make(g):
         entry = g.layout.get(f.name)
         if entry is None:
             # Predicate outside the atom space: frozen everywhere-false.
@@ -351,9 +351,9 @@ def _compile_equality(terms, true, false):
     if a is None:
         a, sort, b, label_b = b, sort_b, a, label_a
     if b is not None:
-        return lambda g, varying: lambda env: true if env[a] == env[b] else false
+        return lambda g: lambda env: true if env[a] == env[b] else false
 
-    def make(g, varying):
+    def make(g):
         index = g.index[sort].get(label_b)
         if index is None:
             return _always(false)
@@ -361,16 +361,22 @@ def _compile_equality(terms, true, false):
     return make
 
 
+def _shared(f: Formula, make, free, varying: int):
+    """``make``, memoized when node ``f`` is a connective or quantifier
+    free in fewer than the ``varying`` slots that vary between its calls:
+    the root's bound slots, or its parent's free slots plus a quantifier
+    parent's own slot.  Only then can an instance recur; a memo that never
+    hits returns no list twice, so it would share no aux variable."""
+    if len(free) >= varying or not (isinstance(f, (ForAll, Exists)) or
+                                    isinstance(f, (And, Or)) and f.items):
+        return make
+    return lambda g: _memoized(make(g), free, g)
+
+
 def _memoized(raw, free, g):
     """``raw`` memoized on the element indices of the node's free slots,
     read as one mixed-radix number, so each instance of a subformula is
-    ground once per grounder.  It is built only for a node free in fewer
-    slots than vary between its calls: the bound and quantifier slots, or,
-    below a memoized node, that node's free slots and the quantifier slots
-    under it, since a memoized node runs once per key.  So a node's items
-    are made with its own free slot count.  A node free in every varying
-    slot never sees a key twice, and a memo that never hits never returns a
-    list twice, so it would share no aux variable.  The memo keeps every
+    ground once per grounder (built by ``_shared``).  The memo keeps every
     list it returns, so ``Grounder`` may key on list ids."""
     memo: dict = {}
     get = memo.get

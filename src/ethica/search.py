@@ -584,9 +584,6 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
     prefix_sorts = [sort for _, sort in prefix]
     grounder = Grounder(profiles, things, worlds)
     natoms = grounder.natoms
-    # A branch may use any definition the size's grounder has made: a
-    # memoized matrix node's, or another branch's instance's.
-    defining = grounder.defining
     elements = {sort: range(n) for sort, n in grounder.size.items()}
     branch_clauses = matrix(grounder)
     ground_at = [compiled(grounder) for compiled, _ in premises]
@@ -628,8 +625,10 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
         held.update(added)
         clauses = clauses + clauses_of(sorted(held))
         try:
+            # A branch may use any definition the size's grounder has made:
+            # a memoized matrix node's, or another branch's instance's.
             solver = Solver(natoms + len(grounder.definitions),
-                            clauses + defining, remaining)
+                            clauses + grounder.defining, remaining)
             while (solution := solver.solve()) is not None:
                 violated = _violated(premises, profiles, things, worlds,
                                      solution[:natoms], elements, held)
@@ -643,9 +642,9 @@ def _least_branch_key(premises, prefix, matrix, things, worlds, profiles,
                                   - held)
                 held.update(violated)
                 added += violated
-                start = len(defining)
+                start = len(grounder.defining)
                 clauses = clauses_of(violated)
-                solver.add(clauses + defining[start:],
+                solver.add(clauses + grounder.defining[start:],
                            natoms + len(grounder.definitions))
         except BudgetExceeded:
             return None, None

@@ -4,21 +4,20 @@ A mutant is a named list of exact edits ``(file, old text, new text)``,
 each of which must occur exactly once in the file.  For each mutant the
 harness copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
 directory, applies the edits there, and runs tier-1 with ``-x`` in a
-subprocess under a wall-clock timeout, since tier-1 has no timeout of its
-own.  A failing test or the timeout kills the mutant.  A mutant that
+subprocess under a wall-clock timeout of ``TIMEOUT`` seconds, since tier-1
+has no timeout of its own.  A failing test or the timeout kills the mutant.  A mutant that
 survives is reported as equivalent when its entry gives the reason it
 cannot change a verdict, and as survived otherwise.  The unmutated copy is
 run first and must pass.  The exit status is 1 when a mutant survived or
 the unmutated copy failed.
 
-    python tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python tests/mutants.py
 
 The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import signal
@@ -29,32 +28,22 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Seconds per tier-1 run; the unmutated run takes about 17 s.
+TIMEOUT = 120
 
 #: name -> (edits, reason the mutant is equivalent or None).
 MUTANTS: dict[str, tuple[list[tuple[str, str, str]], str | None]] = {
     "memoize no node": ([
         ("src/ethica/grounding.py",
-         "_disjunction(fns, g.disjoin)\n"
-         "            return _memoized(raw, free, g) if len(free) < varying else raw",
-         "_disjunction(fns, g.disjoin)\n            return raw"),
-        ("src/ethica/grounding.py",
-         "_existential(body, slot, n, g.disjoin)\n"
-         "            return _memoized(raw, free, g) if len(free) < varying else raw",
-         "_existential(body, slot, n, g.disjoin)\n            return raw"),
+         "    return lambda g: _memoized(make(g), free, g)\n",
+         "    return make\n"),
     ], None),
     # Every connective and quantifier memoized: the clauses are the same,
     # only memo tables that never hit are added.
     "memoize every node": ([
         ("src/ethica/grounding.py",
-         "_disjunction(fns, g.disjoin)\n"
-         "            return _memoized(raw, free, g) if len(free) < varying else raw",
-         "_disjunction(fns, g.disjoin)\n"
-         "            return _memoized(raw, free, g)"),
-        ("src/ethica/grounding.py",
-         "_existential(body, slot, n, g.disjoin)\n"
-         "            return _memoized(raw, free, g) if len(free) < varying else raw",
-         "_existential(body, slot, n, g.disjoin)\n"
-         "            return _memoized(raw, free, g)"),
+         "if len(free) >= varying or not",
+         "if not"),
     ], None),
     "drop one clause of each definition": ([
         ("src/ethica/grounding.py",
@@ -100,15 +89,10 @@ def copy_tree(target: Path) -> None:
 def apply(target: Path, edits: list[tuple[str, str, str]]) -> None:
     for file, old, new in edits:
         path = target / file
-        text = path.read_text()
-        count = text.count(old)
-        if count != 1:
-            raise SystemExit(f"{file}: the edit's old text occurs {count} "
-                             f"times, not once:\n{old}")
-        path.write_text(text.replace(old, new))
+        path.write_text(path.read_text().replace(old, new))
 
 
-def run_tier1(target: Path, timeout: float) -> tuple[str | None, float]:
+def run_tier1(target: Path) -> tuple[str | None, float]:
     """(None when tier-1 passed, else the first failure or "timeout"; the
     wall time).  The run has its own process group, so a timeout also ends
     the workers its tests fork."""
@@ -120,7 +104,7 @@ def run_tier1(target: Path, timeout: float) -> tuple[str | None, float]:
         cwd=target, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, start_new_session=True)
     try:
-        output, _ = child.communicate(timeout=timeout)
+        output, _ = child.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         child.communicate()
@@ -134,39 +118,30 @@ def run_tier1(target: Path, timeout: float) -> tuple[str | None, float]:
     return (failed[0] if failed else f"exit {child.returncode}"), elapsed
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds per tier-1 run (default 120)")
-    parser.add_argument("names", nargs="*", help="mutants to run (default all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - set(MUTANTS)
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    names = args.names or list(MUTANTS)
+def main() -> int:
+    # Every edit must apply before any tier-1 run.
+    for name, (edits, _) in MUTANTS.items():
+        for file, old, _ in edits:
+            count = (ROOT / file).read_text().count(old)
+            if count != 1:
+                raise SystemExit(f"{name}: the old text of an edit to {file} "
+                                 f"occurs {count} times, not once:\n{old}")
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
-        # Every edit must apply before any tier-1 run.
-        for name in names:
-            check = Path(scratch) / "check"
-            copy_tree(check)
-            apply(check, MUTANTS[name][0])
-            shutil.rmtree(check)
         base = Path(scratch) / "unmutated"
         copy_tree(base)
-        failure, elapsed = run_tier1(base, args.timeout)
+        failure, elapsed = run_tier1(base)
         print(f"unmutated: {'passed' if failure is None else failure} "
               f"({elapsed:.1f} s)", flush=True)
         if failure is not None:
             return 1
         shutil.rmtree(base)
         survived = 0
-        for name in names:
-            edits, reason = MUTANTS[name]
+        for name, (edits, reason) in MUTANTS.items():
             target = Path(scratch) / "mutant"
             copy_tree(target)
             apply(target, edits)
-            failure, elapsed = run_tier1(target, args.timeout)
+            failure, elapsed = run_tier1(target)
             shutil.rmtree(target)
             if failure is not None:
                 status = f"killed by {failure}"
@@ -176,10 +151,10 @@ def main(argv: list[str]) -> int:
                 status = "SURVIVED"
                 survived += 1
             print(f"{name}: {status} ({elapsed:.1f} s)", flush=True)
-    print(f"{len(names)} mutants, {survived} survived, "
+    print(f"{len(MUTANTS)} mutants, {survived} survived, "
           f"{time.perf_counter() - started:.0f} s")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
