@@ -374,10 +374,10 @@ def _shared(f: Formula, make, free, varying: int):
 
 
 def _memoized(raw, free, g):
-    """``raw`` memoized on the element indices of the node's free slots,
-    read as one mixed-radix number, so each instance of a subformula is
-    ground once per grounder (built by ``_shared``).  The memo keeps every
-    list it returns, so ``Grounder`` may key on list ids."""
+    """``raw`` memoized on the element indices of the node's free slots
+    (one mixed-radix number), so each instance of a subformula is ground
+    once per grounder; ``_shared`` builds it only where one can recur.  The
+    memo keeps every list it returns, so ``Grounder`` may key on list ids."""
     memo: dict = {}
     get = memo.get
     if len(free) == 1:

@@ -1,15 +1,15 @@
 """Check that tier-1 kills each seeded mutant of ``src/ethica``.
 
 A mutant is a named list of exact edits ``(file, old text, new text)``,
-each of which must occur exactly once in the file.  For each mutant the
-harness copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
-directory, applies the edits there, and runs tier-1 with ``-x`` in a
-subprocess under a wall-clock timeout of ``TIMEOUT`` seconds, since tier-1
-has no timeout of its own.  A failing test or the timeout kills the mutant.  A mutant that
-survives is reported as equivalent when its entry gives the reason it
-cannot change a verdict, and as survived otherwise.  The unmutated copy is
-run first and must pass.  The exit status is 1 when a mutant survived or
-the unmutated copy failed.
+each of which must occur exactly once in the file; every edit is checked
+before any run.  For each mutant the harness copies ``src``, ``tests`` and
+``pyproject.toml`` to a temporary directory, applies the edits there, and
+runs tier-1 with ``-x`` in a subprocess under a wall-clock timeout of
+``TIMEOUT`` seconds, since tier-1 has no timeout of its own.  A failing
+test or the timeout kills the mutant.  A mutant that survives is reported
+as equivalent when its entry gives the reason it cannot change a verdict,
+and as survived otherwise.  The unmutated copy is run first and must pass.
+The exit status is 1 when a mutant survived or the unmutated copy failed.
 
     python tests/mutants.py
 
